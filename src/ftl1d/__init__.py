@@ -59,7 +59,6 @@ from .diagnostics import (  # noqa: F401
     velocity_total_variation,
 )
 from .reference import (  # noqa: F401
-    GodunovGrid,
     RiemannSolution,
     UnsupportedFluxError,
     godunov,

@@ -3,8 +3,10 @@
 Each particle moves with speed v(mass/gap-to-right-neighbour); the leader
 moves at v_max, so its path is exactly linear in time.  The exact flow keeps
 every gap above particle_mass/R (R = maximum initial cell density); the
-integrators enforce a safety fraction of that floor by step rejection, which
+integrator enforces a safety fraction of that floor by step rejection, which
 for the smooth right-hand side only ever fires as a numerical safeguard.
+One step controller runs every scheme from its Runge-Kutta coefficient table
+(``METHODS``); a new scheme is a new table, not a new setting.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class IntegratorSettings:
     gap_floor_safety: float = 0.5
 
     def __post_init__(self):
-        if self.method not in ("rk4_fixed", "rk45_adaptive"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError("dt must be positive")
@@ -141,52 +143,70 @@ def default_step(config: ParticleConfiguration, model: VelocityModel, t_end: flo
     return min(0.1 * config.particle_mass / spread, t_end / 100.0)
 
 
-def _rk4_step(x, dt, cell_mass, model):
-    k1 = _velocities(x, cell_mass, model)
-    if k1 is None:
-        return None
-    k2 = _velocities(x + 0.5 * dt * k1, cell_mass, model)
-    if k2 is None:
-        return None
-    k3 = _velocities(x + 0.5 * dt * k2, cell_mass, model)
-    if k3 is None:
-        return None
-    k4 = _velocities(x + dt * k3, cell_mass, model)
-    if k4 is None:
-        return None
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _nonzero(row):
+    return tuple((j, c) for j, c in enumerate(row) if c != 0.0)
 
 
-# Dormand-Prince 5(4) coefficients.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
+class _Tableau:
+    """An explicit Runge-Kutta scheme, with its zero coefficients dropped.
+
+    ``a`` holds the stage rows after the first (the system is autonomous, so
+    no nodes c_i), ``b`` the weights of x + (dt / divisor) * sum_j b_j k_j,
+    and ``embedded``, if given, those of an order-4 solution whose difference
+    is the error estimate; without it the step is fixed.  Artifacts are
+    checksummed, so the order of operations is kept: sums start from their
+    first nonzero term and unit weights are not multiplied.  A combined
+    error row or reuse of the last stage would change steps in the last bit.
+    """
+
+    def __init__(self, a, b, divisor=1.0, embedded=None):
+        self.stages = ((),) + tuple(_nonzero(row) for row in a)
+        self.weights = _nonzero(b)
+        self.divisor = divisor
+        self.embedded = None if embedded is None else _nonzero(embedded)
+
+    def step(self, x, dt, cell_mass, model):
+        """(x_new, error estimate or None), or (None, None) if a stage state is invalid."""
+        ks = []
+        for row in self.stages:
+            xi = x
+            for j, a in row:
+                xi = xi + (dt * a) * ks[j]
+            k = _velocities(xi, cell_mass, model)
+            if k is None:
+                return None, None
+            ks.append(k)
+        h = dt / self.divisor
+        x_new = x + h * _weighted_sum(self.weights, ks)
+        if self.embedded is None:
+            return x_new, None
+        return x_new, x_new - (x + h * _weighted_sum(self.embedded, ks))
 
 
-def _dp45_step(x, dt, cell_mass, model):
-    """One Dormand-Prince step; returns (x5, error_estimate) or None."""
-    ks = []
-    for stage in range(7):
-        xi = x
-        for a, k in zip(_DP_A[stage], ks):
-            xi = xi + dt * a * k
-        k = _velocities(xi, cell_mass, model)
-        if k is None:
-            return None
-        ks.append(k)
-    x5 = x + dt * sum(b * k for b, k in zip(_DP_B5, ks))
-    x4 = x + dt * sum(b * k for b, k in zip(_DP_B4, ks))
-    return x5, x5 - x4
+def _weighted_sum(weights, ks):
+    total = None
+    for j, b in weights:
+        term = ks[j] if b == 1.0 else b * ks[j]
+        total = term if total is None else total + term
+    return total
+
+
+# The integration methods by name: classical RK4 at a fixed step, and the
+# Dormand-Prince 5(4) pair with step-size control.
+METHODS = {
+    "rk4_fixed": _Tableau(a=((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
+                          b=(1.0, 2.0, 2.0, 1.0), divisor=6.0),
+    "rk45_adaptive": _Tableau(
+        a=((1 / 5,),
+           (3 / 40, 9 / 40),
+           (44 / 45, -56 / 15, 32 / 9),
+           (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+           (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+           (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+        b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
+        embedded=(5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                  187 / 2100, 1 / 40)),
+}
 
 
 def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float,
@@ -206,11 +226,13 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
         Trajectory with one state per (deduplicated, sorted) sample time and
         integrator metadata (step size, step/rejection counts, gap floor).
 
-    Any step whose end state drops a gap below
-    gap_floor_safety * particle_mass / R (R from the initial configuration)
-    is rejected and retried at half the step; rejection-driven underflow
-    below 1e-12 * t_end raises IntegrationError carrying the last valid
-    state.
+    One controller runs the coefficient table of ``settings.method`` (see
+    ``METHODS``); a new scheme is a new table, not a new setting.  Steps end
+    on the sample times; an embedded error estimate adapts the step to
+    abs_tol/rel_tol.  A step that drops a gap below gap_floor_safety *
+    particle_mass / R (R from the initial configuration) or meets an invalid
+    stage state is retried at half the step; rejection-driven underflow
+    below 1e-12 * t_end raises IntegrationError carrying the last valid state.
     """
     if config0.time != 0.0:
         raise ValueError("initial configuration must be at time 0")
@@ -225,13 +247,13 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     if samples[0] < 0.0 or samples[-1] > t_end:
         raise ValueError("sample times must lie in [0, t_end]")
 
+    scheme = METHODS[settings.method]
     cell_mass = config0.particle_mass
     r_init = config0.max_density()
     floor = settings.gap_floor_safety * cell_mass / r_init
     dt_base = settings.dt if settings.dt is not None else default_step(config0, model, max(t_end, 1e-300))
     if t_end == 0.0:
         dt_base = 1.0
-    adaptive = settings.method == "rk45_adaptive"
     dt_min = STEP_UNDERFLOW_FRACTION * t_end if t_end > 0.0 else 0.0
 
     x = config0.positions.copy()
@@ -239,62 +261,39 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     steps = 0
     rejections = 0
     states = []
-
-    def record(time, positions):
-        states.append(ParticleConfiguration(
-            time=time, particle_mass=cell_mass, positions=positions.copy()))
-
-    sample_idx = 0
-    while sample_idx < samples.size and samples[sample_idx] <= 0.0:
-        record(0.0, x)
-        sample_idx += 1
-
     dt_next = dt_base
-    while sample_idx < samples.size:
-        target = samples[sample_idx]
+    for target in samples:
         while t < target:
             remaining = target - t
-            dt = min(dt_next if adaptive else dt_base, remaining)
-            hit_target = dt >= remaining
-
-            def shrink(new_dt):
-                nonlocal rejections
-                rejections += 1
-                if new_dt < dt_min:
-                    raise IntegrationError(
-                        f"step size underflow at t={t:.6g} (dt={new_dt:.3g})",
-                        time=t, positions=x.copy())
-                return new_dt
-
+            dt = min(dt_next, remaining)
             while True:
-                if adaptive:
-                    result = _dp45_step(x, dt, cell_mass, model)
-                    if result is not None:
-                        x_new, err = result
-                        scale = settings.abs_tol + settings.rel_tol * np.maximum(
-                            np.abs(x), np.abs(x_new))
-                        err_norm = float(np.max(np.abs(err) / scale))
-                        if err_norm > 1.0:
-                            dt = shrink(max(0.9 * dt * err_norm ** -0.2, 0.1 * dt))
-                            hit_target = False
-                            continue
-                    else:
-                        x_new = None
+                x_new, err = scheme.step(x, dt, cell_mass, model)
+                err_norm = 0.0
+                if err is not None:
+                    scale = settings.abs_tol + settings.rel_tol * np.maximum(
+                        np.abs(x), np.abs(x_new))
+                    err_norm = float(np.max(np.abs(err) / scale))
+                if err_norm > 1.0:
+                    retry = max(0.9 * dt * err_norm ** -0.2, 0.1 * dt)
+                elif x_new is None or np.min(np.diff(x_new)) < floor:
+                    retry = 0.5 * dt
                 else:
-                    x_new = _rk4_step(x, dt, cell_mass, model)
-                if x_new is None or np.min(np.diff(x_new)) < floor:
-                    dt = shrink(0.5 * dt)
-                    hit_target = False
-                    continue
-                break
-            t = target if hit_target else t + dt
+                    break
+                rejections += 1
+                if retry < dt_min:
+                    raise IntegrationError(
+                        f"step size underflow at t={t:.6g} (dt={retry:.3g})",
+                        time=t, positions=x.copy())
+                dt = retry
+            # a rejection always leaves dt below remaining
+            t = target if dt == remaining else t + dt
             x = x_new
             steps += 1
-            if adaptive:
+            if err is not None:
                 factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
                 dt_next = min(dt * factor, dt_base * 100.0)
-        record(target, x)
-        sample_idx += 1
+        states.append(ParticleConfiguration(
+            time=target, particle_mass=cell_mass, positions=x.copy()))
 
     metadata = {
         "method": settings.method,

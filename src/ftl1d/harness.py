@@ -398,8 +398,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; the scheme is deterministic")
         p.add_argument("--jobs", type=int, default=1, help="parallel runs")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)

@@ -223,35 +223,12 @@ def godunov_flux(model: VelocityModel, rho_l, rho_r):
     f_r = model.flux(rr)
     undercompressive = rl <= rr
     minimum = np.minimum(f_l, f_r)
-    if np.ndim(rl) == 0 and np.ndim(rr) == 0:
-        if undercompressive:
-            return float(minimum)
-        star = critical_density(model, float(rr), float(rl))
-        return float(model.flux(star))
     lo = np.minimum(rl, rr)
     hi = np.maximum(rl, rr)
     star = critical_density(model, 0.0, float(np.max(hi)) if hi.size else 0.0)
     maximum = model.flux(np.clip(star, lo, hi))
-    return np.where(undercompressive, minimum, maximum)
-
-
-@dataclass(frozen=True)
-class GodunovGrid:
-    """Uniform finite-volume grid of cell averages."""
-
-    edges: np.ndarray
-    averages: np.ndarray
-    cfl: float
-
-    @property
-    def dx(self) -> float:
-        return float(self.edges[1] - self.edges[0])
-
-    def density(self) -> PiecewiseConstantDensity:
-        vals = np.maximum(self.averages, 0.0)
-        return PiecewiseConstantDensity(
-            breakpoints=self.edges.copy(), values=vals,
-            total_mass=float(np.sum(vals) * self.dx))
+    out = np.where(undercompressive, minimum, maximum)
+    return float(out) if out.ndim == 0 else out
 
 
 def godunov(datum: InitialDatum, model: VelocityModel, dx: float, cfl: float,
@@ -291,17 +268,16 @@ def godunov(datum: InitialDatum, model: VelocityModel, dx: float, cfl: float,
     u = np.diff(datum.cdf_values(edges)) / dx
     mass0 = float(np.sum(u) * dx)
 
-    if t_end == 0.0:
-        return GodunovGrid(edges, u, cfl).density()
-
-    speed = float(np.max(np.abs(model.flux_derivative(np.linspace(0.0, max(r, 1e-12), 257)))))
-    if speed <= 0.0:
-        raise ValueError("flux has no wave speed; cannot set a time step")
-    dt_raw = cfl * dx / speed
-    if dt_raw < 1e-14 * t_end:
-        raise ValueError("time step underflow")
-    n_steps = int(math.ceil(t_end / dt_raw))
-    dt = t_end / n_steps
+    n_steps = 0
+    if t_end > 0.0:
+        speed = float(np.max(np.abs(model.flux_derivative(np.linspace(0.0, max(r, 1e-12), 257)))))
+        if speed <= 0.0:
+            raise ValueError("flux has no wave speed; cannot set a time step")
+        dt_raw = cfl * dx / speed
+        if dt_raw < 1e-14 * t_end:
+            raise ValueError("time step underflow")
+        n_steps = int(math.ceil(t_end / dt_raw))
+        dt = t_end / n_steps
 
     zero = np.zeros(1)
     for _ in range(n_steps):
@@ -314,4 +290,6 @@ def godunov(datum: InitialDatum, model: VelocityModel, dx: float, cfl: float,
         mass = float(np.sum(u) * dx)
         if abs(mass - mass0) > 1e-12 * mass0:
             raise RuntimeError(f"mass drift {mass - mass0:.3e} exceeds tolerance")
-    return GodunovGrid(edges, u, cfl).density()
+    vals = np.maximum(u, 0.0)
+    return PiecewiseConstantDensity(breakpoints=edges, values=vals,
+                                    total_mass=float(np.sum(vals) * (edges[1] - edges[0])))

@@ -184,3 +184,35 @@ def test_step_underflow_raises_with_diagnostic_state():
         integrate(c0, model, 1.0, IntegratorSettings(gap_floor_safety=1.0), [1.0])
     assert err.value.positions is not None
     assert err.value.time is not None
+
+
+def test_rk4_fixed_matches_classical_rk4_bit_for_bit():
+    # dyadic dt with t_end a multiple of it: no step is shortened
+    model = Greenshields(1.0)
+    c0 = atomize(scenario("box"), 32)
+    dt = 2.0 ** -6
+    tr = integrate(c0, model, 0.5, IntegratorSettings(dt=dt))
+    assert tr.metadata["steps"] == 32
+    assert tr.metadata["rejections"] == 0
+
+    def rhs(x):
+        return ftl_rhs(ParticleConfiguration(0.0, c0.particle_mass, x), model)
+
+    x = c0.positions.copy()
+    for _ in range(32):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
+        x = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    np.testing.assert_array_equal(tr.states[-1].positions, x)
+
+
+def test_rk45_adaptive_step_sequence_is_pinned():
+    c0 = atomize(scenario("double_hump"), 64)
+    tr = integrate(c0, PipesMunjal(1.0, 2.0), 2.0,
+                   IntegratorSettings(method="rk45_adaptive"), np.linspace(0.0, 2.0, 9))
+    assert tr.metadata["steps"] == 55
+    # both rejections come from error control, none from the gap floor
+    assert tr.metadata["rejections"] == 2
+    assert tr.states[-1].positions[0] == pytest.approx(1.0277869609280503, rel=1e-14)
