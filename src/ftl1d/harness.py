@@ -286,8 +286,7 @@ def _riemann_setup(config: ExperimentConfig, datum, model):
         raise ValueError("riemann oracle needs a two-cell datum")
     sol = reference.riemann_solve(model, float(vals[0]), float(vals[1]))
     # outside influence travels no faster than the sampled max |f'|
-    speed = float(np.max(np.abs(model.flux_derivative(
-        np.linspace(0.0, datum.sup_norm, 257)))))
+    speed = reference.max_wave_speed(model, datum.sup_norm)
     lo = datum.support_min + speed * config.t_end
     hi = datum.support_max - speed * config.t_end
     if not hi > lo:

@@ -16,9 +16,7 @@ import numpy as np
 
 from .initial_data import InitialDatum
 from .measures import PiecewiseConstantDensity
-from .velocity import Greenshields, PipesMunjal, Underwood, VelocityModel
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .velocity import VelocityModel
 
 
 class UnsupportedFluxError(ValueError):
@@ -112,26 +110,32 @@ def _fan_primitive(model: VelocityModel, rho):
     return rho * model.flux_derivative(rho) - model.flux(rho)
 
 
-def riemann_mass(sol: RiemannSolution, model: VelocityModel, t: float,
-                 a: float, b: float) -> float:
-    """Exact integral of the solution density over [a, b] at time t > 0."""
-    if a > b:
+def riemann_mass(sol: RiemannSolution, model: VelocityModel, t: float, a, b):
+    """Exact integral of the solution density over [a, b] at time t > 0.
+
+    a and b may be scalars or arrays of interval ends (broadcast together);
+    scalars give a float.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.any(a > b):
         raise ValueError("need a <= b")
     if sol.kind == "constant":
-        return sol.left * (b - a)
-    if sol.kind == "shock":
+        total = sol.left * (b - a)
+    elif sol.kind == "shock":
         s = sol.shock_speed * t
-        return (sol.left * (min(b, s) - min(a, s))
-                + sol.right * (max(b, s) - max(a, s)))
-    xl, xr = sol.fan_left * t, sol.fan_right * t
-    total = (sol.left * (min(b, xl) - min(a, xl))
-             + sol.right * (max(b, xr) - max(a, xr)))
-    fa, fb = max(a, xl), min(b, xr)
-    if fb > fa:
+        total = (sol.left * (np.minimum(b, s) - np.minimum(a, s))
+                 + sol.right * (np.maximum(b, s) - np.maximum(a, s)))
+    else:
+        xl, xr = sol.fan_left * t, sol.fan_right * t
+        total = (sol.left * (np.minimum(b, xl) - np.minimum(a, xl))
+                 + sol.right * (np.maximum(b, xr) - np.maximum(a, xr)))
+        fa, fb = np.maximum(a, xl), np.minimum(b, xr)
         rho_a = riemann_eval(sol, model, t, fa)
         rho_b = riemann_eval(sol, model, t, fb)
-        total += t * (_fan_primitive(model, rho_b) - _fan_primitive(model, rho_a))
-    return float(total)
+        fan = t * (_fan_primitive(model, rho_b) - _fan_primitive(model, rho_a))
+        total = total + np.where(fb > fa, fan, 0.0)
+    return float(total) if total.ndim == 0 else total
 
 
 def riemann_l1_error(density: PiecewiseConstantDensity, sol: RiemannSolution,
@@ -144,73 +148,30 @@ def riemann_l1_error(density: PiecewiseConstantDensity, sol: RiemannSolution,
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("empty window")
-    mesh = [lo, hi]
-    mesh.extend(x for x in density.breakpoints if lo < x < hi)
-    if sol.kind == "shock":
-        s = sol.shock_speed * t
-        if lo < s < hi:
-            mesh.append(s)
-    elif sol.kind == "rarefaction":
-        for x in (sol.fan_left * t, sol.fan_right * t):
-            if lo < x < hi:
-                mesh.append(x)
-    mesh = np.unique(np.asarray(mesh))
-
-    bp, vals = density.breakpoints, density.values
-    total = 0.0
-    for a, b in zip(mesh[:-1], mesh[1:]):
-        idx = int(np.searchsorted(bp, 0.5 * (a + b), side="right")) - 1
-        c = float(vals[idx]) if 0 <= idx < vals.size else 0.0
-        total += _piece_l1(c, sol, model, t, float(a), float(b))
-    return total
-
-
-def _piece_l1(c: float, sol: RiemannSolution, model: VelocityModel,
-              t: float, a: float, b: float) -> float:
-    """Integral of |c - solution| on [a, b]; the solution is monotone there."""
-    in_fan = (sol.kind == "rarefaction"
-              and a >= sol.fan_left * t - 1e-15 and b <= sol.fan_right * t + 1e-15)
-    if not in_fan:
-        state = riemann_eval(sol, model, t, 0.5 * (a + b))
-        return abs(c - state) * (b - a)
-    # within the fan the density decreases from left to right; split at the
-    # position where it crosses the cell value c (if it does).
-    if sol.right < c < sol.left:
-        x_c = float(model.flux_derivative(c)) * t
-        x_c = min(max(x_c, a), b)
+    bp = density.breakpoints
+    waves = np.array([s * t for s in (sol.shock_speed, sol.fan_left, sol.fan_right)
+                      if s is not None])
+    mesh = np.unique(np.concatenate(([lo, hi], bp[(bp > lo) & (bp < hi)],
+                                     waves[(waves > lo) & (waves < hi)])))
+    a, b = mesh[:-1], mesh[1:]
+    # the density is zero outside its breakpoints
+    padded = np.concatenate(([0.0], density.values, [0.0]))
+    c = padded[np.searchsorted(bp, 0.5 * (a + b), side="right")]
+    # each piece is cut where the (monotone) solution crosses c: in a fan it
+    # is >= c left of x_c and <= c right of it; elsewhere it is constant
+    if sol.kind == "rarefaction":
+        x_c = np.clip(model.flux_derivative(np.clip(c, sol.right, sol.left)) * t, a, b)
     else:
-        x_c = a if c >= sol.left else b
-    left_mass = riemann_mass(sol, model, t, a, x_c)
-    right_mass = riemann_mass(sol, model, t, x_c, b)
-    # density >= c on [a, x_c], <= c on [x_c, b]
-    return (left_mass - c * (x_c - a)) + (c * (b - x_c) - right_mass)
+        x_c = a
+    left = riemann_mass(sol, model, t, a, x_c) - c * (x_c - a)
+    right = c * (b - x_c) - riemann_mass(sol, model, t, x_c, b)
+    return float(np.sum(np.abs(left) + np.abs(right)))
 
 
-def critical_density(model: VelocityModel, lo: float, hi: float) -> float:
-    """Argmax of the concave flux on [lo, hi].
-
-    Closed form for the built-in laws with known critical points; otherwise
-    golden-section search on the (unimodal) flux.
-    """
-    if isinstance(model, Greenshields):
-        star = 0.5
-    elif isinstance(model, PipesMunjal):
-        star = (1.0 / (1.0 + model.alpha)) ** (1.0 / model.alpha)
-    elif isinstance(model, Underwood):
-        star = 1.0
-    else:
-        a, b = lo, hi
-        for _ in range(200):
-            if b - a <= 1e-13 * max(1.0, hi):
-                break
-            c1 = b - _GOLDEN * (b - a)
-            c2 = a + _GOLDEN * (b - a)
-            if model.flux(c1) < model.flux(c2):
-                a = c1
-            else:
-                b = c2
-        star = 0.5 * (a + b)
-    return float(min(max(star, lo), hi))
+def max_wave_speed(model: VelocityModel, rho_hi: float) -> float:
+    """Sampled max |f'| on [0, rho_hi] (257 points; rho_hi floored at 1e-12)."""
+    grid = np.linspace(0.0, max(rho_hi, 1e-12), 257)
+    return float(np.max(np.abs(model.flux_derivative(grid))))
 
 
 def godunov_flux(model: VelocityModel, rho_l, rho_r):
@@ -225,7 +186,7 @@ def godunov_flux(model: VelocityModel, rho_l, rho_r):
     minimum = np.minimum(f_l, f_r)
     lo = np.minimum(rl, rr)
     hi = np.maximum(rl, rr)
-    star = critical_density(model, 0.0, float(np.max(hi)) if hi.size else 0.0)
+    star = model.critical_density(float(np.max(hi)) if hi.size else 0.0)
     maximum = model.flux(np.clip(star, lo, hi))
     out = np.where(undercompressive, minimum, maximum)
     return float(out) if out.ndim == 0 else out
@@ -241,9 +202,10 @@ def godunov(datum: InitialDatum, model: VelocityModel, dx: float, cfl: float,
         dx: uniform cell width.
         cfl: Courant number in (0, 1); the step is cfl * dx / max|f'|.
         t_end: final time.
-        pad: domain margin on each side of the support; defaults to
-            (|v_max| + |v(R)| + v_max) * t_end + dx so no wave reaches a
-            boundary.
+        pad: domain margin on each side of the support; defaults to the
+            larger of (|v_max| + |v(R)| + v_max) * t_end + dx and
+            (n_steps + 1) * dx, so neither a wave nor the one-cell-per-step
+            reach of the stencil gets to a boundary.
 
     Returns:
         Cell-average density at t_end on the padded grid.
@@ -259,18 +221,9 @@ def godunov(datum: InitialDatum, model: VelocityModel, dx: float, cfl: float,
         raise ValueError("t_end must be nonnegative")
     r = datum.sup_norm
     _require_concave(model, r)
-    v_r = model.value(r)
-    if pad is None:
-        pad = (abs(model.v_max) + abs(v_r) + model.v_max) * t_end + dx
-    left = datum.support_min - pad
-    n_cells = int(math.ceil((datum.support_max + pad - left) / dx))
-    edges = left + dx * np.arange(n_cells + 1)
-    u = np.diff(datum.cdf_values(edges)) / dx
-    mass0 = float(np.sum(u) * dx)
-
     n_steps = 0
     if t_end > 0.0:
-        speed = float(np.max(np.abs(model.flux_derivative(np.linspace(0.0, max(r, 1e-12), 257)))))
+        speed = max_wave_speed(model, r)
         if speed <= 0.0:
             raise ValueError("flux has no wave speed; cannot set a time step")
         dt_raw = cfl * dx / speed
@@ -278,6 +231,15 @@ def godunov(datum: InitialDatum, model: VelocityModel, dx: float, cfl: float,
             raise ValueError("time step underflow")
         n_steps = int(math.ceil(t_end / dt_raw))
         dt = t_end / n_steps
+    if pad is None:
+        v_r = model.value(r)
+        pad = max((abs(model.v_max) + abs(v_r) + model.v_max) * t_end + dx,
+                  n_steps * dx + dx)
+    left = datum.support_min - pad
+    n_cells = int(math.ceil((datum.support_max + pad - left) / dx))
+    edges = left + dx * np.arange(n_cells + 1)
+    u = np.diff(datum.cdf_values(edges)) / dx
+    mass0 = float(np.sum(u) * dx)
 
     zero = np.zeros(1)
     for _ in range(n_steps):

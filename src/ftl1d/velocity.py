@@ -9,9 +9,12 @@ those three conditions on a grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _as_density(rho):
@@ -23,7 +26,11 @@ def _as_density(rho):
 
 
 class VelocityModel:
-    """Base class for velocity laws; subclasses implement _v and _dv."""
+    """Base class for velocity laws; subclasses implement _v and _dv.
+
+    Methods: value, derivative, flux, flux_derivative, density_weighted_slope
+    and critical_density (overridden where a closed form exists).
+    """
 
     v_max: float
 
@@ -70,6 +77,23 @@ class VelocityModel:
             out = np.where(arr == 0.0, 0.0, arr * self._dv(arr))
         return float(out) if np.ndim(rho) == 0 else out
 
+    def critical_density(self, hi: float) -> float:
+        """Argmax of the flux on [0, hi], by golden-section search.
+
+        The flux is assumed unimodal on [0, hi] (as it is when concave).
+        """
+        a, b = 0.0, hi
+        for _ in range(200):
+            if b - a <= 1e-13 * max(1.0, hi):
+                break
+            c1 = b - _GOLDEN * (b - a)
+            c2 = a + _GOLDEN * (b - a)
+            if self.flux(c1) < self.flux(c2):
+                a = c1
+            else:
+                b = c2
+        return float(0.5 * (a + b))
+
 
 @dataclass(frozen=True)
 class Greenshields(VelocityModel):
@@ -82,6 +106,9 @@ class Greenshields(VelocityModel):
 
     def _dv(self, rho):
         return np.full_like(rho, -self.v_max)
+
+    def critical_density(self, hi: float) -> float:
+        return float(min(0.5, hi))
 
 
 @dataclass(frozen=True)
@@ -103,6 +130,9 @@ class PipesMunjal(VelocityModel):
         with np.errstate(divide="ignore"):
             return -self.v_max * self.alpha * rho ** (self.alpha - 1.0)
 
+    def critical_density(self, hi: float) -> float:
+        return float(min((1.0 / (1.0 + self.alpha)) ** (1.0 / self.alpha), hi))
+
 
 @dataclass(frozen=True)
 class Underwood(VelocityModel):
@@ -115,6 +145,9 @@ class Underwood(VelocityModel):
 
     def _dv(self, rho):
         return -self.v_max * np.exp(-rho)
+
+    def critical_density(self, hi: float) -> float:
+        return float(min(1.0, hi))
 
 
 @dataclass(frozen=True)
