@@ -49,7 +49,6 @@ from .diagnostics import (  # noqa: F401
     DiagnosticsReport,
     OleinikResidual,
     bv_constant,
-    bv_velocity_bound,
     entropy_K_terms,
     min_gap_ratio,
     oleinik_residual,

@@ -5,14 +5,14 @@ provably satisfies: the gap floor (discrete maximum principle), the one-sided
 Oleinik-type residuals, total-variation contractivity, the velocity-profile
 BV bound with its explicit constant, entropy-term nonnegativity, and the two
 time-continuity moduli.  Checks run on integrator output, so each carries a
-small tolerance absorbing integration error.
+small tolerance absorbing integration error.  A check whose bound does not
+apply to a run is skipped, and the report says why.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ OLEINIK_REL_TOL = 1e-6
 TV_CONTRACT_TOL = 1e-8
 VELOCITY_TV_TOL = 1e-6
 ENTROPY_TOL = 1e-12
+INTERLEAVING_REL_TOL = 1e-12
 
 
 def min_gap_ratio(config: ParticleConfiguration, rho_max: float) -> float:
@@ -60,20 +61,13 @@ class OleinikResidual:
         return max(self.max_interior, self.leader)
 
 
-def oleinik_residual(config: ParticleConfiguration, model: VelocityModel,
-                     verify_assumptions: bool = True) -> OleinikResidual:
+def oleinik_residual(config: ParticleConfiguration, model: VelocityModel) -> OleinikResidual:
     """Evaluate the Oleinik-type residuals on one state.
 
-    The guarantee requires rho * v'(rho) to be non-increasing on the density
-    range; when a sampled check of that condition fails, a warning is issued
-    and the residuals are still reported.
+    The bound on them holds only when rho * v'(rho) is non-increasing on the
+    density range; ``run_diagnostics`` decides whether it applies.
     """
     y = config.densities()
-    if verify_assumptions:
-        report = check_assumptions(model, float(np.max(y)), samples=64)
-        if not report.weighted_slope_non_increasing:
-            warnings.warn("velocity law fails the sampled weighted-slope "
-                          "condition; Oleinik bound not guaranteed", stacklevel=2)
     t = config.time
     v = model.value(y)
     interior = t * y[:-1] * (v[1:] - v[:-1])
@@ -103,33 +97,6 @@ def bv_constant(model: VelocityModel, rho_max: float, span: float, delta: float)
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     return 3.0 * (model.v_max - model.value(rho_max)) + 2.0 * span / delta
-
-
-@dataclass(frozen=True)
-class VelocityBVReport:
-    times: np.ndarray
-    tv_values: np.ndarray
-    c_delta: float
-    delta: float
-
-    @property
-    def exceedances(self):
-        bad = self.tv_values > self.c_delta + VELOCITY_TV_TOL
-        return [(float(t), float(v)) for t, v in
-                zip(self.times[bad], self.tv_values[bad])]
-
-
-def bv_velocity_bound(trajectory: Trajectory, model: VelocityModel,
-                      delta: float, datum: InitialDatum) -> VelocityBVReport:
-    """TV of the velocity profile at every sample time >= delta vs its bound."""
-    span = datum.support_max - datum.support_min
-    c_delta = bv_constant(model, datum.sup_norm, span, delta)
-    times, tvs = [], []
-    for state in trajectory.states:
-        if state.time >= delta:
-            times.append(state.time)
-            tvs.append(velocity_total_variation(state, model))
-    return VelocityBVReport(np.asarray(times), np.asarray(tvs), c_delta, delta)
 
 
 def entropy_K_terms(config: ParticleConfiguration, model: VelocityModel, k: float) -> np.ndarray:
@@ -186,7 +153,7 @@ def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
     w_rate = 2.0 * total * max(abs(model.v_max), abs(v_r), model.v_max - v_r)
     l1_rate = r * r * (bv_constant(model, r, span, delta) + model.v_max - v_r)
 
-    hats = [measures.hat_density(s) for s in states]
+    cdfs = [measures.cdf(measures.hat_density(s)) for s in states]
     checks = [measures.check_density(s) for s in states]
     w_slack = np.inf
     l1_slack = np.inf
@@ -195,7 +162,7 @@ def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             dt = states[j].time - states[i].time
-            lhs = measures.wasserstein(hats[i], hats[j])
+            lhs = measures.wasserstein(cdfs[i], cdfs[j])
             w_slack = min(w_slack, w_rate * dt - lhs)
             w_pairs += 1
             if states[i].time >= delta and states[j].time >= delta:
@@ -217,14 +184,14 @@ class Violation:
     value: float
     bound: float
 
-    def to_dict(self):
-        return {"time": self.time, "check": self.check,
-                "value": self.value, "bound": self.bound}
-
 
 @dataclass
 class DiagnosticsReport:
-    """Per-sample-time diagnostics plus the list of bound violations."""
+    """Per-sample-time diagnostics, the bound violations and the skipped checks.
+
+    ``skipped`` maps the name of each check whose bound does not apply to
+    this run to the reason; a skipped check records no violation.
+    """
 
     times: list = field(default_factory=list)
     min_gap_ratios: list = field(default_factory=list)
@@ -240,29 +207,19 @@ class DiagnosticsReport:
     l1_worst_slack: float = float("nan")
     interleaving_max_rel_error: float = float("nan")
     violations: list = field(default_factory=list)
+    skipped: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
+    def record(self, check: str, time, value: float, bound: float, lower: bool = False):
+        """Record a violation when ``value`` lies above ``bound`` (below if ``lower``)."""
+        if value < bound if lower else value > bound:
+            self.violations.append(Violation(time, check, value, bound))
+
     def to_dict(self):
-        return {
-            "times": self.times,
-            "min_gap_ratios": self.min_gap_ratios,
-            "oleinik_interior_max": self.oleinik_interior_max,
-            "oleinik_leader": self.oleinik_leader,
-            "tv_hat": self.tv_hat,
-            "tv_velocity": self.tv_velocity,
-            "entropy_min": self.entropy_min,
-            "c_delta": self.c_delta,
-            "delta": self.delta,
-            "tv_initial_datum": self.tv_initial_datum,
-            "wasserstein_worst_slack": self.wasserstein_worst_slack,
-            "l1_worst_slack": self.l1_worst_slack,
-            "interleaving_max_rel_error": self.interleaving_max_rel_error,
-            "violations": [v.to_dict() for v in self.violations],
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -271,21 +228,23 @@ class DiagnosticsReport:
 def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
                     datum: InitialDatum, delta: float,
                     k_grid=None) -> DiagnosticsReport:
-    """Run every per-state check on a trajectory and collect violations.
+    """Run every check on a trajectory; record its violations and skips.
 
     ``k_grid`` defaults to 50 levels on [0, 1.2 * sup_norm] so that the
     entropy terms are exercised above the densest state as well.
     """
     if k_grid is None:
         k_grid = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
-    report = DiagnosticsReport()
-    report.delta = delta
     span = datum.support_max - datum.support_min
-    report.c_delta = bv_constant(model, datum.sup_norm, span, delta)
-    report.tv_initial_datum = total_variation(datum)
+    report = DiagnosticsReport(c_delta=bv_constant(model, datum.sup_norm, span, delta),
+                               delta=delta, tv_initial_datum=total_variation(datum))
 
     oleinik_ok = check_assumptions(
         model, datum.sup_norm, samples=64).weighted_slope_non_increasing
+    if not oleinik_ok:
+        report.skipped.update(dict.fromkeys(
+            ("oleinik_interior", "oleinik_leader"),
+            "velocity law fails the sampled weighted-slope condition on [0, sup_norm]"))
     prev_tv = None
     interleave_err = 0.0
     for state in trajectory.states:
@@ -295,56 +254,52 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
 
         ratio = min_gap_ratio(state, datum.sup_norm)
         report.min_gap_ratios.append(ratio)
-        if ratio < 1.0 - GAP_RATIO_TOL:
-            report.violations.append(Violation(t, "min_gap_ratio", ratio, 1.0 - GAP_RATIO_TOL))
+        report.record("min_gap_ratio", t, ratio, 1.0 - GAP_RATIO_TOL, lower=True)
 
-        res = oleinik_residual(state, model, verify_assumptions=False)
+        res = oleinik_residual(state, model)
         report.oleinik_interior_max.append(res.max_interior)
         report.oleinik_leader.append(res.leader)
         if oleinik_ok:
             bound = cell_mass * (1.0 + OLEINIK_REL_TOL)
-            if res.max_interior > bound:
-                report.violations.append(Violation(t, "oleinik_interior", res.max_interior, bound))
-            if res.leader > bound:
-                report.violations.append(Violation(t, "oleinik_leader", res.leader, bound))
+            report.record("oleinik_interior", t, res.max_interior, bound)
+            report.record("oleinik_leader", t, res.leader, bound)
 
         hat = measures.hat_density(state)
         tv = total_variation(hat)
         report.tv_hat.append(tv)
-        if tv > report.tv_initial_datum + TV_CONTRACT_TOL:
-            report.violations.append(Violation(t, "tv_contractivity", tv,
-                                               report.tv_initial_datum + TV_CONTRACT_TOL))
-        if prev_tv is not None and tv > prev_tv + TV_CONTRACT_TOL:
-            report.violations.append(Violation(t, "tv_monotone", tv, prev_tv + TV_CONTRACT_TOL))
+        report.record("tv_contractivity", t, tv, report.tv_initial_datum + TV_CONTRACT_TOL)
+        if prev_tv is not None:
+            report.record("tv_monotone", t, tv, prev_tv + TV_CONTRACT_TOL)
         prev_tv = tv
 
         tvv = velocity_total_variation(state, model)
         report.tv_velocity.append(tvv)
-        if t >= delta and tvv > report.c_delta + VELOCITY_TV_TOL:
-            report.violations.append(Violation(t, "tv_velocity", tvv,
-                                               report.c_delta + VELOCITY_TV_TOL))
+        if t >= delta:
+            report.record("tv_velocity", t, tvv, report.c_delta + VELOCITY_TV_TOL)
 
         k_min = min(float(np.min(entropy_K_terms(state, model, k))) for k in k_grid)
         report.entropy_min.append(k_min)
-        if k_min < -ENTROPY_TOL:
-            report.violations.append(Violation(t, "entropy_terms", k_min, -ENTROPY_TOL))
+        report.record("entropy_terms", t, k_min, -ENTROPY_TOL, lower=True)
 
         ident = 0.5 * cell_mass * (state.positions[-1] - state.positions[0])
         dist = measures.wasserstein(hat, measures.empirical(state))
         interleave_err = max(interleave_err, abs(dist - ident) / ident)
+    if not any(t >= delta for t in report.times):
+        report.skipped["tv_velocity"] = "no sample at or after delta"
     report.interleaving_max_rel_error = interleave_err
-    if interleave_err > 1e-12:
-        report.violations.append(Violation(None, "interleaving_identity",
-                                           interleave_err, 1e-12))
+    report.record("interleaving_identity", None, interleave_err, INTERLEAVING_REL_TOL)
 
-    if len(trajectory.states) >= 2:
-        cont = time_continuity_moduli(trajectory, model, delta)
-        report.wasserstein_worst_slack = cont.wasserstein_worst_slack
-        report.l1_worst_slack = cont.l1_worst_slack
-        if cont.wasserstein_worst_slack < 0.0:
-            report.violations.append(Violation(None, "wasserstein_time_continuity",
-                                               cont.wasserstein_worst_slack, 0.0))
-        if cont.l1_worst_slack < 0.0:
-            report.violations.append(Violation(None, "l1_time_continuity",
-                                               cont.l1_worst_slack, 0.0))
+    if len(trajectory.states) < 2:
+        report.skipped.update(dict.fromkeys(
+            ("wasserstein_time_continuity", "l1_time_continuity"), "fewer than two samples"))
+        return report
+    cont = time_continuity_moduli(trajectory, model, delta)
+    report.wasserstein_worst_slack = cont.wasserstein_worst_slack
+    report.l1_worst_slack = cont.l1_worst_slack
+    report.record("wasserstein_time_continuity", None, cont.wasserstein_worst_slack, 0.0,
+                  lower=True)
+    if cont.l1_pairs:
+        report.record("l1_time_continuity", None, cont.l1_worst_slack, 0.0, lower=True)
+    else:
+        report.skipped["l1_time_continuity"] = "no sample pair at or after delta"
     return report

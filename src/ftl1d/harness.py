@@ -78,34 +78,47 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        t_end = float(cfg.get("t_end", 1.0))
-        samples = cfg.get("sample_times")
+        """Build from a config dict; a key no level takes raises ValueError.
+
+        ``initial`` is an alias of ``scenario``; giving both is an error.
+        """
+        top = dict(cfg)
+        if "scenario" in top and "initial" in top:
+            raise ValueError("give 'scenario' or its alias 'initial', not both")
+        t_end = float(top.pop("t_end", 1.0))
+        samples = top.pop("sample_times", None)
         if samples is None:
             samples = [0.0, t_end] if t_end > 0.0 else [0.0]
-        integ = cfg.get("integrator", {})
-        dt = integ.get("dt")
+        integ = dict(top.pop("integrator", {}))
+        dt = integ.pop("dt", None)
         settings = dynamics.IntegratorSettings(
-            method=integ.get("method", "rk4_fixed"),
+            method=integ.pop("method", "rk4_fixed"),
             dt=None if dt is None else float(dt),
-            abs_tol=float(integ.get("abs_tol", 1e-8)),
-            rel_tol=float(integ.get("rel_tol", 1e-8)),
-            gap_floor_safety=float(integ.get("gap_floor_safety", 0.5)),
+            abs_tol=float(integ.pop("abs_tol", 1e-8)),
+            rel_tol=float(integ.pop("rel_tol", 1e-8)),
+            gap_floor_safety=float(integ.pop("gap_floor_safety", 0.5)),
         )
-        oracle = cfg.get("oracle", {})
-        dx = oracle.get("dx")
-        scenario_cfg = cfg.get("scenario", cfg.get("initial", {"name": "box"}))
+        oracle = dict(top.pop("oracle", {}))
+        dx = oracle.pop("dx", None)
+        oracle_settings = OracleSettings(dx=None if dx is None else float(dx),
+                                         cfl=float(oracle.pop("cfl", 0.5)),
+                                         kind=oracle.pop("kind", "auto"))
+        scenario_cfg = top.pop("scenario", top.pop("initial", {"name": "box"}))
+        velocity_cfg = top.pop("velocity", {"kind": "greenshields", "v_max": 1.0})
+        counts = top.pop("particle_counts", [64])
+        delta = float(top.pop("delta", t_end / 4.0 if t_end > 0.0 else 0.25))
+        for level, rest in (("config", top), ("integrator", integ), ("oracle", oracle)):
+            if rest:
+                raise ValueError(f"unknown {level} key(s): {', '.join(sorted(rest))}")
         return cls(
             scenario=dict(scenario_cfg),
-            velocity=dict(cfg.get("velocity", {"kind": "greenshields", "v_max": 1.0})),
-            particle_counts=tuple(int(n) for n in cfg.get("particle_counts", [64])),
+            velocity=dict(velocity_cfg),
+            particle_counts=tuple(int(n) for n in counts),
             t_end=t_end,
             sample_times=tuple(float(t) for t in samples),
-            delta=float(cfg.get("delta", t_end / 4.0 if t_end > 0.0 else 0.25)),
+            delta=delta,
             integrator=settings,
-            oracle=OracleSettings(
-                dx=None if dx is None else float(dx),
-                cfl=float(oracle.get("cfl", 0.5)),
-                kind=oracle.get("kind", "auto")),
+            oracle=oracle_settings,
             raw=dict(cfg),
         )
 
@@ -230,6 +243,7 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
                 "n_particles": r.n_particles,
                 "integrator_metadata": r.integrator_metadata,
                 "passed": r.report.passed,
+                "skipped": sorted(r.report.skipped),
                 "files": dict(sorted(r.files.items())),
             }
             for r in results
@@ -359,6 +373,8 @@ def _cmd_run(args) -> int:
     ok = all(r.report.passed for r in results)
     for r in results:
         status = "ok" if r.report.passed else f"{len(r.report.violations)} violation(s)"
+        if r.report.skipped:
+            status += f", {len(r.report.skipped)} skipped ({', '.join(sorted(r.report.skipped))})"
         print(f"N={r.n_particles}: {status}")
     return 0 if ok else 1
 

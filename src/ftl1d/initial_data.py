@@ -147,41 +147,52 @@ def scenario(name: str, **params) -> InitialDatum:
     double_hump: two equal boxes separated by interior vacuum.
     riemann_like: tall box abutting a short box (single interior jump).
     sawtooth_bv: monotone decreasing steps.
+
+    A parameter the scenario does not take raises ValueError.
     """
     if name == "box":
-        height = float(params.get("height", 1.0))
-        width = float(params.get("width", 1.0))
-        left = float(params.get("left", 0.0))
-        return from_piecewise([left, left + width], [height])
-    if name == "double_hump":
-        height = float(params.get("height", 1.0))
-        width = float(params.get("hump_width", 0.5))
-        gap = float(params.get("gap", 1.0))
-        left = float(params.get("left", 0.0))
+        height = float(params.pop("height", 1.0))
+        width = float(params.pop("width", 1.0))
+        left = float(params.pop("left", 0.0))
+        bp, vals = [left, left + width], [height]
+    elif name == "double_hump":
+        height = float(params.pop("height", 1.0))
+        width = float(params.pop("hump_width", 0.5))
+        gap = float(params.pop("gap", 1.0))
+        left = float(params.pop("left", 0.0))
         bp = [left, left + width, left + width + gap, left + 2.0 * width + gap]
-        return from_piecewise(bp, [height, 0.0, height])
-    if name == "riemann_like":
-        left_h = float(params.get("left_height", 0.8))
-        right_h = float(params.get("right_height", 0.2))
-        half = float(params.get("half_width", 1.0))
-        jump = float(params.get("jump_at", 0.0))
-        return from_piecewise([jump - half, jump, jump + half], [left_h, right_h])
-    if name == "sawtooth_bv":
-        steps = int(params.get("steps", 4))
-        top = float(params.get("top", 1.0))
-        width = float(params.get("step_width", 0.5))
-        left = float(params.get("left", 0.0))
+        vals = [height, 0.0, height]
+    elif name == "riemann_like":
+        left_h = float(params.pop("left_height", 0.8))
+        right_h = float(params.pop("right_height", 0.2))
+        half = float(params.pop("half_width", 1.0))
+        jump = float(params.pop("jump_at", 0.0))
+        bp, vals = [jump - half, jump, jump + half], [left_h, right_h]
+    elif name == "sawtooth_bv":
+        steps = int(params.pop("steps", 4))
+        top = float(params.pop("top", 1.0))
+        width = float(params.pop("step_width", 0.5))
+        left = float(params.pop("left", 0.0))
         bp = left + width * np.arange(steps + 1)
         vals = top * (steps - np.arange(steps)) / steps
-        return from_piecewise(bp, vals)
-    raise ValueError(f"unknown scenario {name!r}")
+    else:
+        raise ValueError(f"unknown scenario {name!r}")
+    if params:
+        raise ValueError(f"unknown {name} parameter(s): {', '.join(sorted(params))}")
+    return from_piecewise(bp, vals)
 
 
 def datum_from_config(cfg: dict) -> InitialDatum:
-    """Datum from configuration: named scenario or explicit arrays."""
+    """Datum from configuration: named scenario or explicit arrays.
+
+    A key the chosen form does not take raises ValueError.
+    """
     if "name" in cfg:
         params = {k: v for k, v in cfg.items() if k != "name"}
         return scenario(cfg["name"], **params)
     if "breakpoints" in cfg and "values" in cfg:
+        extra = sorted(set(cfg) - {"breakpoints", "values"})
+        if extra:
+            raise ValueError(f"unknown explicit scenario key(s): {', '.join(extra)}")
         return from_piecewise(cfg["breakpoints"], cfg["values"])
     raise ValueError("scenario config needs 'name' or 'breakpoints'+'values'")

@@ -61,9 +61,12 @@ class VelocityModel:
         return float(out) if np.ndim(rho) == 0 else out
 
     def flux_derivative(self, rho):
-        """Characteristic speed f'(rho) = v(rho) + rho * v'(rho)."""
+        """Characteristic speed f'(rho) = v(rho) + rho * v'(rho).
+
+        The vacuum speed is v_max, also where v'(0) diverges.
+        """
         arr = _as_density(rho)
-        out = self._v(arr) + arr * self._dv(arr)
+        out = self._v(arr) + self.density_weighted_slope(arr)
         return float(out) if np.ndim(rho) == 0 else out
 
     def density_weighted_slope(self, rho):
@@ -318,19 +321,25 @@ _BUILTIN_KINDS = {
 
 
 def from_config(cfg: dict) -> VelocityModel:
-    """Build a model from configuration keys: kind, v_max, alpha or tables."""
-    kind = str(cfg.get("kind", "")).lower()
+    """Build a model from configuration keys: kind, v_max, alpha or tables.
+
+    A key the kind does not take raises ValueError.
+    """
+    cfg = dict(cfg)
+    kind = str(cfg.pop("kind", "")).lower()
     if kind == "tabulated":
-        return TabulatedVelocity(
-            rho_table=np.asarray(cfg["rho_table"], dtype=float),
-            v_table=np.asarray(cfg["v_table"], dtype=float),
-            derivative_step=float(cfg.get("derivative_step", 1e-6)),
+        model = TabulatedVelocity(
+            rho_table=np.asarray(cfg.pop("rho_table"), dtype=float),
+            v_table=np.asarray(cfg.pop("v_table"), dtype=float),
+            derivative_step=float(cfg.pop("derivative_step", 1e-6)),
         )
-    if kind not in _BUILTIN_KINDS:
+    elif kind in _BUILTIN_KINDS:
+        kwargs = {"v_max": float(cfg.pop("v_max", 1.0))}
+        if kind in ("pipes_munjal", "modified_greenberg") and "alpha" in cfg:
+            kwargs["alpha"] = float(cfg.pop("alpha"))
+        model = _BUILTIN_KINDS[kind](**kwargs)
+    else:
         raise ValueError(f"unknown velocity kind {kind!r}")
-    cls = _BUILTIN_KINDS[kind]
-    kwargs = {"v_max": float(cfg.get("v_max", 1.0))}
-    if kind in ("pipes_munjal", "modified_greenberg"):
-        if "alpha" in cfg:
-            kwargs["alpha"] = float(cfg["alpha"])
-    return cls(**kwargs)
+    if cfg:
+        raise ValueError(f"unknown {kind} velocity key(s): {', '.join(sorted(cfg))}")
+    return model

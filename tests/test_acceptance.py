@@ -109,7 +109,7 @@ def test_criterion_03_discrete_oleinik(sweep):
     worst_leader = -np.inf
     for run in sweep:
         for state in run.trajectory.states:
-            res = oleinik_residual(state, run.model, verify_assumptions=False)
+            res = oleinik_residual(state, run.model)
             worst = max(worst, res.max_interior / state.particle_mass)
             worst_leader = max(worst_leader, res.leader / state.particle_mass)
     ok = worst <= 1.0 + 1e-6 and worst_leader <= 1.0 + 1e-6

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftl1d import (
     Greenshields,
+    ModifiedGreenberg,
     ParticleConfiguration,
+    PipesMunjal,
     Underwood,
     atomize,
     bv_constant,
-    bv_velocity_bound,
     check_density,
     entropy_K_terms,
+    from_piecewise,
     hat_density,
     integrate,
     min_gap_ratio,
@@ -21,6 +25,10 @@ from ftl1d import (
     velocity_total_variation,
 )
 from ftl1d.diagnostics import OleinikResidual
+
+CHECKS = {"min_gap_ratio", "oleinik_interior", "oleinik_leader", "tv_contractivity",
+          "tv_monotone", "tv_velocity", "entropy_terms", "interleaving_identity",
+          "wasserstein_time_continuity", "l1_time_continuity"}
 
 
 def config(positions, mass=0.5, time=0.0):
@@ -65,11 +73,17 @@ def test_oleinik_equal_gaps_vanish_inside():
     assert res.leader > 0.0
 
 
-def test_oleinik_warns_when_slope_condition_fails():
-    # Underwood violates the weighted-slope condition above density 1
-    c = ParticleConfiguration(1.0, 0.5, np.array([0.0, 0.25, 2.0]))
-    with pytest.warns(UserWarning):
-        oleinik_residual(c, Underwood(1.0))
+def test_oleinik_skipped_when_slope_condition_fails():
+    # Underwood violates the weighted-slope condition above density 1; the
+    # residual then exceeds the particle mass, which is no violation
+    datum = scenario("box", height=2.0, width=0.5)
+    model = Underwood(1.0)
+    tr = integrate(atomize(datum, 64), model, 1.0, None, [0.0, 0.25, 0.5, 1.0])
+    report = run_diagnostics(tr, model, datum, 0.25)
+    assert max(report.oleinik_interior_max) > tr.states[0].particle_mass
+    assert report.passed
+    assert sorted(report.skipped) == ["oleinik_interior", "oleinik_leader"]
+    assert "weighted-slope" in report.skipped["oleinik_interior"]
 
 
 def test_total_variation_examples():
@@ -108,13 +122,13 @@ def test_bv_velocity_bound_on_trajectory():
     c = atomize(datum, 64)
     model = Greenshields(1.0)
     tr = integrate(c, model, 1.0, None, [0.0, 0.25, 0.5, 1.0])
-    report = bv_velocity_bound(tr, model, 0.25, datum)
-    assert report.times.size == 3  # samples at/after delta
+    report = run_diagnostics(tr, model, datum, 0.25)
     assert report.c_delta == pytest.approx(
         3.0 * (1.0 - model.value(0.8)) + 2.0 * 2.0 / 0.25)
-    assert not report.exceedances
+    assert "tv_velocity" not in {v.check for v in report.violations}
+    assert report.to_dict()["skipped"] == {}  # three samples at/after delta
     with pytest.raises(ValueError):
-        bv_velocity_bound(tr, model, 0.0, datum)
+        run_diagnostics(tr, model, datum, 0.0)
 
 
 def test_entropy_terms_zero_level():
@@ -222,3 +236,66 @@ def test_oleinik_residual_type():
     assert res.max_all == pytest.approx(0.3)
     empty = OleinikResidual(1.0, 0.5, np.array([]), 0.2)
     assert empty.max_interior == 0.0
+
+
+def test_l1_time_continuity_skipped_without_pairs_after_delta():
+    # the default samples [0, t_end] hold one sample at or after delta
+    datum = scenario("riemann_like")
+    model = Greenshields(1.0)
+    tr = integrate(atomize(datum, 32), model, 1.0, None, [0.0, 1.0])
+    report = run_diagnostics(tr, model, datum, 0.25)
+    assert report.passed
+    assert report.l1_worst_slack == 0.0
+    assert report.skipped == {"l1_time_continuity": "no sample pair at or after delta"}
+
+
+def test_tv_velocity_skipped_without_samples_after_delta():
+    datum = scenario("riemann_like")
+    model = Greenshields(1.0)
+    tr = integrate(atomize(datum, 32), model, 0.2, None, [0.0, 0.1, 0.2])
+    report = run_diagnostics(tr, model, datum, 0.25)
+    assert report.skipped["tv_velocity"] == "no sample at or after delta"
+    assert "l1_time_continuity" in report.skipped
+
+
+def test_time_continuity_skipped_with_one_sample():
+    datum = scenario("box")
+    model = Greenshields(1.0)
+    tr = integrate(atomize(datum, 16), model, 0.5, None, [0.5])
+    report = run_diagnostics(tr, model, datum, 0.25)
+    assert report.passed
+    assert report.skipped == dict.fromkeys(
+        ("wasserstein_time_continuity", "l1_time_continuity"), "fewer than two samples")
+    assert np.isnan(report.wasserstein_worst_slack)
+
+
+# widths and positive values of at least 0.25 keep the default RK4 step,
+# which scales with the particle mass, above 1e-4
+_CELL = st.tuples(st.floats(0.25, 1.0), st.one_of(st.just(0.0), st.floats(0.25, 1.5)))
+_DATA = st.lists(_CELL, min_size=1, max_size=5).filter(
+    lambda cells: any(v > 0.0 for _, v in cells))
+_BUILTIN_LAWS = st.sampled_from([Greenshields(1.0), PipesMunjal(1.0, 2.0),
+                                 Underwood(1.0), ModifiedGreenberg(1.0, 0.1)])
+
+
+@settings(deadline=None, max_examples=15)
+@given(cells=_DATA, model=_BUILTIN_LAWS, n=st.integers(2, 64))
+def test_run_diagnostics_matches_standalone_helpers(cells, model, n):
+    widths, values = zip(*cells)
+    datum = from_piecewise(np.concatenate(([0.0], np.cumsum(widths))), values)
+    tr = integrate(atomize(datum, n), model, 0.5, None, [0.0, 0.25, 0.5])
+    report = run_diagnostics(tr, model, datum, 0.25)
+    levels = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
+    for k, state in enumerate(tr.states):
+        res = oleinik_residual(state, model)
+        assert report.min_gap_ratios[k] == min_gap_ratio(state, datum.sup_norm)
+        assert report.oleinik_interior_max[k] == res.max_interior
+        assert report.oleinik_leader[k] == res.leader
+        assert report.tv_hat[k] == total_variation(hat_density(state))
+        assert report.tv_velocity[k] == velocity_total_variation(state, model)
+        assert report.entropy_min[k] == min(
+            float(np.min(entropy_K_terms(state, model, lvl))) for lvl in levels)
+    failed = {v.check for v in report.violations}
+    assert failed <= CHECKS
+    assert set(report.skipped) <= CHECKS
+    assert not failed & set(report.skipped)

@@ -191,3 +191,42 @@ def test_cli_check_failure_exit_code(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"t_ned": 5.0}, "t_ned"),
+    ({"particle_count": [8]}, "particle_count"),
+    ({"integrator": {"metod": "rk45_adaptive"}}, "metod"),
+    ({"oracle": {"kind": "riemann", "dxx": 0.01}}, "dxx"),
+    ({"velocity": {"kind": "greenshields", "vmax": 2.0}}, "vmax"),
+    ({"velocity": {"kind": "underwood", "alpha": 2.0}}, "alpha"),
+    ({"velocity": {"kind": "tabulated", "rho_table": [0.0, 1.0],
+                   "v_table": [1.0, 0.0], "v_max": 1.0}}, "v_max"),
+    ({"scenario": {"name": "box", "heigth": 3.0}}, "heigth"),
+    ({"scenario": {"name": "double_hump", "width": 0.5}}, "width"),
+    ({"scenario": {"name": "riemann_like", "jump": 0.1}}, "jump"),
+    ({"scenario": {"name": "sawtooth_bv", "height": 2.0}}, "height"),
+    ({"scenario": {"breakpoints": [0.0, 1.0], "values": [1.0], "left": 0.0}}, "left"),
+    ({"initial": {"name": "box"}}, "initial"),
+], ids=["top", "top_plural", "integrator", "oracle", "velocity", "velocity_per_kind",
+        "velocity_tabulated", "scenario_box", "scenario_double_hump",
+        "scenario_riemann_like", "scenario_sawtooth_bv", "scenario_arrays",
+        "scenario_and_initial"])
+def test_unknown_config_key_rejected(override, key):
+    with pytest.raises(ValueError, match=key):
+        make_config(**override)
+
+
+def test_skipped_checks_reach_manifest_and_cli(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, particle_counts=[16], sample_times=[0.0, 0.5],
+               velocity={"kind": "underwood", "v_max": 1.0},
+               scenario={"name": "box", "height": 2.0, "width": 0.5})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    skipped = ["l1_time_continuity", "oleinik_interior", "oleinik_leader"]
+    assert capsys.readouterr().out == f"N=16: ok, 3 skipped ({', '.join(skipped)})\n"
+    assert json.loads((out / "manifest.json").read_text())["runs"][0]["skipped"] == skipped
+    report = json.loads((out / "run_N00016" / "diagnostics.json").read_text())
+    assert sorted(report["skipped"]) == skipped

@@ -230,11 +230,16 @@ def test_godunov_default_pad_covers_stencil_reach(name):
     assert density.total_mass == pytest.approx(datum.mass, rel=1e-12)
 
 
-# alpha >= 1: below it f'(0) evaluates to 0 * inf, so a fan into vacuum has
-# no finite edge speed
+def test_fan_into_vacuum_for_pipes_munjal_below_one():
+    # v'(0) diverges for alpha < 1, yet f'(0) = v(0) + 0 * v'(0) = v_max
+    sol = riemann_solve(PipesMunjal(1.0, 0.5), 0.5, 0.0)
+    assert sol.kind == "rarefaction"
+    assert sol.fan_right == 1.0
+
+
 _LAWS = st.one_of(
     st.builds(Greenshields, st.floats(0.2, 3.0)),
-    st.builds(PipesMunjal, st.floats(0.2, 3.0), st.floats(1.0, 4.0)),
+    st.builds(PipesMunjal, st.floats(0.2, 3.0), st.floats(0.25, 4.0)),
     st.builds(Underwood, st.floats(0.2, 3.0)),
 )
 _STATES = st.floats(0.0, 1.5)
