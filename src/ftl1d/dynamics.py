@@ -137,9 +137,15 @@ def _velocities(positions, cell_mass, model):
 
 
 def default_step(config: ParticleConfiguration, model: VelocityModel, t_end: float) -> float:
-    """Default fixed step from the initial density scale."""
+    """Default fixed step from the initial density scale, at most t_end / 100.
+
+    The cap is also the step when the speed spread r * (v_max - v(r)) is not
+    positive: a vanishing density or a law that does not decrease.
+    """
     r = config.max_density()
-    spread = r * (model.v_max - model.value(r)) + 1e-30
+    spread = r * (model.v_max - model.value(r))
+    if not spread > 0.0:
+        return t_end / 100.0
     return min(0.1 * config.particle_mass / spread, t_end / 100.0)
 
 

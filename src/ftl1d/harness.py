@@ -16,7 +16,7 @@ import concurrent.futures
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -275,22 +275,7 @@ class ConvergenceTable:
     rows: tuple
 
     def to_dict(self):
-        return {
-            "oracle_kind": self.oracle_kind,
-            "window": list(self.window) if self.window else None,
-            "rows": [
-                {
-                    "n_particles": r.n_particles,
-                    "cell_mass": r.cell_mass,
-                    "initial_distance": r.initial_distance,
-                    "initial_bound": r.initial_bound,
-                    "wasserstein_vs_godunov": r.wasserstein_vs_godunov,
-                    "l1_error": r.l1_error,
-                    "observed_order": r.observed_order,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 def _riemann_setup(config: ExperimentConfig, datum, model):

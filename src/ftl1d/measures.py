@@ -18,9 +18,6 @@ from .initial_data import InitialDatum, ParticleConfiguration
 
 MASS_MISMATCH_RTOL = 1e-9
 
-STEP = "step_right_continuous"
-LINEAR = "piecewise_linear"
-
 
 # ---------------------------------------------------------------------------
 # measure types
@@ -117,43 +114,28 @@ def lagrangian_l1(a: LagrangianDensity, b: LagrangianDensity) -> float:
 
 @dataclass(frozen=True)
 class PiecewiseMonotone:
-    """Non-decreasing step or piecewise-linear function.
+    """Non-decreasing polyline, constant outside its node range.
 
-    step_right_continuous: ``breakpoints`` are jump locations (strictly
-    increasing) and ``values`` the post-jump values; ``left_value`` applies
-    before the first jump.
-
-    piecewise_linear: ``breakpoints``/``values`` are nodes of a continuous
-    polyline, constant outside the node range.  Repeated breakpoints encode
-    jump discontinuities; evaluation is right-continuous.
+    ``breakpoints``/``values`` are the nodes.  A repeated breakpoint is a
+    jump discontinuity; evaluation is right-continuous.
 
     ``domain`` is set for generalized inverses (mass interval), None for
     CDFs defined on the whole line.
     """
 
-    kind: str
     breakpoints: np.ndarray
     values: np.ndarray
-    left_value: float
     domain: tuple | None = None
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or vals.ndim != 1 or bp.size == 0:
-            raise ValueError("breakpoints and values must be nonempty 1-d arrays")
+        if bp.ndim != 1 or vals.ndim != 1 or bp.size == 0 or bp.size != vals.size:
+            raise ValueError("breakpoints and values must be nonempty 1-d arrays of one size")
+        if np.any(np.diff(bp) < 0.0):
+            raise ValueError("breakpoints must be non-decreasing")
         if np.any(np.diff(vals) < 0.0):
             raise ValueError("function must be non-decreasing")
-        if self.kind == STEP:
-            if bp.size != vals.size or np.any(np.diff(bp) <= 0.0):
-                raise ValueError("step kind needs strictly increasing jump locations")
-            if self.left_value > vals[0]:
-                raise ValueError("function must be non-decreasing")
-        elif self.kind == LINEAR:
-            if bp.size != vals.size or np.any(np.diff(bp) < 0.0):
-                raise ValueError("linear kind needs non-decreasing node locations")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -163,10 +145,11 @@ class PiecewiseMonotone:
 
     @property
     def range_bottom(self) -> float:
-        return float(self.left_value if self.kind == STEP else self.values[0])
+        return float(self.values[0])
 
-    def _linear_right(self, x: np.ndarray) -> np.ndarray:
-        """Right-continuous evaluation of a polyline with jump nodes."""
+    def right_limits(self, x) -> np.ndarray:
+        """Values f(x+), i.e. right-continuous evaluation."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         bp, vals = self.breakpoints, self.values
         n = bp.size
         idx = np.searchsorted(bp, x, side="right") - 1  # last node <= x
@@ -182,8 +165,9 @@ class PiecewiseMonotone:
         out[mid] = vals[ii] + w * (vals[ii + 1] - vals[ii])
         return out
 
-    def _linear_left(self, x: np.ndarray) -> np.ndarray:
-        """Left limits of a polyline with jump nodes."""
+    def left_limits(self, x) -> np.ndarray:
+        """Values f(x-), the limit from the left."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         bp, vals = self.breakpoints, self.values
         n = bp.size
         idx = np.searchsorted(bp, x, side="left")  # first node >= x
@@ -201,24 +185,6 @@ class PiecewiseMonotone:
         out[mid] = vals[ii - 1] + w * (vals[ii] - vals[ii - 1])
         return out
 
-    def right_limits(self, x) -> np.ndarray:
-        """Values f(x+), i.e. right-continuous evaluation."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == STEP:
-            idx = np.searchsorted(self.breakpoints, x, side="right")
-            padded = np.concatenate(([self.left_value], self.values))
-            return padded[idx]
-        return self._linear_right(x)
-
-    def left_limits(self, x) -> np.ndarray:
-        """Values f(x-), the limit from the left."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == STEP:
-            idx = np.searchsorted(self.breakpoints, x, side="left")
-            padded = np.concatenate(([self.left_value], self.values))
-            return padded[idx]
-        return self._linear_left(x)
-
     def value(self, x):
         """Right-continuous point evaluation (scalars in, floats out)."""
         out = self.right_limits(x)
@@ -230,21 +196,21 @@ class PiecewiseMonotone:
 def cdf(measure) -> PiecewiseMonotone:
     """Cumulative distribution of a density, empirical measure, or datum.
 
-    Densities and initial data give continuous piecewise-linear CDFs;
-    empirical measures give right-continuous step CDFs jumping by the atom
-    weight at every atom.
+    Densities and initial data give continuous polylines; empirical measures
+    give polylines with a repeated node at every atom, where the CDF jumps by
+    the atom weight.
     """
     if isinstance(measure, PiecewiseConstantDensity):
         nodes = np.concatenate(
             ([0.0], np.cumsum(measure.values * np.diff(measure.breakpoints))))
-        return PiecewiseMonotone(LINEAR, measure.breakpoints.copy(), nodes, 0.0)
+        return PiecewiseMonotone(measure.breakpoints.copy(), nodes)
     if isinstance(measure, InitialDatum):
         nodes = measure.cdf_values(measure.breakpoints)
-        return PiecewiseMonotone(LINEAR, measure.breakpoints.copy(), nodes, 0.0)
+        return PiecewiseMonotone(measure.breakpoints.copy(), nodes)
     if isinstance(measure, EmpiricalMeasure):
         locs, counts = np.unique(measure.atoms, return_counts=True)
-        jumps = np.cumsum(counts * measure.weight)
-        return PiecewiseMonotone(STEP, locs, jumps, 0.0)
+        levels = np.concatenate(([0.0], np.cumsum(counts * measure.weight)))
+        return PiecewiseMonotone(np.repeat(locs, 2), np.repeat(levels, 2)[1:-1])
     raise TypeError(f"cannot build a CDF from {type(measure).__name__}")
 
 
@@ -254,36 +220,19 @@ def pseudo_inverse(F: PiecewiseMonotone) -> PiecewiseMonotone:
     At z = top (where the infimum is over an empty set) the value is the
     rightmost support point.  Plateaus of F become jumps of X and vice versa.
     """
-    if F.kind == LINEAR:
-        xs, fs = F.breakpoints, F.values
-        bottom, top = float(fs[0]), float(fs[-1])
-        start = int(np.searchsorted(fs, bottom, side="right")) - 1
-        end = int(np.searchsorted(fs, top, side="left"))
-        return PiecewiseMonotone(
-            LINEAR, fs[start:end + 1].copy(), xs[start:end + 1].copy(),
-            float(xs[start]), domain=(bottom, top))
-    # step CDF: constant value a_j on [c_{j-1}, c_j)
-    locs, post = F.breakpoints, F.values
-    z_nodes = np.concatenate(([F.left_value], post[:-1]))
-    if np.any(np.diff(z_nodes) <= 0.0):
-        raise ValueError("step function must be strictly increasing at jumps")
-    return PiecewiseMonotone(
-        STEP, z_nodes, locs.copy(), float(locs[0]),
-        domain=(float(F.left_value), float(post[-1])))
+    xs, fs = F.breakpoints, F.values
+    bottom, top = float(fs[0]), float(fs[-1])
+    start = int(np.searchsorted(fs, bottom, side="right")) - 1
+    end = int(np.searchsorted(fs, top, side="left"))
+    return PiecewiseMonotone(fs[start:end + 1].copy(), xs[start:end + 1].copy(),
+                             domain=(bottom, top))
 
 
 def cdf_from_quantile(X: PiecewiseMonotone) -> PiecewiseMonotone:
     """Inverse operator: F(x) = measure of {z in domain : X(z) <= x}."""
     if X.domain is None:
         raise ValueError("quantile function needs an explicit mass domain")
-    lo, hi = X.domain
-    if X.kind == LINEAR:
-        return PiecewiseMonotone(LINEAR, X.values.copy(), X.breakpoints.copy(), lo)
-    widths = np.diff(np.concatenate((X.breakpoints, [hi])))
-    locs, inverse = np.unique(X.values, return_inverse=True)
-    mass = np.zeros(locs.size)
-    np.add.at(mass, inverse, widths)
-    return PiecewiseMonotone(STEP, locs, lo + np.cumsum(mass), float(lo))
+    return PiecewiseMonotone(X.values.copy(), X.breakpoints.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from ftl1d import (
     from_piecewise,
     hat_density,
     integrate,
+    lagrangian_l1,
     min_gap_ratio,
     oleinik_residual,
     run_diagnostics,
@@ -23,6 +26,7 @@ from ftl1d import (
     time_continuity_moduli,
     total_variation,
     velocity_total_variation,
+    wasserstein,
 )
 from ftl1d.diagnostics import OleinikResidual
 
@@ -230,6 +234,19 @@ def test_run_diagnostics_flags_planted_violation():
     assert "oleinik_interior" in checks
 
 
+def test_run_diagnostics_flags_planted_transport_jump():
+    # the second state is the first moved by +10 after 0.01: far more
+    # transport than the Lipschitz rate allows
+    datum = scenario("box")
+    model = Greenshields(1.0)
+    c0 = atomize(datum, 8)
+    moved = ParticleConfiguration(0.01, c0.particle_mass, c0.positions + 10.0)
+    from ftl1d.dynamics import Trajectory
+    tr = Trajectory(np.array([0.0, 0.01]), (c0, moved), {})
+    report = run_diagnostics(tr, model, datum, 0.25)
+    assert "wasserstein_time_continuity" in {v.check for v in report.violations}
+
+
 def test_oleinik_residual_type():
     res = OleinikResidual(1.0, 0.5, np.array([0.1, -0.2]), 0.3)
     assert res.max_interior == pytest.approx(0.1)
@@ -283,7 +300,7 @@ _BUILTIN_LAWS = st.sampled_from([Greenshields(1.0), PipesMunjal(1.0, 2.0),
 def test_run_diagnostics_matches_standalone_helpers(cells, model, n):
     widths, values = zip(*cells)
     datum = from_piecewise(np.concatenate(([0.0], np.cumsum(widths))), values)
-    tr = integrate(atomize(datum, n), model, 0.5, None, [0.0, 0.25, 0.5])
+    tr = integrate(atomize(datum, n), model, 0.5, None, [0.0, 0.25, 0.375, 0.5])
     report = run_diagnostics(tr, model, datum, 0.25)
     levels = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
     for k, state in enumerate(tr.states):
@@ -295,6 +312,22 @@ def test_run_diagnostics_matches_standalone_helpers(cells, model, n):
         assert report.tv_velocity[k] == velocity_total_variation(state, model)
         assert report.entropy_min[k] == min(
             float(np.min(entropy_K_terms(state, model, lvl))) for lvl in levels)
+    # the moduli are checked on consecutive pairs; compare with all pairs
+    cont = time_continuity_moduli(tr, model, 0.25)
+    worst_w = worst_l1 = np.inf
+    for i, j in itertools.combinations(range(len(tr.states)), 2):
+        a, b = tr.states[i], tr.states[j]
+        worst_w = min(worst_w, cont.wasserstein_rate * (b.time - a.time)
+                      - wasserstein(hat_density(a), hat_density(b)))
+        if a.time >= 0.25:
+            worst_l1 = min(worst_l1, cont.l1_rate * (b.time - a.time)
+                           - lagrangian_l1(check_density(a), check_density(b)))
+    for got, ref in ((report.wasserstein_worst_slack, worst_w),
+                     (report.l1_worst_slack, worst_l1)):
+        if got >= 0.0:
+            assert got == pytest.approx(ref, rel=0.0, abs=1e-12)
+        else:
+            assert got >= ref
     failed = {v.check for v in report.violations}
     assert failed <= CHECKS
     assert set(report.skipped) <= CHECKS

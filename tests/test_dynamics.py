@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ftl1d import (
+    CustomVelocity,
     Greenshields,
     IntegrationError,
     IntegratorSettings,
@@ -14,6 +15,7 @@ from ftl1d import (
     lagrangian_rhs,
     scenario,
 )
+from ftl1d.dynamics import default_step
 
 
 def two_particle_config():
@@ -184,6 +186,26 @@ def test_step_underflow_raises_with_diagnostic_state():
         integrate(c0, model, 1.0, IntegratorSettings(gap_floor_safety=1.0), [1.0])
     assert err.value.positions is not None
     assert err.value.time is not None
+
+
+@pytest.mark.parametrize("height", [1e-300, 1e-35])
+def test_default_step_capped_for_vanishing_density(height):
+    # the speed spread r * (v_max - v(r)) underflows or is far below any
+    # absolute guard; the step is the t_end / 100 cap either way
+    c0 = atomize(scenario("box", height=height), 8)
+    model = Greenshields(1.0)
+    assert default_step(c0, model, 0.5) == 0.005
+    assert integrate(c0, model, 0.5).metadata["steps"] == 100
+
+
+def test_default_step_of_increasing_law_is_positive():
+    # followers outrun the leader, so the run ends in an IntegrationError
+    # rather than looping on a negative step
+    c0 = atomize(scenario("box"), 8)
+    model = CustomVelocity(lambda r: 1.0 + r, v_max=1.0)
+    assert default_step(c0, model, 0.5) == 0.005
+    with pytest.raises(IntegrationError):
+        integrate(c0, model, 0.5)
 
 
 def test_rk4_fixed_matches_classical_rk4_bit_for_bit():
