@@ -100,20 +100,23 @@ def bv_constant(model: VelocityModel, rho_max: float, span: float, delta: float)
     return 3.0 * (model.v_max - model.value(rho_max)) + 2.0 * span / delta
 
 
-def entropy_K_terms(config: ParticleConfiguration, model: VelocityModel, k: float) -> np.ndarray:
-    """Entropy production terms at the particle positions for level k >= 0.
+def entropy_K_terms(config: ParticleConfiguration, model: VelocityModel, k) -> np.ndarray:
+    """Entropy production terms at the particle positions for levels k >= 0.
 
     With the convention that the density beyond the leader is zero, term i
     (i = 1..N) equals k * (v(k) - v(y_i)) * (sgn(y_i - k) - sgn(y_{i-1} - k));
-    every term is nonnegative for a decreasing velocity law.
+    every term is nonnegative for a decreasing velocity law.  A scalar level
+    gives the N terms, an array of K levels a K x N array, one row per level.
     """
-    if k < 0.0:
+    k = np.asarray(k, dtype=float)
+    if np.any(k < 0.0):
         raise ValueError("k must be nonnegative")
     y = np.concatenate((config.densities(), [0.0]))
     v_y = model.value(y)
+    k = k[..., None] if k.ndim else k
     v_k = model.value(k)
     sgn = np.sign(y - k)
-    return k * (v_k - v_y[1:]) * (sgn[1:] - sgn[:-1])
+    return k * (v_k - v_y[1:]) * (sgn[..., 1:] - sgn[..., :-1])
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,7 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
         if t >= delta:
             report.record("tv_velocity", t, tvv, report.c_delta + VELOCITY_TV_TOL)
 
-        k_min = min(float(np.min(entropy_K_terms(state, model, k))) for k in k_grid)
+        k_min = float(np.min(entropy_K_terms(state, model, k_grid)))
         report.entropy_min.append(k_min)
         report.record("entropy_terms", t, k_min, -ENTROPY_TOL, lower=True)
 

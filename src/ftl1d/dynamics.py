@@ -11,7 +11,6 @@ One step controller runs every scheme from its Runge-Kutta coefficient table
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,34 +69,6 @@ class Trajectory:
     def initial_state(self) -> ParticleConfiguration:
         return self.states[0]
 
-    def state_at(self, t: float) -> ParticleConfiguration:
-        """State at an exact sample time."""
-        idx = int(np.searchsorted(self.sample_times, t))
-        if idx >= self.sample_times.size or self.sample_times[idx] != t:
-            raise KeyError(f"{t} is not a sample time")
-        return self.states[idx]
-
-    def interpolate(self, t: float) -> ParticleConfiguration:
-        """Positions linearly interpolated in time between recorded samples.
-
-        Interpolated states are not solutions of the particle system and may
-        violate tight diagnostics; a warning is issued for non-sample times.
-        """
-        ts = self.sample_times
-        if t < ts[0] or t > ts[-1]:
-            raise ValueError("time outside the sampled range")
-        idx = int(np.searchsorted(ts, t))
-        if idx < ts.size and ts[idx] == t:
-            return self.states[idx]
-        warnings.warn("interpolated state: positions are not an ODE solution",
-                      stacklevel=2)
-        hi = idx
-        lo = hi - 1
-        w = (t - ts[lo]) / (ts[hi] - ts[lo])
-        pos = (1.0 - w) * self.states[lo].positions + w * self.states[hi].positions
-        return ParticleConfiguration(time=t, particle_mass=self.states[lo].particle_mass,
-                                     positions=pos)
-
 
 def ftl_rhs(config: ParticleConfiguration, model: VelocityModel) -> np.ndarray:
     """Particle velocities: v(mass/gap) for followers, v_max for the leader."""
@@ -123,15 +94,20 @@ def lagrangian_rhs(y, model: VelocityModel, cell_mass: float) -> np.ndarray:
     return -(y * y / cell_mass) * (v_next - v)
 
 
-def _velocities(positions, cell_mass, model):
-    gaps = np.diff(positions)
-    if np.any(gaps <= 0.0):
-        return None
-    rho = cell_mass / gaps
-    if not np.all(np.isfinite(rho)):
+def _velocities(positions, cell_mass, model, floor=0.0):
+    """Particle velocities, or None when a gap is not above 0 and ``floor``
+    or a density overflows.
+
+    Correctly rounded division is monotone, so the largest density is
+    exactly cell_mass / (smallest gap): one scalar test covers every cell,
+    and a NaN gap fails it through the minimum.
+    """
+    gaps = positions[1:] - positions[:-1]
+    low = np.minimum.reduce(gaps)
+    if not (low > 0.0 and low >= floor and cell_mass / low < np.inf):
         return None
     out = np.empty(positions.size)
-    out[:-1] = model._v(rho)
+    out[:-1] = model._v(cell_mass / gaps)
     out[-1] = model.v_max
     return out
 
@@ -163,17 +139,24 @@ class _Tableau:
     checksummed, so the order of operations is kept: sums start from their
     first nonzero term and unit weights are not multiplied.  A combined
     error row or reuse of the last stage would change steps in the last bit.
+    The first stage is passed in: the controller already evaluated it when
+    it tested the accepted state against the gap floor.
     """
 
     def __init__(self, a, b, divisor=1.0, embedded=None):
-        self.stages = ((),) + tuple(_nonzero(row) for row in a)
+        self.stages = tuple(_nonzero(row) for row in a)
         self.weights = _nonzero(b)
         self.divisor = divisor
         self.embedded = None if embedded is None else _nonzero(embedded)
 
-    def step(self, x, dt, cell_mass, model):
-        """(x_new, error estimate or None), or (None, None) if a stage state is invalid."""
-        ks = []
+    def step(self, x, k1, dt, cell_mass, model):
+        """(x_new, error estimate or None), or (None, None) if a stage state is invalid.
+
+        ``k1`` is the velocity field at ``x`` (None if ``x`` is invalid).
+        """
+        if k1 is None:
+            return None, None
+        ks = [k1]
         for row in self.stages:
             xi = x
             for j, a in row:
@@ -263,6 +246,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     dt_min = STEP_UNDERFLOW_FRACTION * t_end if t_end > 0.0 else 0.0
 
     x = config0.positions.copy()
+    k1 = _velocities(x, cell_mass, model)
     t = 0.0
     steps = 0
     rejections = 0
@@ -273,7 +257,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
             remaining = target - t
             dt = min(dt_next, remaining)
             while True:
-                x_new, err = scheme.step(x, dt, cell_mass, model)
+                x_new, err = scheme.step(x, k1, dt, cell_mass, model)
                 err_norm = 0.0
                 if err is not None:
                     scale = settings.abs_tol + settings.rel_tol * np.maximum(
@@ -281,7 +265,8 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
                     err_norm = float(np.max(np.abs(err) / scale))
                 if err_norm > 1.0:
                     retry = max(0.9 * dt * err_norm ** -0.2, 0.1 * dt)
-                elif x_new is None or np.min(np.diff(x_new)) < floor:
+                elif x_new is None or (
+                        k_new := _velocities(x_new, cell_mass, model, floor)) is None:
                     retry = 0.5 * dt
                 else:
                     break
@@ -293,7 +278,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
                 dt = retry
             # a rejection always leaves dt below remaining
             t = target if dt == remaining else t + dt
-            x = x_new
+            x, k1 = x_new, k_new
             steps += 1
             if err is not None:
                 factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))

@@ -24,11 +24,17 @@ MASS_MISMATCH_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class PiecewiseConstantDensity:
-    """Density that is constant on cells and zero outside them."""
+    """Density that is constant on cells and zero outside them.
+
+    ``cell_mass`` is set when every cell carries exactly that mass, as in a
+    particle reconstruction; the CDF then takes its levels from it instead
+    of from value * width.
+    """
 
     breakpoints: np.ndarray
     values: np.ndarray
     total_mass: float
+    cell_mass: float | None = None
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -89,6 +95,7 @@ def hat_density(config: ParticleConfiguration) -> PiecewiseConstantDensity:
         breakpoints=config.positions.copy(),
         values=config.densities(),
         total_mass=config.total_mass,
+        cell_mass=config.particle_mass,
     )
 
 
@@ -143,10 +150,6 @@ class PiecewiseMonotone:
     def range_top(self) -> float:
         return float(self.values[-1])
 
-    @property
-    def range_bottom(self) -> float:
-        return float(self.values[0])
-
     def right_limits(self, x) -> np.ndarray:
         """Values f(x+), i.e. right-continuous evaluation."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -198,11 +201,16 @@ def cdf(measure) -> PiecewiseMonotone:
 
     Densities and initial data give continuous polylines; empirical measures
     give polylines with a repeated node at every atom, where the CDF jumps by
-    the atom weight.
+    the atom weight.  A density with a common ``cell_mass`` gets the running
+    sum of that mass as its levels, the same floats as the empirical measure
+    of the same particles.
     """
     if isinstance(measure, PiecewiseConstantDensity):
-        nodes = np.concatenate(
-            ([0.0], np.cumsum(measure.values * np.diff(measure.breakpoints))))
+        if measure.cell_mass is None:
+            masses = measure.values * np.diff(measure.breakpoints)
+        else:
+            masses = np.full(measure.values.size, measure.cell_mass)
+        nodes = np.concatenate(([0.0], np.cumsum(masses)))
         return PiecewiseMonotone(measure.breakpoints.copy(), nodes)
     if isinstance(measure, InitialDatum):
         nodes = measure.cdf_values(measure.breakpoints)

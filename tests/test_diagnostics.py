@@ -158,6 +158,20 @@ def test_entropy_terms_level_below_everything():
         entropy_K_terms(c, Greenshields(1.0), -0.5)
 
 
+@pytest.mark.parametrize("model", [Greenshields(1.0), PipesMunjal(1.0, 0.5), Underwood(1.0),
+                                   ModifiedGreenberg(1.0, 0.1)])
+def test_entropy_terms_of_level_array_are_per_level_rows(model):
+    datum = scenario("sawtooth_bv")
+    state = integrate(atomize(datum, 48), model, 0.5, None, [0.5]).states[-1]
+    levels = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
+    K = entropy_K_terms(state, model, levels)
+    assert K.shape == (50, 48)
+    for row, k in zip(K, levels):
+        np.testing.assert_array_equal(row, entropy_K_terms(state, model, k))
+    with pytest.raises(ValueError):
+        entropy_K_terms(state, model, np.array([0.5, -0.5]))
+
+
 def test_entropy_terms_nonnegative_on_levels_grid():
     datum = scenario("double_hump")
     model = Greenshields(1.0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from ftl1d import (
     lagrangian_rhs,
     scenario,
 )
-from ftl1d.dynamics import default_step
+from ftl1d.dynamics import _velocities, default_step
 
 
 def two_particle_config():
@@ -149,16 +151,6 @@ def test_position_and_density_formulations_agree():
     np.testing.assert_allclose(y_from_positions, y, atol=1e-7)
 
 
-def test_interpolated_state_warns():
-    tr = integrate(two_particle_config(), Greenshields(1.0), 1.0, None, [0.0, 1.0])
-    with pytest.warns(UserWarning):
-        mid = tr.interpolate(0.5)
-    assert mid.time == 0.5
-    assert tr.interpolate(1.0).time == 1.0  # exact sample, no warning
-    with pytest.raises(KeyError):
-        tr.state_at(0.25)
-
-
 def test_settings_validation():
     with pytest.raises(ValueError):
         IntegratorSettings(method="euler")
@@ -208,17 +200,20 @@ def test_default_step_of_increasing_law_is_positive():
         integrate(c0, model, 0.5)
 
 
-def test_rk4_fixed_matches_classical_rk4_bit_for_bit():
+@pytest.mark.parametrize("model", [Greenshields(1.0), PipesMunjal(1.0, 2.0), Underwood(1.0)],
+                         ids=["greenshields", "pipes_munjal", "underwood"])
+def test_rk4_fixed_matches_classical_rk4_bit_for_bit(model):
     # dyadic dt with t_end a multiple of it: no step is shortened
-    model = Greenshields(1.0)
     c0 = atomize(scenario("box"), 32)
+    m = c0.particle_mass
     dt = 2.0 ** -6
     tr = integrate(c0, model, 0.5, IntegratorSettings(dt=dt))
     assert tr.metadata["steps"] == 32
     assert tr.metadata["rejections"] == 0
 
     def rhs(x):
-        return ftl_rhs(ParticleConfiguration(0.0, c0.particle_mass, x), model)
+        # written out here rather than taken from the package
+        return np.append(model.value(m / np.diff(x)), model.v_max)
 
     x = c0.positions.copy()
     for _ in range(32):
@@ -237,4 +232,26 @@ def test_rk45_adaptive_step_sequence_is_pinned():
     assert tr.metadata["steps"] == 55
     # both rejections come from error control, none from the gap floor
     assert tr.metadata["rejections"] == 2
-    assert tr.states[-1].positions[0] == pytest.approx(1.0277869609280503, rel=1e-14)
+    final = tr.states[-1].positions
+    assert final[0] == 1.0277869609280503
+    # every bit of all 65 final positions, as little-endian float64
+    assert hashlib.sha256(final.astype("<f8").tobytes()).hexdigest() == (
+        "667562883dc6c4635b8826ab4d63cf6ae35b1f934c8c9699e7fe299aa3e04b7a")
+
+
+def test_velocities_reject_invalid_gaps():
+    model = Greenshields(1.0)
+    # densities 0.5 and 0.25
+    np.testing.assert_array_equal(
+        _velocities(np.array([0.0, 0.5, 1.5]), 0.25, model), [0.5, 0.75, 1.0])
+    assert _velocities(np.array([0.0, 1.0, 1.0]), 0.25, model) is None
+    assert _velocities(np.array([0.0, np.nan, 1.5]), 0.25, model) is None
+    with np.errstate(over="ignore"):
+        assert _velocities(np.array([0.0, 1e-310]), 1.0, model) is None
+
+
+def test_velocities_reject_gap_below_floor():
+    model = Greenshields(1.0)
+    x = np.array([0.0, 0.5, 1.5])
+    np.testing.assert_array_equal(_velocities(x, 0.25, model, floor=0.5), [0.5, 0.75, 1.0])
+    assert _velocities(x, 0.25, model, floor=0.6) is None
