@@ -14,8 +14,8 @@ from .velocity import (  # noqa: F401
     check_assumptions,
 )
 from .initial_data import (  # noqa: F401
-    InitialDatum,
     ParticleConfiguration,
+    PiecewiseConstantDensity,
     atomize,
     from_piecewise,
     mass_between,
@@ -32,7 +32,6 @@ from .dynamics import (  # noqa: F401
 from .measures import (  # noqa: F401
     EmpiricalMeasure,
     LagrangianDensity,
-    PiecewiseConstantDensity,
     PiecewiseMonotone,
     cdf,
     cdf_from_quantile,

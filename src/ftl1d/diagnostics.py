@@ -19,8 +19,8 @@ import numpy as np
 
 from . import measures
 from .dynamics import Trajectory
-from .initial_data import InitialDatum, ParticleConfiguration
-from .measures import LagrangianDensity, PiecewiseConstantDensity
+from .initial_data import ParticleConfiguration, PiecewiseConstantDensity
+from .measures import LagrangianDensity
 from .velocity import VelocityModel, check_assumptions
 
 GAP_RATIO_TOL = 1e-6
@@ -79,7 +79,7 @@ def oleinik_residual(config: ParticleConfiguration, model: VelocityModel) -> Ole
 
 def total_variation(density) -> float:
     """TV of a cellwise-constant profile, edge jumps to vacuum included."""
-    if isinstance(density, (PiecewiseConstantDensity, LagrangianDensity, InitialDatum)):
+    if isinstance(density, (PiecewiseConstantDensity, LagrangianDensity)):
         vals = density.values
     else:
         vals = np.asarray(density, dtype=float)
@@ -233,7 +233,7 @@ class DiagnosticsReport:
 
 
 def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
-                    datum: InitialDatum, delta: float,
+                    datum: PiecewiseConstantDensity, delta: float,
                     k_grid=None) -> DiagnosticsReport:
     """Run every check on a trajectory; record its violations and skips.
 

@@ -222,6 +222,8 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     particle_mass / R (R from the initial configuration) or meets an invalid
     stage state is retried at half the step; rejection-driven underflow
     below 1e-12 * t_end raises IntegrationError carrying the last valid state.
+    A law that increases anywhere on 64 samples of [0, R] raises ValueError
+    before the first step (a law flat by rounding, as near vacuum, is run).
     """
     if config0.time != 0.0:
         raise ValueError("initial configuration must be at time 0")
@@ -239,6 +241,8 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     scheme = METHODS[settings.method]
     cell_mass = config0.particle_mass
     r_init = config0.max_density()
+    if np.any(np.diff(model.value(np.linspace(0.0, r_init, 64))) > 0.0):
+        raise ValueError("velocity law increases on [0, initial max density]")
     floor = settings.gap_floor_safety * cell_mass / r_init
     dt_base = settings.dt if settings.dt is not None else default_step(config0, model, max(t_end, 1e-300))
     if t_end == 0.0:

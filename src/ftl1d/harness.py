@@ -70,7 +70,7 @@ class ExperimentConfig:
         self.datum()
         self.model()
 
-    def datum(self) -> initial_data.InitialDatum:
+    def datum(self) -> initial_data.PiecewiseConstantDensity:
         return initial_data.datum_from_config(self.scenario)
 
     def model(self) -> velocity.VelocityModel:
@@ -143,7 +143,7 @@ def write_trajectory_csv(path: Path, trajectory: dynamics.Trajectory):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_density_csv(path: Path, density: measures.PiecewiseConstantDensity):
+def write_density_csv(path: Path, density: initial_data.PiecewiseConstantDensity):
     lines = ["x_left,x_right,value"]
     bp, vals = density.breakpoints, density.values
     lines.extend(f"{_fmt(a)},{_fmt(b)},{_fmt(v)}"

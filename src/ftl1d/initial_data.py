@@ -1,11 +1,13 @@
-"""Piecewise-constant initial data and the equal-mass particle atomization.
+"""Piecewise-constant densities and the equal-mass particle atomization.
 
-The initial density is stored exactly as breakpoints plus cell values, so
-masses, the cumulative distribution, and its inversion are all closed-form.
-Atomization splits the subgraph into equal-mass slabs whose edges become the
-initial particle positions; at a vacuum plateau the edge is placed at the
-plateau's left end (the strict-inequality set ends there), and the last
-particle is pinned to the right end of the support hull.
+One type stores every piecewise-constant density exactly, as breakpoints
+plus cell values: the initial datum, the cell reconstruction of a particle
+state and an oracle's profile.  Masses, the cumulative distribution, and its
+inversion are all closed-form.  Atomization splits the subgraph into
+equal-mass slabs whose edges become the initial particle positions; at a
+vacuum plateau the edge is placed at the plateau's left end (the
+strict-inequality set ends there), and the last particle is pinned to the
+right end of the support hull.
 """
 
 from __future__ import annotations
@@ -16,64 +18,74 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class InitialDatum:
-    """Compactly supported, nonnegative, piecewise-constant density."""
+class PiecewiseConstantDensity:
+    """Nonnegative density that is constant on cells and zero outside them.
+
+    ``cell_mass`` is set when every cell carries exactly that mass, as in a
+    particle reconstruction; the cumulative masses are then the running sum
+    of it, the same floats as the empirical measure of the same particles,
+    instead of the running sum of value * width.  An all-vacuum profile is
+    valid; its support hull is (nan, nan).
+    """
 
     breakpoints: np.ndarray   # len m+1, strictly increasing
-    values: np.ndarray        # len m, >= 0, not all zero
-    mass: float = field(init=False)
+    values: np.ndarray        # len m >= 1, >= 0
+    cell_mass: float | None = field(default=None, kw_only=True)
+    total_mass: float = field(init=False)
     sup_norm: float = field(init=False)
     support_min: float = field(init=False)
     support_max: float = field(init=False)
-    _cum: np.ndarray = field(init=False, repr=False)
+    cumulative_masses: np.ndarray = field(init=False, repr=False)   # len m+1, from 0
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or vals.ndim != 1 or bp.size != vals.size + 1:
-            raise ValueError("need len(breakpoints) == len(values) + 1")
+        if bp.ndim != 1 or vals.ndim != 1 or vals.size == 0 or bp.size != vals.size + 1:
+            raise ValueError("need len(breakpoints) == len(values) + 1 >= 2")
         if not np.all(np.isfinite(bp)) or np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be finite and strictly increasing")
         if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
             raise ValueError("values must be finite and nonnegative")
-        if not np.any(vals > 0.0):
-            raise ValueError("datum must carry positive mass")
-        cum = np.concatenate(([0.0], np.cumsum(vals * np.diff(bp))))
-        positive = np.nonzero(vals > 0.0)[0]
+        if self.cell_mass is None:
+            masses = vals * np.diff(bp)
+        else:
+            masses = np.full(vals.size, self.cell_mass)
+        cum = np.concatenate(([0.0], np.cumsum(masses)))
+        positive = np.flatnonzero(vals > 0.0)
+        hull = (bp[positive[0]], bp[positive[-1] + 1]) if positive.size else (np.nan, np.nan)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "mass", float(cum[-1]))
+        object.__setattr__(self, "cumulative_masses", cum)
+        object.__setattr__(self, "total_mass", float(cum[-1]))
         object.__setattr__(self, "sup_norm", float(np.max(vals)))
-        object.__setattr__(self, "support_min", float(bp[positive[0]]))
-        object.__setattr__(self, "support_max", float(bp[positive[-1] + 1]))
-
-    @property
-    def support(self):
-        """Convex hull [x_min, x_max] of the support."""
-        return (self.support_min, self.support_max)
+        object.__setattr__(self, "support_min", float(hull[0]))
+        object.__setattr__(self, "support_max", float(hull[1]))
 
     def cdf_values(self, x):
         """Cumulative mass F(x) = integral of the density up to x (exact)."""
-        return np.interp(x, self.breakpoints, self._cum)
+        return np.interp(x, self.breakpoints, self.cumulative_masses)
 
     def quantile(self, level: float) -> float:
         """Leftmost position where the cumulative mass reaches ``level``."""
-        if not 0.0 <= level <= self.mass:
-            raise ValueError("level outside [0, mass]")
-        j = int(np.searchsorted(self._cum, level, side="left"))
-        if j < self._cum.size and self._cum[j] == level:
+        if not 0.0 <= level <= self.total_mass:
+            raise ValueError("level outside [0, total_mass]")
+        cum = self.cumulative_masses
+        j = int(np.searchsorted(cum, level, side="left"))
+        if j < cum.size and cum[j] == level:
             return float(self.breakpoints[j])
-        return float(self.breakpoints[j - 1]
-                     + (level - self._cum[j - 1]) / self.values[j - 1])
+        return float(self.breakpoints[j - 1] + (level - cum[j - 1]) / self.values[j - 1])
 
 
-def from_piecewise(breakpoints, values) -> InitialDatum:
-    """Build a datum from cell edges and per-cell densities."""
-    return InitialDatum(np.asarray(breakpoints, float), np.asarray(values, float))
+def from_piecewise(breakpoints, values) -> PiecewiseConstantDensity:
+    """Build a datum from cell edges and per-cell densities; it must carry mass."""
+    datum = PiecewiseConstantDensity(np.asarray(breakpoints, float),
+                                     np.asarray(values, float))
+    if not datum.sup_norm > 0.0:
+        raise ValueError("datum must carry positive mass")
+    return datum
 
 
-def mass_between(datum: InitialDatum, a: float, b: float) -> float:
+def mass_between(datum: PiecewiseConstantDensity, a: float, b: float) -> float:
     """Exact integral of the datum over [a, b]."""
     if a > b:
         raise ValueError("need a <= b")
@@ -120,7 +132,7 @@ class ParticleConfiguration:
         return float(np.max(self.densities()))
 
 
-def atomize(datum: InitialDatum, n_particles: int) -> ParticleConfiguration:
+def atomize(datum: PiecewiseConstantDensity, n_particles: int) -> ParticleConfiguration:
     """Split the datum's subgraph into ``n_particles`` equal-mass slabs.
 
     Returns the time-0 configuration whose N+1 positions are the slab edges:
@@ -131,7 +143,7 @@ def atomize(datum: InitialDatum, n_particles: int) -> ParticleConfiguration:
     if n_particles < 2:
         raise ValueError("need at least 2 particles")
     n = int(n_particles)
-    cell_mass = datum.mass / n
+    cell_mass = datum.total_mass / n
     positions = np.empty(n + 1)
     positions[0] = datum.support_min
     positions[n] = datum.support_max
@@ -140,7 +152,7 @@ def atomize(datum: InitialDatum, n_particles: int) -> ParticleConfiguration:
     return ParticleConfiguration(time=0.0, particle_mass=cell_mass, positions=positions)
 
 
-def scenario(name: str, **params) -> InitialDatum:
+def scenario(name: str, **params) -> PiecewiseConstantDensity:
     """Build one of the named initial data used by the experiment harness.
 
     box: single box of given height/width.
@@ -182,7 +194,7 @@ def scenario(name: str, **params) -> InitialDatum:
     return from_piecewise(bp, vals)
 
 
-def datum_from_config(cfg: dict) -> InitialDatum:
+def datum_from_config(cfg: dict) -> PiecewiseConstantDensity:
     """Datum from configuration: named scenario or explicit arrays.
 
     A key the chosen form does not take raises ValueError.

@@ -1,9 +1,9 @@
 """Reconstructions of a particle state as measures, and exact transport metrics.
 
 A particle configuration induces three objects: a piecewise-constant density
-(cell value = particle mass over gap), the empirical measure of the mass
-carrying particles (leader excluded), and the Lagrangian density living on
-mass cells.  Cumulative distributions, generalized inverses, the scaled
+(cell value = particle mass over gap, the same type as an initial datum and
+an oracle profile), the empirical measure of the mass carrying particles
+(leader excluded), and the Lagrangian density living on mass cells.  Cumulative distributions, generalized inverses, the scaled
 1-Wasserstein distance and L1 distances are all computed in closed form by
 merged-breakpoint arithmetic; no quadrature is involved anywhere.
 """
@@ -14,41 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_data import InitialDatum, ParticleConfiguration
+from .initial_data import ParticleConfiguration, PiecewiseConstantDensity
 
 MASS_MISMATCH_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
 # measure types
-
-@dataclass(frozen=True)
-class PiecewiseConstantDensity:
-    """Density that is constant on cells and zero outside them.
-
-    ``cell_mass`` is set when every cell carries exactly that mass, as in a
-    particle reconstruction; the CDF then takes its levels from it instead
-    of from value * width.
-    """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-    total_mass: float
-    cell_mass: float | None = None
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.size != vals.size + 1 or np.any(np.diff(bp) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing, one more than values")
-        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
-            raise ValueError("cell values must be finite and nonnegative")
-        area = float(np.sum(vals * np.diff(bp)))
-        if abs(area - self.total_mass) > MASS_MISMATCH_RTOL * max(1.0, abs(self.total_mass)):
-            raise ValueError("total_mass inconsistent with cell areas")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -94,7 +66,6 @@ def hat_density(config: ParticleConfiguration) -> PiecewiseConstantDensity:
     return PiecewiseConstantDensity(
         breakpoints=config.positions.copy(),
         values=config.densities(),
-        total_mass=config.total_mass,
         cell_mass=config.particle_mass,
     )
 
@@ -197,24 +168,17 @@ class PiecewiseMonotone:
 
 
 def cdf(measure) -> PiecewiseMonotone:
-    """Cumulative distribution of a density, empirical measure, or datum.
+    """Cumulative distribution of a density or an empirical measure.
 
-    Densities and initial data give continuous polylines; empirical measures
-    give polylines with a repeated node at every atom, where the CDF jumps by
-    the atom weight.  A density with a common ``cell_mass`` gets the running
-    sum of that mass as its levels, the same floats as the empirical measure
-    of the same particles.
+    A CDF is returned as it is.  Densities give continuous polylines through
+    their cumulative masses; empirical measures give polylines with a
+    repeated node at every atom, where the CDF jumps by the atom weight.
     """
+    if isinstance(measure, PiecewiseMonotone):
+        return measure
     if isinstance(measure, PiecewiseConstantDensity):
-        if measure.cell_mass is None:
-            masses = measure.values * np.diff(measure.breakpoints)
-        else:
-            masses = np.full(measure.values.size, measure.cell_mass)
-        nodes = np.concatenate(([0.0], np.cumsum(masses)))
-        return PiecewiseMonotone(measure.breakpoints.copy(), nodes)
-    if isinstance(measure, InitialDatum):
-        nodes = measure.cdf_values(measure.breakpoints)
-        return PiecewiseMonotone(measure.breakpoints.copy(), nodes)
+        return PiecewiseMonotone(measure.breakpoints.copy(),
+                                 measure.cumulative_masses.copy())
     if isinstance(measure, EmpiricalMeasure):
         locs, counts = np.unique(measure.atoms, return_counts=True)
         levels = np.concatenate(([0.0], np.cumsum(counts * measure.weight)))
@@ -278,53 +242,37 @@ def integrate_abs_difference(f: PiecewiseMonotone, g: PiecewiseMonotone,
     return _segment_l1(da, db, b - a)
 
 
-def _as_cdf(measure) -> PiecewiseMonotone:
-    if isinstance(measure, PiecewiseMonotone):
-        return measure
-    return cdf(measure)
-
-
-def wasserstein(m1, m2) -> float:
-    """Scaled 1-Wasserstein distance: integral over x of |F1 - F2|.
-
-    Both measures must carry (numerically) the same total mass.
-    """
-    F1, F2 = _as_cdf(m1), _as_cdf(m2)
+def _equal_mass_cdfs(m1, m2):
+    """CDFs of two measures, which must carry (numerically) the same total mass."""
+    F1, F2 = cdf(m1), cdf(m2)
     top1, top2 = F1.range_top, F2.range_top
     if abs(top1 - top2) > MASS_MISMATCH_RTOL * max(top1, top2):
         raise ValueError(f"total masses differ: {top1} vs {top2}")
-    return integrate_abs_difference(F1, F2)
+    return F1, F2
+
+
+def wasserstein(m1, m2) -> float:
+    """Scaled 1-Wasserstein distance: integral over x of |F1 - F2|."""
+    return integrate_abs_difference(*_equal_mass_cdfs(m1, m2))
 
 
 def wasserstein_via_quantiles(m1, m2) -> float:
     """Same distance computed on the inverse side: integral of |X1 - X2| dz."""
-    F1, F2 = _as_cdf(m1), _as_cdf(m2)
-    top1, top2 = F1.range_top, F2.range_top
-    if abs(top1 - top2) > MASS_MISMATCH_RTOL * max(top1, top2):
-        raise ValueError(f"total masses differ: {top1} vs {top2}")
-    X1, X2 = pseudo_inverse(F1), pseudo_inverse(F2)
-    return integrate_abs_difference(X1, X2, lo=0.0, hi=min(top1, top2))
+    F1, F2 = _equal_mass_cdfs(m1, m2)
+    hi = min(F1.range_top, F2.range_top)
+    return integrate_abs_difference(pseudo_inverse(F1), pseudo_inverse(F2), lo=0.0, hi=hi)
 
 
-def _cells_of(density):
-    if isinstance(density, PiecewiseConstantDensity):
-        return density.breakpoints, density.values
-    if isinstance(density, InitialDatum):
-        return density.breakpoints, density.values
-    raise TypeError(f"not a piecewise-constant density: {type(density).__name__}")
-
-
-def l1_distance(d1, d2) -> float:
+def l1_distance(d1: PiecewiseConstantDensity, d2: PiecewiseConstantDensity) -> float:
     """Exact integral of |d1 - d2| over the union of supports."""
-    bp1, v1 = _cells_of(d1)
-    bp2, v2 = _cells_of(d2)
-    mesh = np.unique(np.concatenate((bp1, bp2)))
+    mesh = np.unique(np.concatenate((d1.breakpoints, d2.breakpoints)))
     mids = 0.5 * (mesh[:-1] + mesh[1:])
 
-    def cell_values(bp, vals):
-        idx = np.searchsorted(bp, mids, side="right") - 1
+    def cell_values(d):
+        vals = d.values
+        idx = np.searchsorted(d.breakpoints, mids, side="right") - 1
         inside = (idx >= 0) & (idx < vals.size)
         return np.where(inside, vals[np.clip(idx, 0, vals.size - 1)], 0.0)
 
-    diff = np.abs(cell_values(bp1, v1) - cell_values(bp2, v2))
+    diff = np.abs(cell_values(d1) - cell_values(d2))
     return float(np.sum(diff * np.diff(mesh)))

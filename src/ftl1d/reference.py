@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_data import InitialDatum
-from .measures import PiecewiseConstantDensity
+from .initial_data import PiecewiseConstantDensity
 from .velocity import VelocityModel
 
 
@@ -192,7 +191,7 @@ def godunov_flux(model: VelocityModel, rho_l, rho_r):
     return float(out) if out.ndim == 0 else out
 
 
-def godunov(datum: InitialDatum, model: VelocityModel, dx: float, cfl: float,
+def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cfl: float,
             t_end: float, pad: float | None = None) -> PiecewiseConstantDensity:
     """March the monotone finite-volume scheme to t_end and return the profile.
 
@@ -253,5 +252,4 @@ def godunov(datum: InitialDatum, model: VelocityModel, dx: float, cfl: float,
         if abs(mass - mass0) > 1e-12 * mass0:
             raise RuntimeError(f"mass drift {mass - mass0:.3e} exceeds tolerance")
     vals = np.maximum(u, 0.0)
-    return PiecewiseConstantDensity(breakpoints=edges, values=vals,
-                                    total_mass=float(np.sum(vals) * (edges[1] - edges[0])))
+    return PiecewiseConstantDensity(breakpoints=edges, values=vals)

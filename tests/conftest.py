@@ -1,7 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ftl1d import EmpiricalMeasure, PiecewiseConstantDensity
+
+
+@st.composite
+def piecewise_cells(draw, positive_mass=False):
+    """(breakpoints, values) of 1-6 cells with values in {0} U [0.05, 2].
+
+    Zero values are vacuum cells, and every cell may be vacuum unless
+    ``positive_mass`` is set.  Up to density 2 the Greenshields,
+    Pipes-Munjal and Underwood fluxes are concave.
+    """
+    value = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    cells = st.lists(st.tuples(st.floats(0.05, 2.0), value), min_size=1, max_size=6)
+    if positive_mass:
+        cells = cells.filter(lambda cs: any(v > 0.0 for _, v in cs))
+    widths, values = zip(*draw(cells))
+    left = draw(st.floats(-3.0, 3.0))
+    return left + np.concatenate(([0.0], np.cumsum(widths))), np.array(values)
 
 
 def random_piecewise_density(rng, total_mass=1.0, max_cells=8):
@@ -19,7 +37,7 @@ def random_piecewise_density(rng, total_mass=1.0, max_cells=8):
         vals[int(rng.integers(0, n))] = 1.0
     area = float(np.sum(vals * np.diff(bp)))
     vals *= total_mass / area
-    return PiecewiseConstantDensity(bp, vals, total_mass=float(np.sum(vals * np.diff(bp))))
+    return PiecewiseConstantDensity(bp, vals)
 
 
 def random_empirical(rng, total_mass=1.0, max_atoms=12):

@@ -227,7 +227,7 @@ def test_criterion_10_convergence_to_entropy_solution():
         errors.append(riemann_l1_error(hat, sol, model, t_end, window))
     monotone = all(a > b for a, b in zip(errors[:-1], errors[1:]))
     order = float(np.log2(errors[-2] / errors[-1]))
-    small = errors[-1] < 0.02 * datum.mass
+    small = errors[-1] < 0.02 * datum.total_mass
     ok = monotone and order >= 0.5 and small
     verdict(10, ok, "errors against the exact rarefaction shrink with order >= 0.5",
             f"errors {['%.4f' % e for e in errors]}, last order {order:.2f}")
@@ -242,7 +242,7 @@ def test_criterion_11_cross_oracle_agreement():
     config0 = atomize(datum, 1024)
     tr = integrate(config0, model, t_end, SETTINGS, [t_end])
     err = l1_distance(hat_density(tr.states[-1]), reference_density)
-    bound = 0.05 * datum.mass
+    bound = 0.05 * datum.total_mass
     verdict(11, err <= bound, "particle and finite-volume solutions agree",
             f"L1 distance {err:.4f} <= {bound:.4f}")
 

@@ -12,6 +12,7 @@ from ftl1d import (
     PipesMunjal,
     Underwood,
     atomize,
+    check_assumptions,
     ftl_rhs,
     integrate,
     lagrangian_rhs,
@@ -191,13 +192,22 @@ def test_default_step_capped_for_vanishing_density(height):
 
 
 def test_default_step_of_increasing_law_is_positive():
-    # followers outrun the leader, so the run ends in an IntegrationError
-    # rather than looping on a negative step
+    # followers would outrun the leader: integrate refuses the law before
+    # the first step, and default_step still gives its cap, not a negative step
     c0 = atomize(scenario("box"), 8)
     model = CustomVelocity(lambda r: 1.0 + r, v_max=1.0)
     assert default_step(c0, model, 0.5) == 0.005
-    with pytest.raises(IntegrationError):
+    with pytest.raises(ValueError, match="increases"):
         integrate(c0, model, 0.5)
+
+
+def test_law_flat_by_rounding_near_vacuum_still_integrates():
+    # v = 1 - rho^20 rounds to 1 near vacuum, so the strictly decreasing
+    # sample of check_assumptions fails; the law does not increase, and runs
+    c0 = atomize(scenario("box"), 8)
+    model = PipesMunjal(1.0, 20.0)
+    assert not check_assumptions(model, c0.max_density(), samples=64).v_strictly_decreasing
+    assert integrate(c0, model, 0.5).metadata["steps"] == 100
 
 
 @pytest.mark.parametrize("model", [Greenshields(1.0), PipesMunjal(1.0, 2.0), Underwood(1.0)],

@@ -43,7 +43,7 @@ def test_initial_key_is_an_alias_for_scenario():
     del cfg["scenario"]
     cfg["initial"] = {"breakpoints": [0.0, 1.0], "values": [1.0]}
     config = ExperimentConfig.from_dict(cfg)
-    assert config.datum().mass == 1.0
+    assert config.datum().total_mass == 1.0
 
 
 def test_config_validation_errors():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_empirical, random_measure, random_piecewise_density
+from conftest import (
+    piecewise_cells,
+    random_empirical,
+    random_measure,
+    random_piecewise_density,
+)
 from ftl1d import (
     EmpiricalMeasure,
     Greenshields,
@@ -48,7 +54,7 @@ def test_hat_density_uneven():
 
 def test_hat_density_mass_is_structural():
     c = atomize(scenario("double_hump"), 37)
-    assert hat_density(c).total_mass == c.n_cells * c.particle_mass
+    assert hat_density(c).total_mass == cdf(empirical(c)).range_top
 
 
 def test_empirical_excludes_leader():
@@ -90,8 +96,7 @@ def test_cdf_tops_out_at_total_mass():
                     EmpiricalMeasure(np.array([1.0, 2.0, 3.0]), 0.25),
                     scenario("sawtooth_bv")):
         F = cdf(measure)
-        top = measure.total_mass if hasattr(measure, "total_mass") else measure.mass
-        assert F.range_top == pytest.approx(top, rel=1e-12)
+        assert F.range_top == pytest.approx(measure.total_mass, rel=1e-12)
 
 
 def test_pseudo_inverse_of_identity():
@@ -251,9 +256,30 @@ def test_l1_distance_examples():
     assert l1_distance(box01, half) == 0.5
 
 
+@settings(deadline=None, max_examples=60)
+@given(a=piecewise_cells(), b=piecewise_cells(), c=piecewise_cells())
+def test_l1_distance_symmetry_and_triangle(a, b, c):
+    da, db, dc = (PiecewiseConstantDensity(*cells) for cells in (a, b, c))
+    assert l1_distance(da, db) == l1_distance(db, da)
+    scale = da.total_mass + db.total_mass + dc.total_mass
+    assert l1_distance(da, dc) <= l1_distance(da, db) + l1_distance(db, dc) + 1e-12 * scale
+
+
+@settings(deadline=None, max_examples=60)
+@given(cells=piecewise_cells(positive_mass=True))
+def test_cdf_nodes_are_the_datum_cumulative_masses(cells):
+    bp, vals = cells
+    d = from_piecewise(bp, vals)
+    F = cdf(d)
+    nodes = np.concatenate(([0.0], np.cumsum(vals * np.diff(bp))))
+    np.testing.assert_array_equal(F.breakpoints, bp)
+    np.testing.assert_array_equal(F.values, nodes)
+    np.testing.assert_array_equal(F.values, d.cdf_values(bp))
+
+
 def test_l1_distance_merges_breakpoints():
-    a = PiecewiseConstantDensity(np.array([0.0, 1.0]), np.array([1.0]), 1.0)
-    b = PiecewiseConstantDensity(np.array([0.5, 1.5]), np.array([1.0]), 1.0)
+    a = PiecewiseConstantDensity(np.array([0.0, 1.0]), np.array([1.0]))
+    b = PiecewiseConstantDensity(np.array([0.5, 1.5]), np.array([1.0]))
     assert l1_distance(a, b) == pytest.approx(1.0, abs=1e-15)
 
 

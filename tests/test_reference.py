@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import piecewise_cells
 from ftl1d import (
     CustomVelocity,
     Greenshields,
@@ -159,7 +160,7 @@ def test_godunov_constant_state_preserved_inside():
     mids = 0.5 * (density.breakpoints[:-1] + density.breakpoints[1:])
     inner = (mids > 1.6) & (mids < 2.4)
     np.testing.assert_allclose(density.values[inner], 0.6, atol=1e-12)
-    assert density.total_mass == pytest.approx(datum.mass, rel=1e-12)
+    assert density.total_mass == pytest.approx(datum.total_mass, rel=1e-12)
 
 
 def test_godunov_vacuum_stays_empty_far_from_support():
@@ -177,7 +178,7 @@ def test_godunov_maximum_principle_and_mass():
     density = godunov(datum, model, dx=0.01, cfl=0.5, t_end=0.5)
     assert np.min(density.values) >= -1e-13
     assert np.max(density.values) <= datum.sup_norm + 1e-13
-    assert density.total_mass == pytest.approx(datum.mass, rel=1e-12)
+    assert density.total_mass == pytest.approx(datum.total_mass, rel=1e-12)
 
 
 def test_godunov_first_order_convergence_to_riemann():
@@ -212,7 +213,7 @@ def test_riemann_l1_error_exact_on_matching_profile():
     edges = np.linspace(-0.5, 0.5, 4001)
     mids = 0.5 * (edges[:-1] + edges[1:])
     vals = riemann_eval(sol, model, t, mids)
-    approx = PiecewiseConstantDensity(edges, vals, float(np.sum(vals) * np.diff(edges)[0]))
+    approx = PiecewiseConstantDensity(edges, vals)
     err = riemann_l1_error(approx, sol, model, t, (-0.5, 0.5))
     assert err < 1e-4
     # and the particle reconstruction at moderate resolution is close too
@@ -227,7 +228,7 @@ def test_godunov_default_pad_covers_stencil_reach(name):
     datum = scenario(name)
     density = godunov(datum, PipesMunjal(1.0, 2.0), dx=0.02, cfl=0.5, t_end=0.3)
     assert density.values[-1] == 0.0
-    assert density.total_mass == pytest.approx(datum.mass, rel=1e-12)
+    assert density.total_mass == pytest.approx(datum.total_mass, rel=1e-12)
 
 
 def test_fan_into_vacuum_for_pipes_munjal_below_one():
@@ -244,6 +245,14 @@ _LAWS = st.one_of(
 )
 _STATES = st.floats(0.0, 1.5)
 _TIMES = st.floats(0.05, 2.0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(cells=piecewise_cells(positive_mass=True), model=_LAWS, t_end=st.floats(0.0, 0.5))
+def test_godunov_conserves_mass_on_random_data(cells, model, t_end):
+    datum = from_piecewise(*cells)
+    density = godunov(datum, model, dx=0.05, cfl=0.5, t_end=t_end)
+    assert abs(density.total_mass - datum.total_mass) <= 1e-12 * datum.total_mass
 
 
 @settings(deadline=None, max_examples=60)
@@ -277,7 +286,7 @@ def test_riemann_l1_error_nonnegative(model, rho_l, rho_r, t, values, window):
     sol = riemann_solve(model, rho_l, rho_r)
     edges = np.linspace(-2.0, 2.0, len(values) + 1)
     vals = np.asarray(values)
-    density = PiecewiseConstantDensity(edges, vals, float(np.sum(vals * np.diff(edges))))
+    density = PiecewiseConstantDensity(edges, vals)
     assert riemann_l1_error(density, sol, model, t, window) >= 0.0
 
 
@@ -295,7 +304,7 @@ def test_riemann_l1_error_vanishes_on_exact_piecewise_solution(model, rho_l, rho
     edges = np.unique(np.concatenate(([-5.0, 5.0], cuts, jump)))
     mids = 0.5 * (edges[:-1] + edges[1:])
     vals = riemann_eval(sol, model, t, mids)
-    density = PiecewiseConstantDensity(edges, vals, float(np.sum(vals * np.diff(edges))))
+    density = PiecewiseConstantDensity(edges, vals)
     assert 0.0 <= riemann_l1_error(density, sol, model, t, window) <= 1e-14
 
 
@@ -319,7 +328,7 @@ def test_riemann_l1_error_pinned_values():
     t = 0.5
     edges = np.linspace(-0.5, 0.5, 4001)
     vals = riemann_eval(sol, model, t, 0.5 * (edges[:-1] + edges[1:]))
-    fine = PiecewiseConstantDensity(edges, vals, float(np.sum(vals) * np.diff(edges)[0]))
+    fine = PiecewiseConstantDensity(edges, vals)
     # each piece's error is a difference of O(0.1) fan primitives taken at
     # bisection accuracy, so this small sum is pinned in absolute terms
     assert riemann_l1_error(fine, sol, model, t, (-0.5, 0.5)) == pytest.approx(
