@@ -34,8 +34,9 @@ class IntegrationError(RuntimeError):
 class IntegratorSettings:
     """Stepper selection and control parameters.
 
-    ``dt`` of None picks the default step
-    0.1 * m / (R * (v_max - v(R)) + eps), capped at t_end / 100.
+    ``dt`` of None picks ``default_step``: 0.1 * m / (R * (v_max - v(R))),
+    capped at t_end / 100, and t_end / 100 itself when R * (v_max - v(R))
+    is not positive.
     ``gap_floor_safety`` is the fraction of m/R below which a step is
     rejected and halved.
     """

@@ -57,8 +57,12 @@ class VelocityModel:
     def flux(self, rho):
         """Flux f(rho) = rho * v(rho); exactly zero at vacuum."""
         arr = _as_density(rho)
-        out = arr * self._v(arr)
+        out = self._flux(arr)
         return float(out) if np.ndim(rho) == 0 else out
+
+    def _flux(self, rho: np.ndarray) -> np.ndarray:
+        """The flux of an array already known to be finite and nonnegative."""
+        return rho * self._v(rho)
 
     def flux_derivative(self, rho):
         """Characteristic speed f'(rho) = v(rho) + rho * v'(rho).
@@ -297,6 +301,9 @@ def check_assumptions(model: VelocityModel, rho_max: float, samples: int = 100) 
 
     Checks, in order: v strictly decreasing, v(0) = v_max exactly, and
     rho * v'(rho) non-increasing.  Report-only; never raises on failure.
+    v counts as strictly decreasing when its samples never increase and v'
+    is negative at every positive sample: near vacuum a law like
+    1 - rho**20 rounds to v_max, so samples may tie, and v'(0) = 0 is allowed.
     """
     if not rho_max > 0.0:
         raise ValueError("rho_max must be positive")
@@ -304,7 +311,8 @@ def check_assumptions(model: VelocityModel, rho_max: float, samples: int = 100) 
         raise ValueError("need at least 2 samples")
     grid = np.linspace(0.0, rho_max, samples)
     v = model.value(grid)
-    decreasing = bool(np.all(np.diff(v) < 0.0))
+    decreasing = bool(np.all(np.diff(v) <= 0.0)
+                      and np.all(model.derivative(grid[1:]) < 0.0))
     at_zero = model.value(0.0) == model.v_max
     m = model.density_weighted_slope(grid)
     slack = 1e-12 * (1.0 + float(np.max(np.abs(m))))

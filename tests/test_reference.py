@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from ftl1d import (
     riemann_solve,
     scenario,
 )
-from ftl1d.reference import check_concave_flux
+from ftl1d.reference import check_concave_flux, max_wave_speed
 from ftl1d.velocity import VelocityModel
 
 
@@ -229,6 +231,57 @@ def test_godunov_default_pad_covers_stencil_reach(name):
     density = godunov(datum, PipesMunjal(1.0, 2.0), dx=0.02, cfl=0.5, t_end=0.3)
     assert density.values[-1] == 0.0
     assert density.total_mass == pytest.approx(datum.total_mass, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [Greenshields(1.0), PipesMunjal(1.0, 2.0),
+                                   PipesMunjal(1.0, 0.5), Underwood(1.0)],
+                         ids=["greenshields", "pipes_munjal_2", "pipes_munjal_half", "underwood"])
+@pytest.mark.parametrize("case", ["double_hump", "small_pad"])
+def test_godunov_matches_full_grid_march_bit_for_bit(model, case):
+    if case == "double_hump":
+        # the interior vacuum gap lies inside the occupied window
+        datum, pad = scenario("double_hump"), None
+    else:
+        # a pad under one cell and a faint tail: the window spans the grid
+        datum, pad = from_piecewise([0.0, 0.5, 1.5], [0.8, 1e-13]), 0.01
+    dx, cfl, t_end = 0.05, 0.5, 0.5
+    density = godunov(datum, model, dx, cfl, t_end, pad)
+    if case == "small_pad":
+        assert density.values[0] > 0.0 and density.values[-1] > 0.0
+
+    # every cell stepped every time, written out here rather than taken
+    # from the package
+    edges = density.breakpoints
+    n_steps = math.ceil(t_end / (cfl * dx / max_wave_speed(model, datum.sup_norm)))
+    dt = t_end / n_steps
+    u = np.diff(datum.cdf_values(edges)) / dx
+    zero = np.zeros(1)
+    for _ in range(n_steps):
+        q = np.concatenate((zero, np.maximum(u, 0.0), zero))
+        rl, rr = q[:-1], q[1:]
+        star = model.critical_density(float(np.max(q)))
+        flux = np.where(rl <= rr, np.minimum(model.flux(rl), model.flux(rr)),
+                        model.flux(np.clip(star, np.minimum(rl, rr), np.maximum(rl, rr))))
+        u = u - (dt / dx) * np.diff(flux)
+    np.testing.assert_array_equal(density.values, np.maximum(u, 0.0))
+
+
+def test_godunov_without_a_positive_cell_returns_vacuum():
+    # the least subnormal mass, spread over a cell of width 2, rounds to 0
+    datum = from_piecewise([0.0, 1.0], [5e-324])
+    density = godunov(datum, Greenshields(1.0), dx=2.0, cfl=0.5, t_end=1.0)
+    assert np.all(density.values == 0.0)
+
+
+def test_godunov_raises_on_nan_flux():
+    # v is NaN at exactly 0.3, a density off the 257-point concavity and
+    # wave-speed grids.  The march does not validate its states; the
+    # per-step mass check must stop it at the first NaN
+    model = CustomVelocity(
+        lambda r: np.where(np.asarray(r) == 0.3, np.nan, 1.0 - np.asarray(r)), v_max=1.0)
+    datum = from_piecewise([0, 1, 2], [0.3, 1.0])
+    with pytest.raises(RuntimeError, match="mass drift nan"):
+        godunov(datum, model, dx=0.05, cfl=0.5, t_end=0.5)
 
 
 def test_fan_into_vacuum_for_pipes_munjal_below_one():

@@ -106,6 +106,22 @@ def test_custom_increasing_tail_fails_monotonicity():
     assert report.v_at_zero_equals_v_max
 
 
+def test_law_flat_by_rounding_near_vacuum_is_strictly_decreasing():
+    # v = 1 - rho^20 rounds to 1 near vacuum, so consecutive samples tie
+    model = PipesMunjal(1.0, 20.0)
+    grid = np.linspace(0.0, 1.0, 256)
+    assert np.any(np.diff(model.value(grid)) == 0.0)
+    assert check_assumptions(model, rho_max=1.0, samples=256).all_satisfied
+
+
+def test_custom_flat_beyond_half_fails_monotonicity():
+    # the samples never increase, but v' vanishes beyond 0.5
+    model = CustomVelocity(v_func=lambda r: 1.0 - np.minimum(np.asarray(r), 0.5), v_max=1.0)
+    report = check_assumptions(model, rho_max=1.0, samples=100)
+    assert np.all(np.diff(model.value(report.grid)) <= 0.0)
+    assert not report.v_strictly_decreasing
+
+
 def test_custom_finite_difference_metadata():
     model = CustomVelocity(v_func=lambda r: np.exp(-np.asarray(r)), v_max=1.0)
     assert model.metadata["derivative"] == "centered_difference"
