@@ -31,11 +31,9 @@ from .dynamics import (  # noqa: F401
 )
 from .measures import (  # noqa: F401
     EmpiricalMeasure,
-    LagrangianDensity,
     PiecewiseMonotone,
     cdf,
     cdf_from_quantile,
-    check_density,
     empirical,
     hat_density,
     l1_distance,

@@ -20,7 +20,6 @@ import numpy as np
 from . import measures
 from .dynamics import Trajectory
 from .initial_data import ParticleConfiguration, PiecewiseConstantDensity
-from .measures import LagrangianDensity
 from .velocity import VelocityModel, check_assumptions
 
 GAP_RATIO_TOL = 1e-6
@@ -79,7 +78,7 @@ def oleinik_residual(config: ParticleConfiguration, model: VelocityModel) -> Ole
 
 def total_variation(density) -> float:
     """TV of a cellwise-constant profile, edge jumps to vacuum included."""
-    if isinstance(density, (PiecewiseConstantDensity, LagrangianDensity)):
+    if isinstance(density, PiecewiseConstantDensity):
         vals = density.values
     else:
         vals = np.asarray(density, dtype=float)
@@ -142,7 +141,7 @@ def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
 
     The transport metric between the cell reconstructions is Lipschitz with
     rate 2L*max(|v_max|, |v(R)|, v_max - v(R)) for all times; the mass-space
-    L1 distance between Lagrangian densities is Lipschitz with rate
+    L1 distance between the same cell densities is Lipschitz with rate
     R^2*(C_delta + v_max - v(R)) for times >= delta.  R and the support span
     are taken from the initial state.  Both bound a metric, so by the
     triangle inequality the consecutive pairs imply every pair: the verdict
@@ -160,21 +159,21 @@ def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
     w_rate = 2.0 * total * max(abs(model.v_max), abs(v_r), model.v_max - v_r)
     l1_rate = r * r * (bv_constant(model, r, span, delta) + model.v_max - v_r)
 
-    def reconstructions(state):
-        return (state.time, measures.cdf(measures.hat_density(state)),
-                measures.check_density(state))
+    def reconstruction(state):
+        hat = measures.hat_density(state)
+        return state.time, measures.cdf(hat), hat
 
     w_slack = np.inf
     l1_slack = np.inf
     w_pairs = 0
     l1_pairs = 0
-    for (t0, cdf0, check0), (t1, cdf1, check1) in itertools.pairwise(
-            map(reconstructions, states)):
+    for (t0, cdf0, hat0), (t1, cdf1, hat1) in itertools.pairwise(
+            map(reconstruction, states)):
         w_slack = min(w_slack, w_rate * (t1 - t0) - measures.wasserstein(cdf0, cdf1))
         w_pairs += 1
         if t0 >= delta:
             l1_slack = min(l1_slack,
-                           l1_rate * (t1 - t0) - measures.lagrangian_l1(check0, check1))
+                           l1_rate * (t1 - t0) - measures.lagrangian_l1(hat0, hat1))
             l1_pairs += 1
     if l1_pairs == 0:
         l1_slack = 0.0

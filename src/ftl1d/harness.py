@@ -16,7 +16,7 @@ import concurrent.futures
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,21 @@ class OracleSettings:
             raise ValueError("oracle cfl must lie in (0, 1)")
         if self.kind not in ("auto", "riemann", "godunov"):
             raise ValueError(f"unknown oracle kind {self.kind!r}")
+
+
+def _settings(cls, level: str, given: dict):
+    """``cls`` from the keys a config gives; the class owns every default.
+
+    A float field reads its value through float(), so a JSON integer
+    becomes a float; null stays None.  A key ``cls`` has no field for
+    raises ValueError.
+    """
+    types = {f.name: str(f.type) for f in fields(cls)}
+    unknown = sorted(set(given) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {level} key(s): {', '.join(unknown)}")
+    return cls(**{k: float(v) if v is not None and "float" in types[k] else v
+                  for k, v in given.items()})
 
 
 @dataclass(frozen=True)
@@ -89,27 +104,15 @@ class ExperimentConfig:
         samples = top.pop("sample_times", None)
         if samples is None:
             samples = [0.0, t_end] if t_end > 0.0 else [0.0]
-        integ = dict(top.pop("integrator", {}))
-        dt = integ.pop("dt", None)
-        settings = dynamics.IntegratorSettings(
-            method=integ.pop("method", "rk4_fixed"),
-            dt=None if dt is None else float(dt),
-            abs_tol=float(integ.pop("abs_tol", 1e-8)),
-            rel_tol=float(integ.pop("rel_tol", 1e-8)),
-            gap_floor_safety=float(integ.pop("gap_floor_safety", 0.5)),
-        )
-        oracle = dict(top.pop("oracle", {}))
-        dx = oracle.pop("dx", None)
-        oracle_settings = OracleSettings(dx=None if dx is None else float(dx),
-                                         cfl=float(oracle.pop("cfl", 0.5)),
-                                         kind=oracle.pop("kind", "auto"))
+        integrator = _settings(dynamics.IntegratorSettings, "integrator",
+                               top.pop("integrator", {}))
+        oracle = _settings(OracleSettings, "oracle", top.pop("oracle", {}))
         scenario_cfg = top.pop("scenario", top.pop("initial", {"name": "box"}))
         velocity_cfg = top.pop("velocity", {"kind": "greenshields", "v_max": 1.0})
         counts = top.pop("particle_counts", [64])
         delta = float(top.pop("delta", t_end / 4.0 if t_end > 0.0 else 0.25))
-        for level, rest in (("config", top), ("integrator", integ), ("oracle", oracle)):
-            if rest:
-                raise ValueError(f"unknown {level} key(s): {', '.join(sorted(rest))}")
+        if top:
+            raise ValueError(f"unknown config key(s): {', '.join(sorted(top))}")
         return cls(
             scenario=dict(scenario_cfg),
             velocity=dict(velocity_cfg),
@@ -117,8 +120,8 @@ class ExperimentConfig:
             t_end=t_end,
             sample_times=tuple(float(t) for t in samples),
             delta=delta,
-            integrator=settings,
-            oracle=oracle_settings,
+            integrator=integrator,
+            oracle=oracle,
             raw=dict(cfg),
         )
 

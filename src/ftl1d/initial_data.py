@@ -48,8 +48,10 @@ class PiecewiseConstantDensity:
             raise ValueError("values must be finite and nonnegative")
         if self.cell_mass is None:
             masses = vals * np.diff(bp)
-        else:
+        elif np.isfinite(self.cell_mass) and self.cell_mass > 0.0:
             masses = np.full(vals.size, self.cell_mass)
+        else:
+            raise ValueError("cell_mass must be positive and finite")
         cum = np.concatenate(([0.0], np.cumsum(masses)))
         positive = np.flatnonzero(vals > 0.0)
         hull = (bp[positive[0]], bp[positive[-1] + 1]) if positive.size else (np.nan, np.nan)

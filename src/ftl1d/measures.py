@@ -1,11 +1,13 @@
 """Reconstructions of a particle state as measures, and exact transport metrics.
 
-A particle configuration induces three objects: a piecewise-constant density
+A particle configuration induces two objects: a piecewise-constant density
 (cell value = particle mass over gap, the same type as an initial datum and
-an oracle profile), the empirical measure of the mass carrying particles
-(leader excluded), and the Lagrangian density living on mass cells.  Cumulative distributions, generalized inverses, the scaled
-1-Wasserstein distance and L1 distances are all computed in closed form by
-merged-breakpoint arithmetic; no quadrature is involved anywhere.
+an oracle profile) and the empirical measure of the mass carrying particles
+(leader excluded).  Every cell of the density carries the particle mass, so
+its values read on the mass cells [i*m, (i+1)*m) are also the density in
+mass coordinates.  Cumulative distributions, generalized inverses, the
+scaled 1-Wasserstein distance and L1 distances are all computed in closed
+form by merged-breakpoint arithmetic; no quadrature is involved anywhere.
 """
 
 from __future__ import annotations
@@ -42,22 +44,6 @@ class EmpiricalMeasure:
         return self.atoms.size * self.weight
 
 
-@dataclass(frozen=True)
-class LagrangianDensity:
-    """Cell densities transported to mass coordinates [i*m, (i+1)*m)."""
-
-    values: np.ndarray
-    cell_mass: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0 or np.any(vals <= 0.0):
-            raise ValueError("values must be positive")
-        if not self.cell_mass > 0.0:
-            raise ValueError("cell_mass must be positive")
-        object.__setattr__(self, "values", vals)
-
-
 # ---------------------------------------------------------------------------
 # reconstructions from a particle configuration
 
@@ -75,15 +61,14 @@ def empirical(config: ParticleConfiguration) -> EmpiricalMeasure:
     return EmpiricalMeasure(atoms=config.positions[:-1].copy(), weight=config.particle_mass)
 
 
-def check_density(config: ParticleConfiguration) -> LagrangianDensity:
-    """Cell densities as a function of the mass coordinate."""
-    return LagrangianDensity(values=config.densities(), cell_mass=config.particle_mass)
+def lagrangian_l1(a: PiecewiseConstantDensity, b: PiecewiseConstantDensity) -> float:
+    """L1 distance in the mass coordinate between two particle cell densities.
 
-
-def lagrangian_l1(a: LagrangianDensity, b: LagrangianDensity) -> float:
-    """L1 distance in the mass coordinate between two Lagrangian densities."""
-    if a.values.size != b.values.size or a.cell_mass != b.cell_mass:
-        raise ValueError("Lagrangian densities live on different mass grids")
+    Both must carry a ``cell_mass``, the same one, on the same number of
+    cells: their values then live on the same mass cells [i*m, (i+1)*m).
+    """
+    if a.cell_mass is None or a.cell_mass != b.cell_mass or a.values.size != b.values.size:
+        raise ValueError("densities need one cell_mass on one number of cells")
     return float(a.cell_mass * np.sum(np.abs(a.values - b.values)))
 
 

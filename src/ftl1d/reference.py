@@ -256,6 +256,7 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
         n_steps = 0  # every interface carries f(0): nothing moves
     else:
         lo, hi = occupied[0], occupied[-1]
+    peak = star = None
     for _ in range(n_steps):
         # rounding can leave -eps level residues in vacuum cells; evaluate
         # the interface fluxes on the clipped profile
@@ -272,8 +273,12 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
         f = model._flux(w)
         flux = np.empty(w.size + 1)
         flux[0], flux[-1] = f[0], f[-1]  # vacuum | vacuum: f(0)
-        flux[1:-1] = _interface_flux(model, w[:-1], w[1:], f[:-1], f[1:],
-                                     model.critical_density(float(w.max())))
+        # critical_density may be a search of hundreds of flux calls; it
+        # depends only on the window maximum, which often holds for many steps
+        top = float(w.max())
+        if top != peak:
+            peak, star = top, model.critical_density(top)
+        flux[1:-1] = _interface_flux(model, w[:-1], w[1:], f[:-1], f[1:], star)
         u[lo - 1:hi + 2] -= (dt / dx) * (flux[1:] - flux[:-1])
         # the states are not validated: a NaN or infinite one fails this test
         mass = float(u[1:-1].sum() * dx)

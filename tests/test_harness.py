@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ftl1d.dynamics import IntegratorSettings
 from ftl1d.harness import (
     ConvergenceTable,
     ExperimentConfig,
+    OracleSettings,
     convergence_study,
     main,
     run_experiment,
@@ -44,6 +46,35 @@ def test_initial_key_is_an_alias_for_scenario():
     cfg["initial"] = {"breakpoints": [0.0, 1.0], "values": [1.0]}
     config = ExperimentConfig.from_dict(cfg)
     assert config.datum().total_mass == 1.0
+
+
+def test_settings_take_only_the_keys_given():
+    cfg = {k: v for k, v in BASE_CONFIG.items() if k not in ("integrator", "oracle")}
+    config = ExperimentConfig.from_dict(cfg)
+    assert config.integrator == IntegratorSettings()
+    assert config.oracle == OracleSettings()
+    # JSON integers read as floats (the manifest echoes them); null is the default step
+    config = make_config(integrator={"dt": None, "abs_tol": 1, "gap_floor_safety": 1},
+                         oracle={"dx": 1})
+    assert config.integrator == IntegratorSettings(abs_tol=1.0, gap_floor_safety=1.0)
+    assert config.integrator.dt is None
+    assert type(config.integrator.abs_tol) is float
+    assert type(config.integrator.gap_floor_safety) is float
+    assert type(config.oracle.dx) is float
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block after ``heading`` in the README."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    start = section.index(f"```{lang}\n") + len(lang) + 4
+    return section[start:section.index("```", start)]
+
+
+def test_readme_examples_run():
+    exec(_readme_block("## Library quick start", "python"), {})
+    cfg = json.loads(_readme_block("Example config:", "json"))
+    assert ExperimentConfig.from_dict(cfg).particle_counts == (16, 64, 256, 1024)
 
 
 def test_config_validation_errors():

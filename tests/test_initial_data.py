@@ -7,6 +7,7 @@ from conftest import piecewise_cells
 from ftl1d import initial_data
 from ftl1d.initial_data import (
     ParticleConfiguration,
+    PiecewiseConstantDensity,
     atomize,
     from_piecewise,
     mass_between,
@@ -50,6 +51,13 @@ def test_construction_errors():
         from_piecewise([0.0, 1.0, 2.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         from_piecewise([0.0, 1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("cell_mass", [0.0, -1.0, float("nan"), float("inf")])
+def test_cell_mass_must_be_positive_and_finite(cell_mass):
+    with pytest.raises(ValueError, match="cell_mass"):
+        PiecewiseConstantDensity(np.array([0.0, 1.0, 3.0]), np.array([1.0, 0.5]),
+                                 cell_mass=cell_mass)
 
 
 def test_mass_between_examples():

@@ -18,7 +18,6 @@ from ftl1d import (
     atomize,
     cdf,
     cdf_from_quantile,
-    check_density,
     empirical,
     from_piecewise,
     hat_density,
@@ -64,14 +63,6 @@ def test_empirical_excludes_leader():
     m2 = empirical(config([0.0, 0.5, 1.0]))
     np.testing.assert_array_equal(m2.atoms, [0.0, 0.5])
     assert m2.total_mass == 1.0
-
-
-def test_check_density_matches_hat_cellwise():
-    c = config([0.0, 0.5, 2.0])
-    lag = check_density(c)
-    np.testing.assert_allclose(lag.values, [1.0, 1.0 / 3.0])
-    np.testing.assert_array_equal(lag.values, hat_density(c).values)
-    assert lag.cell_mass == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +275,22 @@ def test_l1_distance_merges_breakpoints():
 
 
 def test_lagrangian_l1():
-    a = check_density(config([0.0, 0.5, 2.0]))
-    b = check_density(config([0.0, 1.0, 2.0]))
+    a = hat_density(config([0.0, 0.5, 2.0]))
+    b = hat_density(config([0.0, 1.0, 2.0]))
     got = lagrangian_l1(a, b)
     assert got == pytest.approx(0.5 * (abs(1.0 - 0.5) + abs(1 / 3 - 0.5)), abs=1e-15)
-    with pytest.raises(ValueError):
-        lagrangian_l1(a, check_density(config([0.0, 1.0])))
+
+
+def test_lagrangian_l1_needs_one_mass_grid():
+    a = hat_density(config([0.0, 0.5, 2.0]))
+    datum = from_piecewise([0.0, 0.5, 2.0], [1.0, 1.0 / 3.0])   # no cell_mass
+    for other in (datum,
+                  hat_density(config([0.0, 0.5, 2.0], mass=0.25)),
+                  hat_density(config([0.0, 1.0]))):
+        with pytest.raises(ValueError, match="one cell_mass"):
+            lagrangian_l1(a, other)
+        with pytest.raises(ValueError, match="one cell_mass"):
+            lagrangian_l1(other, a)
 
 
 def test_empirical_duplicate_atoms_are_merged_in_cdf(rng):

@@ -12,6 +12,7 @@ from ftl1d import (
     ModifiedGreenberg,
     PiecewiseConstantDensity,
     PipesMunjal,
+    TabulatedVelocity,
     Underwood,
     UnsupportedFluxError,
     atomize,
@@ -233,9 +234,16 @@ def test_godunov_default_pad_covers_stencil_reach(name):
     assert density.total_mass == pytest.approx(datum.total_mass, rel=1e-12)
 
 
-@pytest.mark.parametrize("model", [Greenshields(1.0), PipesMunjal(1.0, 2.0),
-                                   PipesMunjal(1.0, 0.5), Underwood(1.0)],
-                         ids=["greenshields", "pipes_munjal_2", "pipes_munjal_half", "underwood"])
+# no closed-form critical density for the last two: a golden-section search
+_TABLE = np.linspace(0.0, 1.25, 11)
+_GODUNOV_LAWS = [Greenshields(1.0), PipesMunjal(1.0, 2.0), PipesMunjal(1.0, 0.5),
+                 Underwood(1.0), ModifiedGreenberg(1.0, 0.2),
+                 TabulatedVelocity(_TABLE, 1.0 - 0.64 * _TABLE**2)]
+
+
+@pytest.mark.parametrize("model", _GODUNOV_LAWS,
+                         ids=["greenshields", "pipes_munjal_2", "pipes_munjal_half",
+                              "underwood", "modified_greenberg", "tabulated"])
 @pytest.mark.parametrize("case", ["double_hump", "small_pad"])
 def test_godunov_matches_full_grid_march_bit_for_bit(model, case):
     if case == "double_hump":
@@ -264,6 +272,20 @@ def test_godunov_matches_full_grid_march_bit_for_bit(model, case):
                         model.flux(np.clip(star, np.minimum(rl, rr), np.maximum(rl, rr))))
         u = u - (dt / dx) * np.diff(flux)
     np.testing.assert_array_equal(density.values, np.maximum(u, 0.0))
+
+
+def test_godunov_searches_critical_density_only_when_the_maximum_changes():
+    calls = []
+
+    class Counted(ModifiedGreenberg):
+        def critical_density(self, hi):
+            calls.append(hi)
+            return super().critical_density(hi)
+
+    # the 0.8 plateau of riemann_like keeps the window maximum for many steps
+    godunov(scenario("riemann_like"), Counted(1.0, 0.2), dx=0.05, cfl=0.5, t_end=1.0)
+    assert calls
+    assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
 def test_godunov_without_a_positive_cell_returns_vacuum():
