@@ -18,7 +18,6 @@ from .initial_data import (  # noqa: F401
     PiecewiseConstantDensity,
     atomize,
     from_piecewise,
-    mass_between,
     scenario,
 )
 from .dynamics import (  # noqa: F401
@@ -33,14 +32,12 @@ from .measures import (  # noqa: F401
     EmpiricalMeasure,
     PiecewiseMonotone,
     cdf,
-    cdf_from_quantile,
     empirical,
     hat_density,
     l1_distance,
     lagrangian_l1,
     pseudo_inverse,
     wasserstein,
-    wasserstein_via_quantiles,
 )
 from .diagnostics import (  # noqa: F401
     DiagnosticsReport,
@@ -58,7 +55,6 @@ from .reference import (  # noqa: F401
     RiemannSolution,
     UnsupportedFluxError,
     godunov,
-    godunov_flux,
     riemann_eval,
     riemann_l1_error,
     riemann_mass,

@@ -47,18 +47,12 @@ class OleinikResidual:
     flow keeps every residual at or below the particle mass.
     """
 
-    time: float
-    cell_mass: float
     interior: np.ndarray
     leader: float
 
     @property
     def max_interior(self) -> float:
         return float(np.max(self.interior)) if self.interior.size else 0.0
-
-    @property
-    def max_all(self) -> float:
-        return max(self.max_interior, self.leader)
 
 
 def oleinik_residual(config: ParticleConfiguration, model: VelocityModel) -> OleinikResidual:
@@ -72,8 +66,7 @@ def oleinik_residual(config: ParticleConfiguration, model: VelocityModel) -> Ole
     v = model.value(y)
     interior = t * y[:-1] * (v[1:] - v[:-1])
     leader = float(t * y[-1] * (model.v_max - v[-1]))
-    return OleinikResidual(time=t, cell_mass=config.particle_mass,
-                           interior=interior, leader=leader)
+    return OleinikResidual(interior=interior, leader=leader)
 
 
 def total_variation(density) -> float:
@@ -124,15 +117,10 @@ class TimeContinuityReport:
 
     wasserstein_rate: float
     l1_rate: float
-    delta: float
     wasserstein_worst_slack: float
     l1_worst_slack: float
     wasserstein_pairs: int
     l1_pairs: int
-
-    @property
-    def all_hold(self) -> bool:
-        return self.wasserstein_worst_slack >= 0.0 and self.l1_worst_slack >= 0.0
 
 
 def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
@@ -178,7 +166,7 @@ def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
     if l1_pairs == 0:
         l1_slack = 0.0
     return TimeContinuityReport(
-        wasserstein_rate=w_rate, l1_rate=l1_rate, delta=delta,
+        wasserstein_rate=w_rate, l1_rate=l1_rate,
         wasserstein_worst_slack=float(w_slack), l1_worst_slack=float(l1_slack),
         wasserstein_pairs=w_pairs, l1_pairs=l1_pairs)
 

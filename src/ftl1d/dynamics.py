@@ -66,10 +66,6 @@ class Trajectory:
     states: tuple
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def initial_state(self) -> ParticleConfiguration:
-        return self.states[0]
-
 
 def ftl_rhs(config: ParticleConfiguration, model: VelocityModel) -> np.ndarray:
     """Particle velocities: v(mass/gap) for followers, v_max for the leader."""

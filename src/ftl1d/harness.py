@@ -71,8 +71,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.particle_counts:
             raise ValueError("particle_counts must be nonempty")
-        if list(self.particle_counts) != sorted(self.particle_counts):
-            raise ValueError("particle_counts must be ascending")
+        if list(self.particle_counts) != sorted(set(self.particle_counts)):
+            raise ValueError("particle_counts must be strictly ascending")
         if any(n < 2 for n in self.particle_counts):
             raise ValueError("particle counts must be >= 2")
         if not self.t_end >= 0.0:

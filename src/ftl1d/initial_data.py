@@ -87,13 +87,6 @@ def from_piecewise(breakpoints, values) -> PiecewiseConstantDensity:
     return datum
 
 
-def mass_between(datum: PiecewiseConstantDensity, a: float, b: float) -> float:
-    """Exact integral of the datum over [a, b]."""
-    if a > b:
-        raise ValueError("need a <= b")
-    return float(datum.cdf_values(b) - datum.cdf_values(a))
-
-
 @dataclass(frozen=True)
 class ParticleConfiguration:
     """Ordered particle positions at one instant, each carrying equal mass."""

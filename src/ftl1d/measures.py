@@ -81,14 +81,10 @@ class PiecewiseMonotone:
 
     ``breakpoints``/``values`` are the nodes.  A repeated breakpoint is a
     jump discontinuity; evaluation is right-continuous.
-
-    ``domain`` is set for generalized inverses (mass interval), None for
-    CDFs defined on the whole line.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-    domain: tuple | None = None
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -144,13 +140,6 @@ class PiecewiseMonotone:
         out[mid] = vals[ii - 1] + w * (vals[ii] - vals[ii - 1])
         return out
 
-    def value(self, x):
-        """Right-continuous point evaluation (scalars in, floats out)."""
-        out = self.right_limits(x)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    __call__ = value
-
 
 def cdf(measure) -> PiecewiseMonotone:
     """Cumulative distribution of a density or an empirical measure.
@@ -181,15 +170,7 @@ def pseudo_inverse(F: PiecewiseMonotone) -> PiecewiseMonotone:
     bottom, top = float(fs[0]), float(fs[-1])
     start = int(np.searchsorted(fs, bottom, side="right")) - 1
     end = int(np.searchsorted(fs, top, side="left"))
-    return PiecewiseMonotone(fs[start:end + 1].copy(), xs[start:end + 1].copy(),
-                             domain=(bottom, top))
-
-
-def cdf_from_quantile(X: PiecewiseMonotone) -> PiecewiseMonotone:
-    """Inverse operator: F(x) = measure of {z in domain : X(z) <= x}."""
-    if X.domain is None:
-        raise ValueError("quantile function needs an explicit mass domain")
-    return PiecewiseMonotone(X.values.copy(), X.breakpoints.copy())
+    return PiecewiseMonotone(fs[start:end + 1].copy(), xs[start:end + 1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +208,16 @@ def integrate_abs_difference(f: PiecewiseMonotone, g: PiecewiseMonotone,
     return _segment_l1(da, db, b - a)
 
 
-def _equal_mass_cdfs(m1, m2):
-    """CDFs of two measures, which must carry (numerically) the same total mass."""
+def wasserstein(m1, m2) -> float:
+    """Scaled 1-Wasserstein distance: integral over x of |F1 - F2|.
+
+    The two measures must carry (numerically) the same total mass.
+    """
     F1, F2 = cdf(m1), cdf(m2)
     top1, top2 = F1.range_top, F2.range_top
     if abs(top1 - top2) > MASS_MISMATCH_RTOL * max(top1, top2):
         raise ValueError(f"total masses differ: {top1} vs {top2}")
-    return F1, F2
-
-
-def wasserstein(m1, m2) -> float:
-    """Scaled 1-Wasserstein distance: integral over x of |F1 - F2|."""
-    return integrate_abs_difference(*_equal_mass_cdfs(m1, m2))
-
-
-def wasserstein_via_quantiles(m1, m2) -> float:
-    """Same distance computed on the inverse side: integral of |X1 - X2| dz."""
-    F1, F2 = _equal_mass_cdfs(m1, m2)
-    hi = min(F1.range_top, F2.range_top)
-    return integrate_abs_difference(pseudo_inverse(F1), pseudo_inverse(F2), lo=0.0, hi=hi)
+    return integrate_abs_difference(F1, F2)
 
 
 def l1_distance(d1: PiecewiseConstantDensity, d2: PiecewiseConstantDensity) -> float:

@@ -183,18 +183,6 @@ def _interface_flux(model: VelocityModel, rl, rr, f_l, f_r, star: float):
     return np.where(rl <= rr, np.minimum(f_l, f_r), model._flux(clipped))
 
 
-def godunov_flux(model: VelocityModel, rho_l, rho_r):
-    """Interface flux: min of f over [l, r] if l <= r, else max over [r, l]."""
-    rl = np.asarray(rho_l, dtype=float)
-    rr = np.asarray(rho_r, dtype=float)
-    if np.any(rl < 0.0) or np.any(rr < 0.0):
-        raise ValueError("states must be nonnegative")
-    hi = np.maximum(rl, rr)
-    star = model.critical_density(float(np.max(hi)) if hi.size else 0.0)
-    out = _interface_flux(model, rl, rr, model.flux(rl), model.flux(rr), star)
-    return float(out) if out.ndim == 0 else out
-
-
 def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cfl: float,
             t_end: float, pad: float | None = None) -> PiecewiseConstantDensity:
     """March the monotone finite-volume scheme to t_end and return the profile.

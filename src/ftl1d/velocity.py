@@ -29,10 +29,16 @@ class VelocityModel:
     """Base class for velocity laws; subclasses implement _v and _dv.
 
     Methods: value, derivative, flux, flux_derivative, density_weighted_slope
-    and critical_density (overridden where a closed form exists).
+    and critical_density (overridden where a closed form exists).  The
+    built-in laws refuse a v_max that is not positive and finite; custom and
+    tabulated laws validate their own fields.
     """
 
     v_max: float
+
+    def __post_init__(self):
+        if not 0.0 < self.v_max < math.inf:
+            raise ValueError("v_max must be positive and finite")
 
     def _v(self, rho: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -45,8 +51,6 @@ class VelocityModel:
         arr = _as_density(rho)
         out = self._v(arr)
         return float(out) if np.ndim(rho) == 0 else out
-
-    __call__ = value
 
     def derivative(self, rho):
         """Slope v'(rho), negative for rho > 0 under strict monotonicity."""
@@ -126,6 +130,7 @@ class PipesMunjal(VelocityModel):
     alpha: float = 2.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
@@ -169,6 +174,7 @@ class ModifiedGreenberg(VelocityModel):
     alpha: float = 0.1
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1) for a decreasing law")
 
@@ -185,7 +191,7 @@ class CustomVelocity(VelocityModel):
 
     ``v_func`` (and optionally ``v_prime_func``) must accept numpy arrays.
     When no derivative is supplied a centered difference with step
-    ``derivative_step`` is used; the step is reported in ``metadata``.
+    ``derivative_step`` is used.
     """
 
     v_func: object
@@ -207,12 +213,6 @@ class CustomVelocity(VelocityModel):
         lo = np.maximum(rho - h, 0.0)
         hi = rho + h
         return (self._v(hi) - self._v(lo)) / (hi - lo)
-
-    @property
-    def metadata(self):
-        if self.v_prime_func is not None:
-            return {"derivative": "closed_form"}
-        return {"derivative": "centered_difference", "step": self.derivative_step}
 
 
 @dataclass(frozen=True)
@@ -263,10 +263,6 @@ class TabulatedVelocity(VelocityModel):
         hi = np.minimum(rho + h, top)
         return (np.interp(hi, self.rho_table, self.v_table)
                 - np.interp(lo, self.rho_table, self.v_table)) / (hi - lo)
-
-    @property
-    def metadata(self):
-        return {"derivative": "centered_difference", "step": self.derivative_step}
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ftl1d import EmpiricalMeasure, PiecewiseConstantDensity
+from ftl1d import EmpiricalMeasure, PiecewiseConstantDensity, cdf, pseudo_inverse
+from ftl1d.measures import integrate_abs_difference
 
 
 @st.composite
@@ -50,6 +51,17 @@ def random_measure(rng, total_mass=1.0):
     if rng.random() < 0.5:
         return random_piecewise_density(rng, total_mass)
     return random_empirical(rng, total_mass)
+
+
+def wasserstein_via_quantiles(m1, m2) -> float:
+    """The scaled W1 distance on the inverse side: integral of |X1 - X2| dz.
+
+    An independent reference for ``ftl1d.wasserstein``, which integrates
+    |F1 - F2| over x on the CDF side.
+    """
+    F1, F2 = cdf(m1), cdf(m2)
+    hi = min(F1.range_top, F2.range_top)
+    return integrate_abs_difference(pseudo_inverse(F1), pseudo_inverse(F2), lo=0.0, hi=hi)
 
 
 @pytest.fixture

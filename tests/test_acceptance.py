@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import random_measure
+from conftest import random_measure, wasserstein_via_quantiles
 from ftl1d import (
     Greenshields,
     IntegratorSettings,
@@ -34,7 +34,6 @@ from ftl1d import (
     velocity_total_variation,
     total_variation,
     wasserstein,
-    wasserstein_via_quantiles,
 )
 from ftl1d.reference import godunov
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftl1d import (
+    CustomVelocity,
     Greenshields,
     ModifiedGreenberg,
     ParticleConfiguration,
@@ -27,7 +28,9 @@ from ftl1d import (
     velocity_total_variation,
     wasserstein,
 )
+from ftl1d import diagnostics, measures
 from ftl1d.diagnostics import OleinikResidual
+from ftl1d.dynamics import Trajectory
 
 CHECKS = {"min_gap_ratio", "oleinik_interior", "oleinik_leader", "tv_contractivity",
           "tv_monotone", "tv_velocity", "entropy_terms", "interleaving_identity",
@@ -55,7 +58,8 @@ def test_min_gap_ratio_two_particle_closed_form():
 def test_oleinik_zero_at_time_zero():
     c = atomize(scenario("sawtooth_bv"), 16)
     res = oleinik_residual(c, Greenshields(1.0))
-    assert res.max_all == 0.0
+    assert res.max_interior == 0.0
+    assert res.leader == 0.0
     assert res.interior.size == c.n_cells - 1
 
 
@@ -66,7 +70,7 @@ def test_oleinik_two_particle_closed_form():
     res = oleinik_residual(tr.states[-1], Greenshields(1.0))
     assert res.interior.size == 0
     assert res.leader == pytest.approx(0.1875, abs=1e-6)
-    assert res.leader <= res.cell_mass
+    assert res.leader <= tr.states[-1].particle_mass
 
 
 def test_oleinik_equal_gaps_vanish_inside():
@@ -179,7 +183,6 @@ def test_time_continuity_trivial_pair():
     model = Greenshields(1.0)
     tr = integrate(atomize(scenario("box"), 16), model, 1.0, None, [0.1, 1.0])
     report = time_continuity_moduli(tr, model, 0.1)
-    assert report.all_hold
     assert report.wasserstein_pairs == 1
     assert report.l1_pairs == 1
     assert report.wasserstein_worst_slack >= 0.0
@@ -190,7 +193,8 @@ def test_time_continuity_two_particle_closed_form():
     model = Greenshields(1.0)
     tr = integrate(config([0.0, 1.0]), model, 1.1, None, [0.1, 0.6, 1.1])
     report = time_continuity_moduli(tr, model, 0.1)
-    assert report.all_hold
+    assert report.wasserstein_worst_slack >= 0.0
+    assert report.l1_worst_slack >= 0.0
     with pytest.raises(ValueError):
         time_continuity_moduli(
             integrate(config([0.0, 1.0]), model, 0.0), model, 0.1)
@@ -232,7 +236,6 @@ def test_run_diagnostics_flags_planted_violation():
     bad = ParticleConfiguration(
         0.5, c0.particle_mass,
         np.concatenate((c0.positions[:-1], [c0.positions[-1] + 3.0])))
-    from ftl1d.dynamics import Trajectory
     tr = Trajectory(np.array([0.0, 0.5]), (c0, bad), {})
     report = run_diagnostics(tr, model, datum, 0.25)
     assert not report.passed
@@ -249,17 +252,104 @@ def test_run_diagnostics_flags_planted_transport_jump():
     model = Greenshields(1.0)
     c0 = atomize(datum, 8)
     moved = ParticleConfiguration(0.01, c0.particle_mass, c0.positions + 10.0)
-    from ftl1d.dynamics import Trajectory
     tr = Trajectory(np.array([0.0, 0.01]), (c0, moved), {})
     report = run_diagnostics(tr, model, datum, 0.25)
     assert "wasserstein_time_continuity" in {v.check for v in report.violations}
 
 
+def _trajectory(samples, cell_mass=0.25):
+    """Hand-built trajectory from (time, cell densities[, left end]) samples."""
+    states = []
+    for t, densities, *left in samples:
+        gaps = cell_mass / np.asarray(densities, dtype=float)
+        positions = (left[0] if left else 0.0) + np.concatenate(([0.0], np.cumsum(gaps)))
+        states.append(ParticleConfiguration(t, cell_mass, positions))
+    return Trajectory(np.array([s.time for s in states]), tuple(states), {})
+
+
+def _steady(densities, times=(0.0, 0.5, 1.0)):
+    return [(t, densities) for t in times]
+
+
+# The datum only sets the bounds: R = 1, TV = 4 and a support span of 0.03,
+# so C_delta = 3 * (v_max - v(R)) + 2 * span / delta = 3.12 at delta = 0.5.
+# States carry 8 cells of mass m = 0.25; the Oleinik bound is m.
+_DATUM = scenario("double_hump", hump_width=0.01, gap=0.01)
+_LOW = [0.4] * 8
+# v = 1 - rho + 0.6 rho^2 increases on (5/6, 1]; every increasing law fails
+# the weighted-slope condition, so its Oleinik checks are skipped
+_BUMPY = CustomVelocity(v_func=lambda r: 1.0 - np.asarray(r) + 0.6 * np.asarray(r) ** 2,
+                        v_max=1.0)
+# alternating cells of density 0.9 and 1, then the same cells partly permuted
+_PAIRS = [0.9, 1.0] * 3 + [0.9, 0.6]
+_PERMUTED = [0.9, 0.9] + [1.0, 0.9] * 2 + [1.0, 0.6]
+
+# check: (model, clean twin, planted samples, (time, value, bound) of the
+# first violation); the interleaving plant is a wrong measures.wasserstein
+PLANTS = {
+    # two cells of density 1.2 > R at t = 0, where every Oleinik residual is 0
+    "min_gap_ratio": (Greenshields(1.0), _steady(_LOW),
+                      [(0.0, [0.4, 1.2, 1.2] + [0.4] * 5)] + _steady(_LOW, (0.5, 1.0)),
+                      (0.0, 1.0 / 1.2, 1.0 - diagnostics.GAP_RATIO_TOL)),
+    # t * 0.9 * (v(0.4) - v(0.9)) is 0.225 at t = 0.5 and 0.45 at t = 1
+    "oleinik_interior": (Greenshields(1.0), _steady(_LOW), _steady([0.4] * 6 + [0.9, 0.4]),
+                         (1.0, 0.45, 0.25 * (1.0 + diagnostics.OLEINIK_REL_TOL))),
+    # t * 0.6 * (v_max - v(0.6)) is 0.18 at t = 0.5 and 0.36 at t = 1
+    "oleinik_leader": (Greenshields(1.0), _steady(_LOW), _steady([0.4] * 7 + [0.6]),
+                       (1.0, 0.36, 0.25 * (1.0 + diagnostics.OLEINIK_REL_TOL))),
+    # TV 4.4 above the datum's 4, at t = 0 where the Oleinik residuals vanish
+    "tv_contractivity": (Greenshields(1.0), _steady(_LOW),
+                         [(0.0, [0.4] + [0.9, 0.3] * 3 + [0.4])] + _steady(_LOW, (0.5, 1.0)),
+                         (0.0, 4.4, 4.0 + diagnostics.TV_CONTRACT_TOL)),
+    # TV grows from 0.8 to 1.2 between the first two samples
+    "tv_monotone": (Greenshields(1.0), _steady(_LOW),
+                    [(0.0, _LOW)] + _steady([0.4, 0.6] + [0.4] * 6, (0.5, 1.0)),
+                    (0.5, 1.2, 0.8 + diagnostics.TV_CONTRACT_TOL)),
+    # the velocity profile varies by 3.8 at t = delta; later it is flat again
+    "tv_velocity": (Greenshields(1.0), _steady(_LOW),
+                    _steady([0.4] + [0.7, 0.2] * 3 + [0.4], (0.0, 0.5)) + [(1.0, _LOW)],
+                    (0.5, 3.8, 3.12 + diagnostics.VELOCITY_TV_TOL)),
+    # one cell in the increasing range of the law, at every sample
+    "entropy_terms": (_BUMPY, _steady(_LOW), _steady([0.4] * 3 + [0.95] + [0.4] * 4),
+                      (0.0, -0.0136, -diagnostics.ENTROPY_TOL)),
+    "interleaving_identity": (Greenshields(1.0), _steady(_LOW), _steady(_LOW),
+                              (None, 1e-9, diagnostics.INTERLEAVING_REL_TOL)),
+    # the mass 2 moves by 5 in 0.5 time units; the rate 4 allows a distance 2
+    "wasserstein_time_continuity": (Greenshields(1.0), _steady(_LOW),
+                                    _steady(_LOW, (0.0, 0.5)) + [(1.0, _LOW, 5.0)],
+                                    (None, -8.0, 0.0)),
+    # L1 = 0.25 * 6 * 0.1 = 0.15 in 0.01 time units, against the rate
+    # R^2 * (4 * (v_max - v(R)) + 2 * span / delta) with R = 1 and the first
+    # state's span; the particles move by at most 0.028
+    "l1_time_continuity": (Greenshields(1.0), _steady(_PAIRS, (0.0, 0.5, 0.51)),
+                           _steady(_PAIRS, (0.0, 0.5)) + [(0.51, _PERMUTED)],
+                           (None, 0.01 * (4.0 + 4.0 * 0.25 * (4 / 0.9 + 3 + 1 / 0.6)) - 0.15,
+                            0.0)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_run_diagnostics_flags_each_planted_check_alone(check, monkeypatch):
+    model, clean, planted, (time, value, bound) = PLANTS[check]
+    clean_report = run_diagnostics(_trajectory(clean), model, _DATUM, 0.5)
+    assert clean_report.passed
+    if check == "interleaving_identity":
+        exact = measures.wasserstein
+        monkeypatch.setattr(measures, "wasserstein",
+                            lambda a, b: exact(a, b) * (1.0 + 1e-9))
+    report = run_diagnostics(_trajectory(planted), model, _DATUM, 0.5)
+    assert {v.check for v in report.violations} == {check}
+    first = report.violations[0]
+    assert first.time == time
+    assert first.value == pytest.approx(value, rel=1e-3)
+    assert first.bound == pytest.approx(bound, rel=1e-12)
+    assert report.skipped == clean_report.skipped
+
+
 def test_oleinik_residual_type():
-    res = OleinikResidual(1.0, 0.5, np.array([0.1, -0.2]), 0.3)
+    res = OleinikResidual(np.array([0.1, -0.2]), 0.3)
     assert res.max_interior == pytest.approx(0.1)
-    assert res.max_all == pytest.approx(0.3)
-    empty = OleinikResidual(1.0, 0.5, np.array([]), 0.2)
+    empty = OleinikResidual(np.array([]), 0.2)
     assert empty.max_interior == 0.0
 
 

@@ -85,6 +85,8 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         make_config(particle_counts=[64, 16])
     with pytest.raises(ValueError):
+        make_config(particle_counts=[32, 64, 64])   # a repeated count
+    with pytest.raises(ValueError):
         make_config(particle_counts=[1, 4])
     with pytest.raises(ValueError):
         make_config(sample_times=[0.0, 0.9])
@@ -92,6 +94,8 @@ def test_config_validation_errors():
         make_config(scenario={"name": "mystery"})
     with pytest.raises(ValueError):
         make_config(velocity={"kind": "mystery"})
+    with pytest.raises(ValueError):
+        make_config(velocity={"kind": "greenshields", "v_max": 0})
     with pytest.raises(ValueError):
         make_config(oracle={"cfl": 2.0})
 

@@ -7,6 +7,7 @@ from conftest import (
     random_empirical,
     random_measure,
     random_piecewise_density,
+    wasserstein_via_quantiles,
 )
 from ftl1d import (
     EmpiricalMeasure,
@@ -17,7 +18,6 @@ from ftl1d import (
     PipesMunjal,
     atomize,
     cdf,
-    cdf_from_quantile,
     empirical,
     from_piecewise,
     hat_density,
@@ -28,7 +28,6 @@ from ftl1d import (
     run_diagnostics,
     scenario,
     wasserstein,
-    wasserstein_via_quantiles,
 )
 
 
@@ -100,20 +99,18 @@ def test_pseudo_inverse_of_identity():
 def test_pseudo_inverse_of_step_cdf():
     F = cdf(EmpiricalMeasure(np.array([0.0, 0.5]), 0.5))
     X = pseudo_inverse(F)
-    assert X.value(0.0) == 0.0
-    assert X.value(0.25) == 0.0
-    assert X.value(0.5) == 0.5
-    assert X.value(0.99) == 0.5
-    assert X.value(1.0) == 0.5  # rightmost support point at the top
+    # the last value is the rightmost support point at the top
+    np.testing.assert_array_equal(X.right_limits([0.0, 0.25, 0.5, 0.99, 1.0]),
+                                  [0.0, 0.0, 0.5, 0.5, 0.5])
 
 
 def test_pseudo_inverse_jumps_across_vacuum():
     d = from_piecewise([0.0, 0.5, 1.5, 2.0], [1.0, 0.0, 1.0])
     X = pseudo_inverse(cdf(d))
     # at the plateau level the inverse lands at the vacuum gap's right edge
-    assert X.value(0.5) == 1.5
-    assert X.value(0.49999) == pytest.approx(0.49999)
-    assert X.value(1.0) == 2.0
+    assert X.right_limits(0.5) == 1.5
+    assert X.right_limits(0.49999) == pytest.approx(0.49999)
+    assert X.right_limits(1.0) == 2.0
 
 
 def test_pseudo_inverse_requires_monotone():
@@ -124,21 +121,11 @@ def test_pseudo_inverse_requires_monotone():
 def test_quantile_round_trip_step():
     # repeated nodes at z = 0.25 and 0.5: jumps from -1 to 0 and from 0 to 2
     X = PiecewiseMonotone(np.array([0.0, 0.25, 0.25, 0.5, 0.5, 1.0]),
-                          np.array([-1.0, -1.0, 0.0, 0.0, 2.0, 2.0]), domain=(0.0, 1.0))
-    F = cdf_from_quantile(X)
-    X2 = pseudo_inverse(F)
+                          np.array([-1.0, -1.0, 0.0, 0.0, 2.0, 2.0]))
+    # its CDF swaps the axes: plateaus of X are jumps of F and vice versa
+    X2 = pseudo_inverse(PiecewiseMonotone(X.values, X.breakpoints))
     np.testing.assert_array_equal(X2.breakpoints, X.breakpoints)
     np.testing.assert_array_equal(X2.values, X.values)
-    assert X2.domain == X.domain
-
-
-def test_quantile_round_trip_from_config():
-    c = atomize(scenario("riemann_like"), 16)
-    F = cdf(empirical(c))
-    X = pseudo_inverse(F)
-    F2 = cdf_from_quantile(X)
-    np.testing.assert_allclose(F2.breakpoints, F.breakpoints)
-    np.testing.assert_allclose(F2.values, F.values)
 
 
 # ---------------------------------------------------------------------------

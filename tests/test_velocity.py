@@ -124,14 +124,23 @@ def test_custom_flat_beyond_half_fails_monotonicity():
 
 def test_custom_finite_difference_metadata():
     model = CustomVelocity(v_func=lambda r: np.exp(-np.asarray(r)), v_max=1.0)
-    assert model.metadata["derivative"] == "centered_difference"
-    assert model.metadata["step"] == 1e-6
+    assert model.v_prime_func is None
+    assert model.derivative_step == 1e-6
     assert model.derivative(0.5) == pytest.approx(-np.exp(-0.5), abs=1e-9)
 
 
 def test_custom_requires_matching_vacuum_speed():
     with pytest.raises(ValueError):
         CustomVelocity(v_func=lambda r: 1.0 - np.asarray(r), v_max=2.0)
+
+
+@pytest.mark.parametrize("kind", ["greenshields", "pipes_munjal", "underwood",
+                                  "modified_greenberg"])
+@pytest.mark.parametrize("v_max", [0.0, -1.0, float("nan"), float("inf")])
+def test_builtin_laws_refuse_v_max_not_positive_and_finite(kind, v_max):
+    # v = 0 is not strictly decreasing, and no flow has a NaN or infinite vacuum speed
+    with pytest.raises(ValueError, match="v_max must be positive and finite"):
+        velocity.from_config({"kind": kind, "v_max": v_max})
 
 
 def test_modified_greenberg_rejects_alpha_outside_unit_interval():
