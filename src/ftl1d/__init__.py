@@ -24,19 +24,15 @@ from .dynamics import (  # noqa: F401
     IntegrationError,
     IntegratorSettings,
     Trajectory,
-    ftl_rhs,
     integrate,
-    lagrangian_rhs,
 )
 from .measures import (  # noqa: F401
-    EmpiricalMeasure,
     PiecewiseMonotone,
     cdf,
     empirical,
     hat_density,
     l1_distance,
     lagrangian_l1,
-    pseudo_inverse,
     wasserstein,
 )
 from .diagnostics import (  # noqa: F401

@@ -69,12 +69,9 @@ def oleinik_residual(config: ParticleConfiguration, model: VelocityModel) -> Ole
     return OleinikResidual(interior=interior, leader=leader)
 
 
-def total_variation(density) -> float:
-    """TV of a cellwise-constant profile, edge jumps to vacuum included."""
-    if isinstance(density, PiecewiseConstantDensity):
-        vals = density.values
-    else:
-        vals = np.asarray(density, dtype=float)
+def total_variation(density: PiecewiseConstantDensity) -> float:
+    """TV of a piecewise-constant density, edge jumps to vacuum included."""
+    vals = density.values
     return float(vals[0] + vals[-1] + np.sum(np.abs(np.diff(vals))))
 
 

@@ -67,30 +67,6 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
-def ftl_rhs(config: ParticleConfiguration, model: VelocityModel) -> np.ndarray:
-    """Particle velocities: v(mass/gap) for followers, v_max for the leader."""
-    out = _velocities(config.positions, config.particle_mass, model)
-    if out is None:
-        raise ValueError("positions must be strictly increasing")
-    return out
-
-
-def lagrangian_rhs(y, model: VelocityModel, cell_mass: float) -> np.ndarray:
-    """Rates of the cell densities y_i.
-
-    Interior: -y_i^2/m * (v(y_{i+1}) - v(y_i)); the last cell sees the
-    leader and uses v_max in place of v(y_{i+1}).
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
-        raise ValueError("densities must be positive and finite")
-    v = model.value(y)
-    v_next = np.empty_like(v)
-    v_next[:-1] = v[1:]
-    v_next[-1] = model.v_max
-    return -(y * y / cell_mass) * (v_next - v)
-
-
 def _velocities(positions, cell_mass, model, floor=0.0):
     """Particle velocities, or None when a gap is not above 0 and ``floor``
     or a density overflows.

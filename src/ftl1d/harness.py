@@ -154,10 +154,15 @@ def write_density_csv(path: Path, density: initial_data.PiecewiseConstantDensity
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_quantile_csv(path: Path, quantile: measures.PiecewiseMonotone):
+def write_quantile_csv(path: Path, hat: initial_data.PiecewiseConstantDensity):
+    """Quantile X(z) of a particle cell density as its nodes (z, X_z).
+
+    Every cell carries positive mass, so the cumulative masses increase
+    strictly and the quantile is the CDF with its axes swapped.
+    """
     lines = ["z,X_z"]
     lines.extend(f"{_fmt(z)},{_fmt(x)}"
-                 for z, x in zip(quantile.breakpoints, quantile.values))
+                 for z, x in zip(hat.cumulative_masses, hat.breakpoints))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -209,8 +214,7 @@ def _run_single(config: ExperimentConfig, n: int, out_dir: Path) -> RunResult:
     emit("density_initial.csv", write_density_csv,
          measures.hat_density(trajectory.states[0]))
     emit("density_final.csv", write_density_csv, hat)
-    emit("quantile_final.csv", write_quantile_csv,
-         measures.pseudo_inverse(measures.cdf(hat)))
+    emit("quantile_final.csv", write_quantile_csv, hat)
     emit("diagnostics.json", lambda p, r: p.write_text(r.to_json() + "\n", encoding="utf-8"),
          report)
     emit("diagnostics.csv", write_diagnostics_csv, report)
@@ -355,8 +359,7 @@ def convergence_study(config: ExperimentConfig) -> ConvergenceTable:
 # ---------------------------------------------------------------------------
 # CLI
 
-def _cmd_run(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
+def _cmd_run(config: ExperimentConfig, args) -> int:
     results = run_experiment(config, args.out, jobs=args.jobs)
     ok = all(r.report.passed for r in results)
     for r in results:
@@ -367,8 +370,7 @@ def _cmd_run(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_converge(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
+def _cmd_converge(config: ExperimentConfig, args) -> int:
     table = convergence_study(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -383,8 +385,7 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
+def _cmd_check(config: ExperimentConfig, args) -> int:
     datum = config.datum()
     model = config.model()
     report = velocity.check_assumptions(model, datum.sup_norm, samples=256)
@@ -393,6 +394,8 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one verb; exit status 0 on a pass, 1 on a failed check and 2 on
+    a usage error, a refused config included (argparse's status)."""
     parser = argparse.ArgumentParser(
         prog="ftl1d",
         description="Follow-the-leader particle experiments for 1-D conservation laws")
@@ -404,7 +407,12 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=1, help="parallel runs")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        config = ExperimentConfig.from_json(args.config)
+    except ValueError as exc:   # json.JSONDecodeError included
+        print(f"ftl1d: error: {exc}", file=sys.stderr)
+        return 2
+    return args.fn(config, args)
 
 
 if __name__ == "__main__":

@@ -3,11 +3,12 @@
 A particle configuration induces two objects: a piecewise-constant density
 (cell value = particle mass over gap, the same type as an initial datum and
 an oracle profile) and the empirical measure of the mass carrying particles
-(leader excluded).  Every cell of the density carries the particle mass, so
-its values read on the mass cells [i*m, (i+1)*m) are also the density in
-mass coordinates.  Cumulative distributions, generalized inverses, the
-scaled 1-Wasserstein distance and L1 distances are all computed in closed
-form by merged-breakpoint arithmetic; no quadrature is involved anywhere.
+(leader excluded), kept as its staircase CDF.  Every cell of the density
+carries the particle mass, so its values read on the mass cells
+[i*m, (i+1)*m) are also the density in mass coordinates.  Cumulative
+distributions, the scaled 1-Wasserstein distance (the L1 distance of two
+CDFs) and L1 distances are all computed in closed form by merged-breakpoint
+arithmetic; no quadrature is involved anywhere.
 """
 
 from __future__ import annotations
@@ -22,29 +23,6 @@ MASS_MISMATCH_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# measure types
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Finite sum of point masses with one common weight."""
-
-    atoms: np.ndarray
-    weight: float
-
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim != 1 or atoms.size == 0 or np.any(np.diff(atoms) < 0.0):
-            raise ValueError("atoms must be a nonempty non-decreasing 1-d array")
-        if not self.weight > 0.0:
-            raise ValueError("weight must be positive")
-        object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def total_mass(self) -> float:
-        return self.atoms.size * self.weight
-
-
-# ---------------------------------------------------------------------------
 # reconstructions from a particle configuration
 
 def hat_density(config: ParticleConfiguration) -> PiecewiseConstantDensity:
@@ -56,9 +34,15 @@ def hat_density(config: ParticleConfiguration) -> PiecewiseConstantDensity:
     )
 
 
-def empirical(config: ParticleConfiguration) -> EmpiricalMeasure:
-    """Empirical measure of the mass-carrying particles (leader excluded)."""
-    return EmpiricalMeasure(atoms=config.positions[:-1].copy(), weight=config.particle_mass)
+def empirical(config: ParticleConfiguration) -> PiecewiseMonotone:
+    """CDF of the empirical measure of the mass-carrying particles (leader
+    excluded): a staircase with a repeated node at every particle, where it
+    jumps by the particle mass.  Its levels are the running sum of the mass,
+    the same floats as the hat density's cumulative masses.
+    """
+    x = config.positions
+    cum = np.concatenate(([0.0], np.cumsum(np.full(x.size - 1, config.particle_mass))))
+    return PiecewiseMonotone(np.repeat(x[:-1], 2), np.repeat(cum, 2)[1:-1])
 
 
 def lagrangian_l1(a: PiecewiseConstantDensity, b: PiecewiseConstantDensity) -> float:
@@ -73,7 +57,7 @@ def lagrangian_l1(a: PiecewiseConstantDensity, b: PiecewiseConstantDensity) -> f
 
 
 # ---------------------------------------------------------------------------
-# monotone piecewise functions (CDFs and their generalized inverses)
+# monotone piecewise functions (CDFs)
 
 @dataclass(frozen=True)
 class PiecewiseMonotone:
@@ -142,35 +126,16 @@ class PiecewiseMonotone:
 
 
 def cdf(measure) -> PiecewiseMonotone:
-    """Cumulative distribution of a density or an empirical measure.
+    """Cumulative distribution of a density; a CDF is returned as it is.
 
-    A CDF is returned as it is.  Densities give continuous polylines through
-    their cumulative masses; empirical measures give polylines with a
-    repeated node at every atom, where the CDF jumps by the atom weight.
+    A density gives the continuous polyline through its cumulative masses.
     """
     if isinstance(measure, PiecewiseMonotone):
         return measure
     if isinstance(measure, PiecewiseConstantDensity):
         return PiecewiseMonotone(measure.breakpoints.copy(),
                                  measure.cumulative_masses.copy())
-    if isinstance(measure, EmpiricalMeasure):
-        locs, counts = np.unique(measure.atoms, return_counts=True)
-        levels = np.concatenate(([0.0], np.cumsum(counts * measure.weight)))
-        return PiecewiseMonotone(np.repeat(locs, 2), np.repeat(levels, 2)[1:-1])
     raise TypeError(f"cannot build a CDF from {type(measure).__name__}")
-
-
-def pseudo_inverse(F: PiecewiseMonotone) -> PiecewiseMonotone:
-    """Generalized inverse X(z) = inf{x : F(x) > z} on [bottom, top].
-
-    At z = top (where the infimum is over an empty set) the value is the
-    rightmost support point.  Plateaus of F become jumps of X and vice versa.
-    """
-    xs, fs = F.breakpoints, F.values
-    bottom, top = float(fs[0]), float(fs[-1])
-    start = int(np.searchsorted(fs, bottom, side="right")) - 1
-    end = int(np.searchsorted(fs, top, side="left"))
-    return PiecewiseMonotone(fs[start:end + 1].copy(), xs[start:end + 1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +152,15 @@ def _segment_l1(da, db, widths) -> float:
     return float(np.sum(np.where(same_sign, trapezoid, crossing)))
 
 
-def integrate_abs_difference(f: PiecewiseMonotone, g: PiecewiseMonotone,
-                             lo: float | None = None, hi: float | None = None) -> float:
-    """Closed-form integral of |f - g| over [lo, hi] (or the whole line).
+def integrate_abs_difference(f: PiecewiseMonotone, g: PiecewiseMonotone) -> float:
+    """Closed-form integral of |f - g| over the merged breakpoint range.
 
     Breakpoints of both functions are merged; on each subinterval both
-    restrictions are linear, so every piece integrates exactly.  Without
-    bounds the functions must agree outside the merged breakpoint range.
+    restrictions are linear, so every piece integrates exactly.  Both
+    functions are constant outside that range; two CDFs of one total mass
+    agree there, so for them this is the integral over the whole line.
     """
-    mesh = np.concatenate((f.breakpoints, g.breakpoints))
-    if lo is not None:
-        mesh = mesh[(mesh > lo) & (mesh < hi)]
-        mesh = np.concatenate((mesh, [lo, hi]))
-    mesh = np.unique(mesh)
+    mesh = np.unique(np.concatenate((f.breakpoints, g.breakpoints)))
     if mesh.size < 2:
         return 0.0
     a, b = mesh[:-1], mesh[1:]
@@ -211,7 +172,8 @@ def integrate_abs_difference(f: PiecewiseMonotone, g: PiecewiseMonotone,
 def wasserstein(m1, m2) -> float:
     """Scaled 1-Wasserstein distance: integral over x of |F1 - F2|.
 
-    The two measures must carry (numerically) the same total mass.
+    Each argument is a density or a CDF; the two must carry (numerically)
+    the same total mass.
     """
     F1, F2 = cdf(m1), cdf(m2)
     top1, top2 = F1.range_top, F2.range_top

@@ -15,6 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+DERIVATIVE_STEP = 1e-6   # centered-difference step of laws without a closed-form v'
+
+
+def _centered_difference(v, rho, top):
+    """(v(hi) - v(lo)) / (hi - lo) with lo, hi = rho -/+ DERIVATIVE_STEP
+    clipped into [0, top]."""
+    lo = np.maximum(rho - DERIVATIVE_STEP, 0.0)
+    hi = np.minimum(rho + DERIVATIVE_STEP, top)
+    return (v(hi) - v(lo)) / (hi - lo)
 
 
 def _as_density(rho):
@@ -191,13 +200,12 @@ class CustomVelocity(VelocityModel):
 
     ``v_func`` (and optionally ``v_prime_func``) must accept numpy arrays.
     When no derivative is supplied a centered difference with step
-    ``derivative_step`` is used.
+    ``DERIVATIVE_STEP`` is used.
     """
 
     v_func: object
     v_max: float
     v_prime_func: object = None
-    derivative_step: float = 1e-6
 
     def __post_init__(self):
         if float(self.v_func(0.0)) != self.v_max:
@@ -209,10 +217,7 @@ class CustomVelocity(VelocityModel):
     def _dv(self, rho):
         if self.v_prime_func is not None:
             return np.asarray(self.v_prime_func(rho), dtype=float)
-        h = self.derivative_step
-        lo = np.maximum(rho - h, 0.0)
-        hi = rho + h
-        return (self._v(hi) - self._v(lo)) / (hi - lo)
+        return _centered_difference(self._v, rho, np.inf)
 
 
 @dataclass(frozen=True)
@@ -222,12 +227,11 @@ class TabulatedVelocity(VelocityModel):
     The table must start at rho = 0 (so v_max = v(0) is defined) and
     evaluation outside the tabulated range is rejected rather than
     extrapolated.  Derivatives use centered differences with step
-    ``derivative_step``, clipped into the table.
+    ``DERIVATIVE_STEP``, clipped into the table.
     """
 
     rho_table: np.ndarray
     v_table: np.ndarray
-    derivative_step: float = 1e-6
     v_max: float = field(init=False)
 
     def __post_init__(self):
@@ -257,12 +261,7 @@ class TabulatedVelocity(VelocityModel):
 
     def _dv(self, rho):
         self._check_range(rho)
-        h = self.derivative_step
-        top = self.rho_table[-1]
-        lo = np.maximum(rho - h, 0.0)
-        hi = np.minimum(rho + h, top)
-        return (np.interp(hi, self.rho_table, self.v_table)
-                - np.interp(lo, self.rho_table, self.v_table)) / (hi - lo)
+        return _centered_difference(self._v, rho, self.rho_table[-1])
 
 
 @dataclass(frozen=True)
@@ -335,7 +334,6 @@ def from_config(cfg: dict) -> VelocityModel:
         model = TabulatedVelocity(
             rho_table=np.asarray(cfg.pop("rho_table"), dtype=float),
             v_table=np.asarray(cfg.pop("v_table"), dtype=float),
-            derivative_step=float(cfg.pop("derivative_step", 1e-6)),
         )
     elif kind in _BUILTIN_KINDS:
         kwargs = {"v_max": float(cfg.pop("v_max", 1.0))}

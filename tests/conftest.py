@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ftl1d import EmpiricalMeasure, PiecewiseConstantDensity, cdf, pseudo_inverse
+from ftl1d import ParticleConfiguration, PiecewiseConstantDensity, PiecewiseMonotone, cdf
 from ftl1d.measures import integrate_abs_difference
 
 
@@ -23,6 +23,15 @@ def piecewise_cells(draw, positive_mass=False):
     return left + np.concatenate(([0.0], np.cumsum(widths))), np.array(values)
 
 
+@st.composite
+def particle_states(draw):
+    """A particle state of 2-41 particles with random gaps and mass."""
+    gaps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=40))
+    left = draw(st.floats(-3.0, 3.0))
+    mass = draw(st.floats(1e-3, 2.0))
+    return ParticleConfiguration(0.0, mass, left + np.concatenate(([0.0], np.cumsum(gaps))))
+
+
 def random_piecewise_density(rng, total_mass=1.0, max_cells=8):
     """Random compactly supported piecewise-constant density of given mass.
 
@@ -41,10 +50,21 @@ def random_piecewise_density(rng, total_mass=1.0, max_cells=8):
     return PiecewiseConstantDensity(bp, vals)
 
 
+def staircase(atoms, weight) -> PiecewiseMonotone:
+    """CDF of equal point masses at non-decreasing ``atoms``.
+
+    Unlike a particle state, the atoms may repeat; a repeated atom is one
+    jump by its multiple of ``weight``.
+    """
+    locs, counts = np.unique(np.asarray(atoms, dtype=float), return_counts=True)
+    levels = np.concatenate(([0.0], np.cumsum(counts * weight)))
+    return PiecewiseMonotone(np.repeat(locs, 2), np.repeat(levels, 2)[1:-1])
+
+
 def random_empirical(rng, total_mass=1.0, max_atoms=12):
     n = int(rng.integers(1, max_atoms + 1))
     atoms = np.sort(rng.uniform(-2.0, 3.0, size=n))
-    return EmpiricalMeasure(atoms=atoms, weight=total_mass / n)
+    return staircase(atoms, total_mass / n)
 
 
 def random_measure(rng, total_mass=1.0):
@@ -53,15 +73,28 @@ def random_measure(rng, total_mass=1.0):
     return random_empirical(rng, total_mass)
 
 
+def pseudo_inverse(F: PiecewiseMonotone) -> PiecewiseMonotone:
+    """Generalized inverse X(z) = inf{x : F(x) > z} on [bottom, top].
+
+    At z = top (where the infimum is over an empty set) the value is the
+    rightmost support point.  Plateaus of F become jumps of X and vice versa.
+    """
+    xs, fs = F.breakpoints, F.values
+    bottom, top = float(fs[0]), float(fs[-1])
+    start = int(np.searchsorted(fs, bottom, side="right")) - 1
+    end = int(np.searchsorted(fs, top, side="left"))
+    return PiecewiseMonotone(fs[start:end + 1].copy(), xs[start:end + 1].copy())
+
+
 def wasserstein_via_quantiles(m1, m2) -> float:
     """The scaled W1 distance on the inverse side: integral of |X1 - X2| dz.
 
     An independent reference for ``ftl1d.wasserstein``, which integrates
-    |F1 - F2| over x on the CDF side.
+    |F1 - F2| over x on the CDF side.  Each quantile runs over [0, its
+    total mass]; the two masses agree up to roundoff, so the integral runs
+    over their merged node range with no window.
     """
-    F1, F2 = cdf(m1), cdf(m2)
-    hi = min(F1.range_top, F2.range_top)
-    return integrate_abs_difference(pseudo_inverse(F1), pseudo_inverse(F2), lo=0.0, hi=hi)
+    return integrate_abs_difference(pseudo_inverse(cdf(m1)), pseudo_inverse(cdf(m2)))
 
 
 @pytest.fixture

@@ -94,9 +94,12 @@ def test_oleinik_skipped_when_slope_condition_fails():
 
 
 def test_total_variation_examples():
-    assert total_variation([0.5]) == 1.0
-    assert total_variation([1.0, 1.0 / 3.0]) == pytest.approx(2.0, abs=1e-15)
-    assert total_variation([1.0, 0.5, 0.25]) == 2.0
+    def cells(values):
+        return from_piecewise(np.arange(len(values) + 1.0), values)
+
+    assert total_variation(cells([0.5])) == 1.0
+    assert total_variation(cells([1.0, 1.0 / 3.0])) == pytest.approx(2.0, abs=1e-15)
+    assert total_variation(cells([1.0, 0.5, 0.25])) == 2.0
     assert total_variation(scenario("sawtooth_bv")) == 2.0
 
 

@@ -13,12 +13,26 @@ from ftl1d import (
     Underwood,
     atomize,
     check_assumptions,
-    ftl_rhs,
     integrate,
-    lagrangian_rhs,
     scenario,
 )
 from ftl1d.dynamics import _velocities, default_step
+
+
+def lagrangian_rhs(y, model, cell_mass):
+    """Rates of the cell densities y_i, the reference for the position form.
+
+    Interior: -y_i^2/m * (v(y_{i+1}) - v(y_i)); the last cell sees the
+    leader and uses v_max in place of v(y_{i+1}).
+    """
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
+        raise ValueError("densities must be positive and finite")
+    v = model.value(y)
+    v_next = np.empty_like(v)
+    v_next[:-1] = v[1:]
+    v_next[-1] = model.v_max
+    return -(y * y / cell_mass) * (v_next - v)
 
 
 def two_particle_config():
@@ -31,20 +45,21 @@ def closed_form_follower(t):
 
 
 def test_ftl_rhs_pair():
-    v = ftl_rhs(two_particle_config(), Greenshields(1.0))
+    c = two_particle_config()
+    v = _velocities(c.positions, c.particle_mass, Greenshields(1.0))
     np.testing.assert_allclose(v, [0.5, 1.0], atol=0)
 
 
 def test_ftl_rhs_three_particles():
     c = ParticleConfiguration(0.0, 0.5, np.array([0.0, 0.5, 2.0]))
-    v = ftl_rhs(c, Greenshields(1.0))
+    v = _velocities(c.positions, c.particle_mass, Greenshields(1.0))
     np.testing.assert_allclose(v, [0.0, 2.0 / 3.0, 1.0], atol=1e-15)
 
 
 def test_leader_component_is_vacuum_speed():
     for model in (Greenshields(2.0), Underwood(1.5), PipesMunjal(1.0, 2.0)):
         c = atomize(scenario("box"), 8)
-        assert ftl_rhs(c, model)[-1] == model.v_max
+        assert _velocities(c.positions, c.particle_mass, model)[-1] == model.v_max
 
 
 def test_lagrangian_rhs_examples():

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from conftest import particle_states, pseudo_inverse
+from ftl1d import cdf, hat_density
 from ftl1d.dynamics import IntegratorSettings
 from ftl1d.harness import (
     ConvergenceTable,
@@ -13,6 +16,7 @@ from ftl1d.harness import (
     convergence_study,
     main,
     run_experiment,
+    write_quantile_csv,
 )
 
 BASE_CONFIG = {
@@ -148,6 +152,18 @@ def test_run_experiment_t_end_zero(tmp_path):
     assert {float(r.split(",")[0]) for r in rows[1:]} == {0.0}
 
 
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(state=particle_states())
+def test_quantile_csv_rows_are_the_pseudo_inverse_of_the_hat_cdf(tmp_path, state):
+    hat = hat_density(state)
+    path = tmp_path / "quantile_final.csv"
+    write_quantile_csv(path, hat)
+    X = pseudo_inverse(cdf(hat))
+    rows = [f"{z!r},{x!r}" for z, x in zip(X.breakpoints.tolist(), X.values.tolist())]
+    assert path.read_text(encoding="utf-8").splitlines() == ["z,X_z", *rows]
+
+
 def test_determinism_byte_identical(tmp_path):
     config = make_config(particle_counts=[16, 32])
     run_experiment(config, tmp_path / "a")
@@ -226,6 +242,39 @@ def test_cli_check_failure_exit_code(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+
+def test_cli_run_exits_1_on_a_failed_check(tmp_path, capsys):
+    # RK4 at dt 0.1 is too coarse for the Oleinik bound on this sawtooth at t = 0.5
+    cfg = dict(BASE_CONFIG, scenario={"name": "sawtooth_bv"},
+               velocity={"kind": "pipes_munjal", "alpha": 2.0, "v_max": 1.0},
+               particle_counts=[32], t_end=2.0, sample_times=[0.0, 0.5, 1.0, 1.5, 2.0],
+               delta=0.5, integrator={"dt": 0.1})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "N=32: 1 violation(s)\n"
+    report = json.loads((out / "run_N00032" / "diagnostics.json").read_text())
+    assert [v["check"] for v in report["violations"]] == ["oleinik_interior"]
+
+
+@pytest.mark.parametrize("verb", ["run", "converge", "check"])
+@pytest.mark.parametrize("text, message", [
+    (json.dumps(dict(BASE_CONFIG, particle_counts=[32, 64, 64])),
+     "particle_counts must be strictly ascending"),
+    ('{"t_end": 1.0,', "Expecting property name"),
+], ids=["refused", "malformed"])
+def test_cli_exits_2_on_a_refused_config(tmp_path, capsys, verb, text, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ftl1d: error: {message}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("override, key", [

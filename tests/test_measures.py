@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    particle_states,
     piecewise_cells,
+    pseudo_inverse,
     random_empirical,
     random_measure,
     random_piecewise_density,
+    staircase,
     wasserstein_via_quantiles,
 )
 from ftl1d import (
-    EmpiricalMeasure,
     Greenshields,
     ParticleConfiguration,
     PiecewiseConstantDensity,
@@ -24,7 +26,6 @@ from ftl1d import (
     integrate,
     l1_distance,
     lagrangian_l1,
-    pseudo_inverse,
     run_diagnostics,
     scenario,
     wasserstein,
@@ -56,12 +57,13 @@ def test_hat_density_mass_is_structural():
 
 
 def test_empirical_excludes_leader():
-    m = empirical(config([0.0, 1.0]))
-    np.testing.assert_array_equal(m.atoms, [0.0])
-    assert m.weight == 0.5
-    m2 = empirical(config([0.0, 0.5, 1.0]))
-    np.testing.assert_array_equal(m2.atoms, [0.0, 0.5])
-    assert m2.total_mass == 1.0
+    F = empirical(config([0.0, 1.0]))
+    np.testing.assert_array_equal(F.breakpoints, [0.0, 0.0])
+    np.testing.assert_array_equal(F.values, [0.0, 0.5])
+    F2 = empirical(config([0.0, 0.5, 1.0]))
+    np.testing.assert_array_equal(F2.breakpoints, [0.0, 0.0, 0.5, 0.5])
+    np.testing.assert_array_equal(F2.values, [0.0, 0.5, 0.5, 1.0])
+    assert F2.range_top == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ def test_cdf_of_unit_box_is_identity():
 
 
 def test_cdf_of_empirical_is_right_continuous_step():
-    F = cdf(EmpiricalMeasure(np.array([0.0, 0.5]), 0.5))
+    F = cdf(empirical(config([0.0, 0.5, 1.0])))
     xs = np.array([-0.1, 0.0, 0.3, 0.5, 0.7])
     np.testing.assert_allclose(F.right_limits(xs), [0.0, 0.5, 0.5, 1.0, 1.0])
     assert F.left_limits(0.0) == 0.0
@@ -83,10 +85,16 @@ def test_cdf_of_empirical_is_right_continuous_step():
 
 def test_cdf_tops_out_at_total_mass():
     for measure in (hat_density(config([0.0, 0.5, 2.0])),
-                    EmpiricalMeasure(np.array([1.0, 2.0, 3.0]), 0.25),
                     scenario("sawtooth_bv")):
         F = cdf(measure)
         assert F.range_top == pytest.approx(measure.total_mass, rel=1e-12)
+    c = config([1.0, 2.0, 3.0, 4.0], mass=0.25)
+    assert cdf(empirical(c)).range_top == c.total_mass
+
+
+def test_cdf_refuses_other_inputs():
+    with pytest.raises(TypeError, match="ndarray"):
+        cdf(np.array([0.0, 1.0]))
 
 
 def test_pseudo_inverse_of_identity():
@@ -97,7 +105,7 @@ def test_pseudo_inverse_of_identity():
 
 
 def test_pseudo_inverse_of_step_cdf():
-    F = cdf(EmpiricalMeasure(np.array([0.0, 0.5]), 0.5))
+    F = empirical(config([0.0, 0.5, 1.0]))
     X = pseudo_inverse(F)
     # the last value is the rightmost support point at the top
     np.testing.assert_array_equal(X.right_limits([0.0, 0.25, 0.5, 0.99, 1.0]),
@@ -132,8 +140,8 @@ def test_quantile_round_trip_step():
 # distances
 
 def test_wasserstein_two_atoms():
-    a = EmpiricalMeasure(np.array([0.0]), 1.0)
-    b = EmpiricalMeasure(np.array([1.0]), 1.0)
+    a = staircase([0.0], 1.0)
+    b = staircase([1.0], 1.0)
     assert wasserstein(a, b) == 1.0
     assert wasserstein_via_quantiles(a, b) == 1.0
 
@@ -145,15 +153,14 @@ def test_wasserstein_identical_measures():
 
 def test_wasserstein_box_vs_centered_atom():
     box = from_piecewise([0.0, 1.0], [1.0])
-    atom = EmpiricalMeasure(np.array([0.5]), 1.0)
+    atom = staircase([0.5], 1.0)
     assert wasserstein(box, atom) == pytest.approx(0.25, abs=1e-15)
     assert wasserstein_via_quantiles(box, atom) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_wasserstein_rejects_mass_mismatch():
     with pytest.raises(ValueError):
-        wasserstein(EmpiricalMeasure(np.array([0.0]), 1.0),
-                    EmpiricalMeasure(np.array([0.0]), 2.0))
+        wasserstein(staircase([0.0], 1.0), staircase([0.0], 2.0))
 
 
 def test_wasserstein_duality_on_random_pairs(rng):
@@ -195,6 +202,19 @@ def test_hat_cdf_levels_are_the_empirical_levels():
     atom_levels = cdf(empirical(c)).values
     assert levels[0] == 0.0
     np.testing.assert_array_equal(levels[1:], atom_levels[1::2])
+
+
+@settings(deadline=None, max_examples=100)
+@given(state=particle_states())
+def test_empirical_staircase_levels_are_the_hat_cumulative_masses(state):
+    F = empirical(state)
+    cum = hat_density(state).cumulative_masses
+    np.testing.assert_array_equal(F.values, np.repeat(cum, 2)[1:-1])
+    np.testing.assert_array_equal(F.breakpoints, np.repeat(state.positions[:-1], 2))
+    # the same nodes as the CDF of the atoms with their common weight
+    G = staircase(state.positions[:-1], state.particle_mass)
+    np.testing.assert_array_equal(F.breakpoints, G.breakpoints)
+    np.testing.assert_array_equal(F.values, G.values)
 
 
 def test_interleaving_identity_on_seeded_box_pipes_munjal():
@@ -281,7 +301,7 @@ def test_lagrangian_l1_needs_one_mass_grid():
 
 
 def test_empirical_duplicate_atoms_are_merged_in_cdf(rng):
-    m = EmpiricalMeasure(np.array([0.0, 0.5, 0.5, 1.0]), 0.25)
+    m = staircase([0.0, 0.5, 0.5, 1.0], 0.25)
     F = cdf(m)
     np.testing.assert_array_equal(F.right_limits([0.0, 0.5, 1.0]), [0.25, 0.75, 1.0])
     assert F.left_limits(0.5) == 0.25

@@ -125,7 +125,7 @@ def test_custom_flat_beyond_half_fails_monotonicity():
 def test_custom_finite_difference_metadata():
     model = CustomVelocity(v_func=lambda r: np.exp(-np.asarray(r)), v_max=1.0)
     assert model.v_prime_func is None
-    assert model.derivative_step == 1e-6
+    assert velocity.DERIVATIVE_STEP == 1e-6
     assert model.derivative(0.5) == pytest.approx(-np.exp(-0.5), abs=1e-9)
 
 
@@ -161,6 +161,26 @@ def test_tabulated_model_interpolates_and_rejects_extrapolation():
     assert table.derivative(0.25) == pytest.approx(-0.8, abs=1e-6)
 
 
+def test_finite_differences_are_centered_and_clipped():
+    # the same floats as (v(hi) - v(lo)) / (hi - lo), lo and hi clipped to [0, top]
+    h = velocity.DERIVATIVE_STEP
+    rho = np.array([0.0, 0.4 * h, 0.3, 1.0 - 0.5 * h, 1.0])
+    lo = np.maximum(rho - h, 0.0)
+
+    def f(r):
+        return np.exp(-np.asarray(r))
+
+    custom = CustomVelocity(v_func=f, v_max=1.0)
+    hi = rho + h
+    np.testing.assert_array_equal(custom.derivative(rho), (f(hi) - f(lo)) / (hi - lo))
+    rho_table, v_table = np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.6, 0.0])
+    table = TabulatedVelocity(rho_table=rho_table, v_table=v_table)
+    hi = np.minimum(rho + h, 1.0)
+    expected = (np.interp(hi, rho_table, v_table)
+                - np.interp(lo, rho_table, v_table)) / (hi - lo)
+    np.testing.assert_array_equal(table.derivative(rho), expected)
+
+
 def test_tabulated_rejects_non_decreasing_values():
     with pytest.raises(ValueError):
         TabulatedVelocity(rho_table=np.array([0.0, 0.5, 1.0]),
@@ -179,6 +199,10 @@ def test_from_config():
     assert isinstance(tab, TabulatedVelocity)
     with pytest.raises(ValueError):
         velocity.from_config({"kind": "unknown"})
+    # the finite-difference step is a module constant, not a config key
+    with pytest.raises(ValueError, match="derivative_step"):
+        velocity.from_config({"kind": "tabulated", "rho_table": [0.0, 1.0],
+                              "v_table": [1.0, 0.0], "derivative_step": 1e-4})
 
 
 def test_check_assumptions_validates_arguments():
