@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = ExperimentConfig.from_json(args.config)
-    except ValueError as exc:   # json.JSONDecodeError included
+    except (OSError, ValueError) as exc:   # json.JSONDecodeError included
         print(f"ftl1d: error: {exc}", file=sys.stderr)
         return 2
     return args.fn(config, args)

@@ -72,21 +72,6 @@ def riemann_solve(model: VelocityModel, rho_l: float, rho_r: float) -> RiemannSo
                            fan_left=float(fan_l), fan_right=float(fan_r))
 
 
-def _invert_characteristic(model: VelocityModel, xi, lo: float, hi: float):
-    """Solve f'(rho) = xi for rho in [lo, hi] by bisection (f' decreasing)."""
-    xi = np.asarray(xi, dtype=float)
-    a = np.full(xi.shape, lo)
-    b = np.full(xi.shape, hi)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        high = model.flux_derivative(mid) > xi
-        a = np.where(high, mid, a)
-        b = np.where(high, b, mid)
-        if float(np.max(b - a)) <= 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (a + b)
-
-
 def riemann_eval(sol: RiemannSolution, model: VelocityModel, t: float, x):
     """Density of the self-similar solution at time t > 0 and positions x."""
     if not t > 0.0:
@@ -97,8 +82,8 @@ def riemann_eval(sol: RiemannSolution, model: VelocityModel, t: float, x):
     elif sol.kind == "shock":
         out = np.where(xi < sol.shock_speed, sol.left, sol.right)
     else:
-        inner = _invert_characteristic(model, np.clip(xi, sol.fan_left, sol.fan_right),
-                                       sol.right, sol.left)
+        inner = model.inverse_flux_derivative(np.clip(xi, sol.fan_left, sol.fan_right),
+                                              sol.right, sol.left)
         out = np.where(xi <= sol.fan_left, sol.left,
                        np.where(xi >= sol.fan_right, sol.right, inner))
     return float(out) if np.ndim(x) == 0 else out

@@ -37,10 +37,11 @@ def _as_density(rho):
 class VelocityModel:
     """Base class for velocity laws; subclasses implement _v and _dv.
 
-    Methods: value, derivative, flux, flux_derivative, density_weighted_slope
-    and critical_density (overridden where a closed form exists).  The
-    built-in laws refuse a v_max that is not positive and finite; custom and
-    tabulated laws validate their own fields.
+    Methods: value, derivative, flux, flux_derivative, density_weighted_slope,
+    critical_density and inverse_flux_derivative (the last two overridden
+    where a closed form exists).  The built-in laws refuse a v_max that is
+    not positive and finite; custom and tabulated laws validate their own
+    fields.
     """
 
     v_max: float
@@ -114,6 +115,25 @@ class VelocityModel:
                 b = c2
         return float(0.5 * (a + b))
 
+    def inverse_flux_derivative(self, xi, lo: float, hi: float):
+        """Solve f'(rho) = xi for rho in [lo, hi], bisecting to 1e-13 * max(1, hi).
+
+        f' is assumed decreasing on [lo, hi] (as it is when the flux is
+        concave); xi outside [f'(hi), f'(lo)] gives the nearer end.
+        """
+        arr = np.asarray(xi, dtype=float)
+        a = np.full(arr.shape, lo)
+        b = np.full(arr.shape, hi)
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            high = self.flux_derivative(mid) > arr
+            a = np.where(high, mid, a)
+            b = np.where(high, b, mid)
+            if float(np.max(b - a)) <= 1e-13 * max(1.0, hi):
+                break
+        out = 0.5 * (a + b)
+        return float(out) if np.ndim(xi) == 0 else out
+
 
 @dataclass(frozen=True)
 class Greenshields(VelocityModel):
@@ -129,6 +149,11 @@ class Greenshields(VelocityModel):
 
     def critical_density(self, hi: float) -> float:
         return float(min(0.5, hi))
+
+    def inverse_flux_derivative(self, xi, lo: float, hi: float):
+        # f'(rho) = v_max * (1 - 2 rho)
+        out = np.clip(0.5 * (1.0 - np.asarray(xi, dtype=float) / self.v_max), lo, hi)
+        return float(out) if np.ndim(xi) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -331,6 +356,9 @@ def from_config(cfg: dict) -> VelocityModel:
     cfg = dict(cfg)
     kind = str(cfg.pop("kind", "")).lower()
     if kind == "tabulated":
+        missing = [key for key in ("rho_table", "v_table") if key not in cfg]
+        if missing:
+            raise ValueError(f"tabulated velocity needs key(s): {', '.join(missing)}")
         model = TabulatedVelocity(
             rho_table=np.asarray(cfg.pop("rho_table"), dtype=float),
             v_table=np.asarray(cfg.pop("v_table"), dtype=float),

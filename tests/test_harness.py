@@ -264,10 +264,14 @@ def test_cli_run_exits_1_on_a_failed_check(tmp_path, capsys):
     (json.dumps(dict(BASE_CONFIG, particle_counts=[32, 64, 64])),
      "particle_counts must be strictly ascending"),
     ('{"t_end": 1.0,', "Expecting property name"),
-], ids=["refused", "malformed"])
+    (json.dumps(dict(BASE_CONFIG, velocity={"kind": "tabulated"})),
+     "tabulated velocity needs key(s): rho_table, v_table"),
+    (None, "[Errno 2] No such file or directory"),
+], ids=["refused", "malformed", "tabulated_without_tables", "missing_file"])
 def test_cli_exits_2_on_a_refused_config(tmp_path, capsys, verb, text, message):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(text)
+    if text is not None:
+        cfg_path.write_text(text)
     out = tmp_path / "out"
     assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()

@@ -392,6 +392,33 @@ def test_critical_density_closed_forms_match_search(v_max, alpha, hi):
         assert model.flux(closed) == pytest.approx(model.flux(searched), rel=1e-14)
 
 
+@settings(deadline=None, max_examples=60)
+@given(v_max=st.floats(0.1, 3.0), ends=st.tuples(_STATES, _STATES),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_inverse_flux_derivative_closed_form_matches_bisection(v_max, ends, fractions):
+    lo, hi = sorted(ends)
+    model = Greenshields(v_max)
+    top, bottom = model.flux_derivative(lo), model.flux_derivative(hi)
+    xi = bottom + np.asarray(fractions) * (top - bottom)
+    closed = model.inverse_flux_derivative(xi, lo, hi)
+    bisected = VelocityModel.inverse_flux_derivative(model, xi, lo, hi)
+    assert np.all((lo <= closed) & (closed <= hi))
+    assert np.all(np.abs(closed - bisected) <= 1e-12)
+    assert np.all(np.abs(model.flux_derivative(closed) - xi) <= 1e-12 * (1.0 + np.abs(xi)))
+    scalar = [model.inverse_flux_derivative(x, lo, hi) for x in xi]
+    assert all(type(r) is float for r in scalar)
+    np.testing.assert_array_equal(closed, scalar)
+
+
+@pytest.mark.parametrize("model", [Underwood(1.0), PipesMunjal(1.0, 2.0)],
+                         ids=["underwood", "pipes_munjal"])
+def test_inverse_flux_derivative_bisects_without_a_closed_form(model):
+    assert type(model).inverse_flux_derivative is VelocityModel.inverse_flux_derivative
+    xi = model.flux_derivative(np.array([0.1, 0.5, 0.9]))
+    rho = model.inverse_flux_derivative(xi, 0.0, 1.0)
+    np.testing.assert_allclose(rho, [0.1, 0.5, 0.9], rtol=0.0, atol=1e-12)
+
+
 def test_riemann_l1_error_pinned_values():
     model = Greenshields(1.0)
     sol = riemann_solve(model, 0.8, 0.2)

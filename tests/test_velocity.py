@@ -199,6 +199,8 @@ def test_from_config():
     assert isinstance(tab, TabulatedVelocity)
     with pytest.raises(ValueError):
         velocity.from_config({"kind": "unknown"})
+    with pytest.raises(ValueError, match=r"needs key\(s\): v_table$"):
+        velocity.from_config({"kind": "tabulated", "rho_table": [0.0, 1.0]})
     # the finite-difference step is a module constant, not a config key
     with pytest.raises(ValueError, match="derivative_step"):
         velocity.from_config({"kind": "tabulated", "rho_table": [0.0, 1.0],
