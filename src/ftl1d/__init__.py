@@ -33,6 +33,7 @@ from .measures import (  # noqa: F401
     hat_density,
     l1_distance,
     lagrangian_l1,
+    lagrangian_wasserstein,
     wasserstein,
 )
 from .diagnostics import (  # noqa: F401

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -134,24 +135,35 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # deterministic CSV / JSON output helpers
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _column(values) -> list:
+    """repr(float(x)) of every value, the shortest string that reads back
+    to the same float, formatted for the whole column by one list repr."""
+    floats = np.asarray(values, dtype=float).tolist()
+    return repr(floats)[1:-1].split(", ") if floats else []
+
+
+def _write_csv(path: Path, header: str, blocks):
+    """Write the header line, then every block, a tuple of equally long
+    string columns, as one comma-joined line per entry.  Each block is
+    joined whole and written before the next is formatted."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            rows = "\n".join(map(",".join, zip(*columns)))
+            if rows:
+                fh.write(rows + "\n")
 
 
 def write_trajectory_csv(path: Path, trajectory: dynamics.Trajectory):
-    lines = ["t,i,x_i"]
-    for state in trajectory.states:
-        t = _fmt(state.time)
-        lines.extend(f"{t},{i},{_fmt(x)}" for i, x in enumerate(state.positions))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    states = trajectory.states
+    _write_csv(path, "t,i,x_i", (
+        (itertools.repeat(t), map(str, range(state.positions.size)), _column(state.positions))
+        for state, t in zip(states, _column([state.time for state in states]))))
 
 
 def write_density_csv(path: Path, density: initial_data.PiecewiseConstantDensity):
-    lines = ["x_left,x_right,value"]
-    bp, vals = density.breakpoints, density.values
-    lines.extend(f"{_fmt(a)},{_fmt(b)},{_fmt(v)}"
-                 for a, b, v in zip(bp[:-1], bp[1:], vals))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bp = _column(density.breakpoints)
+    _write_csv(path, "x_left,x_right,value", [(bp[:-1], bp[1:], _column(density.values))])
 
 
 def write_quantile_csv(path: Path, hat: initial_data.PiecewiseConstantDensity):
@@ -160,20 +172,14 @@ def write_quantile_csv(path: Path, hat: initial_data.PiecewiseConstantDensity):
     Every cell carries positive mass, so the cumulative masses increase
     strictly and the quantile is the CDF with its axes swapped.
     """
-    lines = ["z,X_z"]
-    lines.extend(f"{_fmt(z)},{_fmt(x)}"
-                 for z, x in zip(hat.cumulative_masses, hat.breakpoints))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, "z,X_z", [(_column(hat.cumulative_masses), _column(hat.breakpoints))])
 
 
 def write_diagnostics_csv(path: Path, report: diagnostics.DiagnosticsReport):
-    lines = ["t,min_gap_ratio,oleinik_interior_max,oleinik_leader,"
-             "tv_hat,tv_velocity,entropy_min"]
-    for row in zip(report.times, report.min_gap_ratios,
-                   report.oleinik_interior_max, report.oleinik_leader,
-                   report.tv_hat, report.tv_velocity, report.entropy_min):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = (report.times, report.min_gap_ratios, report.oleinik_interior_max,
+               report.oleinik_leader, report.tv_hat, report.tv_velocity, report.entropy_min)
+    _write_csv(path, "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,"
+               "tv_hat,tv_velocity,entropy_min", [tuple(map(_column, columns))])
 
 
 def _sha256(path: Path) -> str:
@@ -225,12 +231,17 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
     """Integrate every particle count, write artifacts, return run results.
 
     The manifest lists every produced file with its content checksum; two
-    runs of the same config produce byte-identical trees.
+    runs of the same config produce byte-identical trees.  ``jobs`` (at
+    least 1) caps the worker processes, and at most one runs per particle
+    count.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if jobs > 1 and len(config.particle_counts) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(config.particle_counts))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_single, config, n, out)
                        for n in config.particle_counts]
             results = [f.result() for f in futures]
@@ -395,7 +406,8 @@ def _cmd_check(config: ExperimentConfig, args) -> int:
 
 def main(argv=None) -> int:
     """Run one verb; exit status 0 on a pass, 1 on a failed check and 2 on
-    a usage error, a refused config included (argparse's status)."""
+    a usage error, a refused config or ``--jobs`` below 1 included
+    (argparse's status)."""
     parser = argparse.ArgumentParser(
         prog="ftl1d",
         description="Follow-the-leader particle experiments for 1-D conservation laws")
@@ -404,10 +416,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+        p.add_argument("--jobs", type=int, default=1, help="parallel runs, at least 1")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         config = ExperimentConfig.from_json(args.config)
     except (OSError, ValueError) as exc:   # json.JSONDecodeError included
         print(f"ftl1d: error: {exc}", file=sys.stderr)

@@ -24,12 +24,21 @@ def piecewise_cells(draw, positive_mass=False):
 
 
 @st.composite
-def particle_states(draw):
-    """A particle state of 2-41 particles with random gaps and mass."""
-    gaps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=40))
+def particle_states(draw, cells=None, mass=None):
+    """A particle state of 2-41 particles with random gaps and mass; ``cells``
+    fixes the number of gaps and ``mass`` the particle mass."""
+    gaps = draw(st.lists(st.floats(1e-3, 2.0), min_size=cells or 1, max_size=cells or 40))
     left = draw(st.floats(-3.0, 3.0))
-    mass = draw(st.floats(1e-3, 2.0))
+    if mass is None:
+        mass = draw(st.floats(1e-3, 2.0))
     return ParticleConfiguration(0.0, mass, left + np.concatenate(([0.0], np.cumsum(gaps))))
+
+
+@st.composite
+def same_grid_pairs(draw):
+    """Two particle states of one particle mass and one number of cells."""
+    a = draw(particle_states())
+    return a, draw(particle_states(cells=a.n_cells, mass=a.particle_mass))
 
 
 def random_piecewise_density(rng, total_mass=1.0, max_cells=8):

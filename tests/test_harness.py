@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import particle_states, pseudo_inverse
-from ftl1d import cdf, hat_density
+from ftl1d import DiagnosticsReport, ParticleConfiguration, Trajectory, cdf, from_piecewise, hat_density
 from ftl1d.dynamics import IntegratorSettings
 from ftl1d.harness import (
     ConvergenceTable,
@@ -16,7 +17,10 @@ from ftl1d.harness import (
     convergence_study,
     main,
     run_experiment,
+    write_density_csv,
+    write_diagnostics_csv,
     write_quantile_csv,
+    write_trajectory_csv,
 )
 
 BASE_CONFIG = {
@@ -164,6 +168,48 @@ def test_quantile_csv_rows_are_the_pseudo_inverse_of_the_hat_cdf(tmp_path, state
     assert path.read_text(encoding="utf-8").splitlines() == ["z,X_z", *rows]
 
 
+# floats whose shortest repr is in exponent form, a negative zero and
+# negative values; an np.float64 too, as the report lists hold both kinds
+_ODD = [-1.5e16, -2.5, -0.0, 1e-05, np.float64(0.1), 1.5e16]
+_COLUMNS = ("times", "min_gap_ratios", "oleinik_interior_max", "oleinik_leader",
+            "tv_hat", "tv_velocity", "entropy_min")
+
+
+def _reference_csv(header, rows) -> str:
+    """One line per row, every cell formatted on its own; a str cell as it is."""
+    cells = (",".join(x if isinstance(x, str) else repr(float(x)) for x in row)
+             for row in rows)
+    return "".join(f"{line}\n" for line in (header, *cells))
+
+
+def test_csv_writers_format_each_cell_as_repr_of_float(tmp_path):
+    path = tmp_path / "out.csv"
+    states = (ParticleConfiguration(0.0, 0.5, [-1.5e16, -0.0]),      # two particles
+              ParticleConfiguration(1e-05, 0.5, [-2.5, 1e-05]),
+              ParticleConfiguration(1.5e16, 0.5, [0.1, 1.5e16]))
+    write_trajectory_csv(path, Trajectory(np.array([s.time for s in states]), states))
+    assert path.read_text(encoding="utf-8") == _reference_csv(
+        "t,i,x_i", [(s.time, str(i), x) for s in states for i, x in enumerate(s.positions)])
+
+    for density in (from_piecewise([-0.0, 1e-05], [1.5e16]),             # one cell
+                    from_piecewise(_ODD, [1e-05, 0.0, 2.5, 1.5e16, 0.1])):
+        write_density_csv(path, density)
+        bp = density.breakpoints
+        assert path.read_text(encoding="utf-8") == _reference_csv(
+            "x_left,x_right,value", zip(bp[:-1], bp[1:], density.values))
+
+    hat = hat_density(states[0])
+    write_quantile_csv(path, hat)
+    assert path.read_text(encoding="utf-8") == _reference_csv(
+        "z,X_z", zip(hat.cumulative_masses, hat.breakpoints))
+
+    columns = [_ODD[k:] + _ODD[:k] for k in range(len(_COLUMNS))]
+    write_diagnostics_csv(path, DiagnosticsReport(**dict(zip(_COLUMNS, columns))))
+    assert path.read_text(encoding="utf-8") == _reference_csv(
+        "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity,entropy_min",
+        zip(*columns))
+
+
 def test_determinism_byte_identical(tmp_path):
     config = make_config(particle_counts=[16, 32])
     run_experiment(config, tmp_path / "a")
@@ -176,6 +222,56 @@ def test_parallel_jobs_match_sequential(tmp_path):
     run_experiment(config, tmp_path / "seq", jobs=1)
     run_experiment(config, tmp_path / "par", jobs=2)
     assert tree_digest(tmp_path / "seq") == tree_digest(tmp_path / "par")
+
+
+class _InlinePool:
+    """Stands in for a ProcessPoolExecutor: runs each task at submit and
+    starts no process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("counts, jobs, workers", [
+    ([8, 16], 64, [2]), ([8, 16, 32], 2, [2]), ([8, 16], 1, []), ([8], 5, [])])
+def test_jobs_cap_the_pool_at_one_worker_per_count(tmp_path, monkeypatch, counts, jobs,
+                                                  workers):
+    built = []
+
+    def pool(max_workers):
+        built.append(max_workers)
+        return _InlinePool()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    config = make_config(particle_counts=counts)
+    run_experiment(config, tmp_path / "pool", jobs=jobs)
+    assert built == workers
+    run_experiment(config, tmp_path / "seq")
+    assert tree_digest(tmp_path / "pool") == tree_digest(tmp_path / "seq")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_are_refused(tmp_path, capsys, jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_experiment(make_config(particle_counts=[8, 16]), tmp_path / "api", jobs=jobs)
+    assert not (tmp_path / "api").exists()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                 "--jobs", str(jobs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ftl1d: error: --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
 
 
 def test_convergence_study_bounds_and_orders():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     particle_states,
     piecewise_cells,
     pseudo_inverse,
+    same_grid_pairs,
     random_empirical,
     random_measure,
     random_piecewise_density,
@@ -26,6 +28,7 @@ from ftl1d import (
     integrate,
     l1_distance,
     lagrangian_l1,
+    lagrangian_wasserstein,
     run_diagnostics,
     scenario,
     wasserstein,
@@ -289,15 +292,49 @@ def test_lagrangian_l1():
 
 
 def test_lagrangian_l1_needs_one_mass_grid():
+    # lagrangian_wasserstein reads the same mass cells behind the same guard
     a = hat_density(config([0.0, 0.5, 2.0]))
     datum = from_piecewise([0.0, 0.5, 2.0], [1.0, 1.0 / 3.0])   # no cell_mass
     for other in (datum,
                   hat_density(config([0.0, 0.5, 2.0], mass=0.25)),
                   hat_density(config([0.0, 1.0]))):
-        with pytest.raises(ValueError, match="one cell_mass"):
-            lagrangian_l1(a, other)
-        with pytest.raises(ValueError, match="one cell_mass"):
-            lagrangian_l1(other, a)
+        for distance in (lagrangian_l1, lagrangian_wasserstein):
+            with pytest.raises(ValueError, match="one cell_mass"):
+                distance(a, other)
+            with pytest.raises(ValueError, match="one cell_mass"):
+                distance(other, a)
+
+
+def test_lagrangian_wasserstein_two_cells():
+    # quantiles 0 -> 0.5 -> 2 and 0 -> 1 -> 2 on the mass cells [0, 0.5], [0.5, 1]
+    a = hat_density(config([0.0, 0.5, 2.0]))
+    b = hat_density(config([0.0, 1.0, 2.0]))
+    assert lagrangian_wasserstein(a, b) == pytest.approx(2 * 0.5 * 0.5 * 0.5, abs=1e-15)
+    assert lagrangian_wasserstein(a, b) == pytest.approx(wasserstein(a, b), abs=1e-15)
+
+
+@settings(deadline=None, max_examples=200)
+@given(pair=same_grid_pairs())
+def test_lagrangian_wasserstein_is_the_merged_distance(pair):
+    a, b = map(hat_density, pair)
+    got = lagrangian_wasserstein(a, b)
+    # a pair that differs only by roundoff leaves a distance at the rounding
+    # level of the positions, where no relative bound holds
+    roundoff = 1e-14 * a.total_mass * max(np.max(np.abs(a.breakpoints)),
+                                          np.max(np.abs(b.breakpoints)))
+    assert got == pytest.approx(wasserstein(a, b), rel=1e-12, abs=roundoff)
+    assert lagrangian_wasserstein(b, a) == got
+    assert lagrangian_wasserstein(a, a) == 0.0
+    assert lagrangian_wasserstein(a, hat_density(pair[0])) == 0.0
+
+
+@settings(deadline=None, max_examples=100)
+@given(state=particle_states(), shift=st.floats(0.5, 4.0), left=st.booleans())
+def test_lagrangian_wasserstein_of_a_rigid_shift(state, shift, left):
+    s = -shift if left else shift
+    moved = config(state.positions + s, mass=state.particle_mass)
+    got = lagrangian_wasserstein(hat_density(state), hat_density(moved))
+    assert got == pytest.approx(state.total_mass * shift, rel=1e-12)
 
 
 def test_empirical_duplicate_atoms_are_merged_in_cdf(rng):
