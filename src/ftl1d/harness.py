@@ -145,7 +145,8 @@ def _column(values) -> list:
 def _write_csv(path: Path, header: str, blocks):
     """Write the header line, then every block, a tuple of equally long
     string columns, as one comma-joined line per entry.  Each block is
-    joined whole and written before the next is formatted."""
+    joined whole and written before the next is formatted, so the whole
+    file is never held in memory."""
     with path.open("w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for columns in blocks:

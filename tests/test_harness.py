@@ -8,7 +8,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import particle_states, pseudo_inverse
-from ftl1d import DiagnosticsReport, ParticleConfiguration, Trajectory, cdf, from_piecewise, hat_density
+from ftl1d import (
+    DiagnosticsReport,
+    ParticleConfiguration,
+    Trajectory,
+    cdf,
+    from_piecewise,
+    hat_density,
+)
 from ftl1d.dynamics import IntegratorSettings
 from ftl1d.harness import (
     ConvergenceTable,
@@ -208,6 +215,9 @@ def test_csv_writers_format_each_cell_as_repr_of_float(tmp_path):
     assert path.read_text(encoding="utf-8") == _reference_csv(
         "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity,entropy_min",
         zip(*columns))
+    write_diagnostics_csv(path, DiagnosticsReport())      # no sample: the header alone
+    assert path.read_text(encoding="utf-8") == _reference_csv(
+        "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity,entropy_min", [])
 
 
 def test_determinism_byte_identical(tmp_path):

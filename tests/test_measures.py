@@ -7,10 +7,10 @@ from conftest import (
     particle_states,
     piecewise_cells,
     pseudo_inverse,
-    same_grid_pairs,
     random_empirical,
     random_measure,
     random_piecewise_density,
+    same_grid_pairs,
     staircase,
     wasserstein_via_quantiles,
 )
