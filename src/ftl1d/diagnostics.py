@@ -121,8 +121,11 @@ class TimeContinuityReport:
 
 
 def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
-                           delta: float) -> TimeContinuityReport:
+                           delta: float, hats=None) -> TimeContinuityReport:
     """Check both time-continuity moduli on consecutive sample pairs.
+
+    ``hats`` holds the cell densities of the states (``measures.hat_density``)
+    when the caller has built them; otherwise they are built here.
 
     The transport metric between the cell reconstructions is Lipschitz with
     rate 2L*max(|v_max|, |v(R)|, v_max - v(R)) for all times; the mass-space
@@ -155,8 +158,10 @@ def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
     l1_slack = np.inf
     w_pairs = 0
     l1_pairs = 0
+    if hats is None:
+        hats = [measures.hat_density(state) for state in states]
     for (t0, hat0), (t1, hat1) in itertools.pairwise(
-            (state.time, measures.hat_density(state)) for state in states):
+            (state.time, hat) for state, hat in zip(states, hats, strict=True)):
         w_slack = min(w_slack,
                       w_rate * (t1 - t0) - measures.lagrangian_wasserstein(hat0, hat1))
         w_pairs += 1
@@ -222,11 +227,13 @@ class DiagnosticsReport:
 
 def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
                     datum: PiecewiseConstantDensity, delta: float,
-                    k_grid=None) -> DiagnosticsReport:
+                    k_grid=None, hats=None) -> DiagnosticsReport:
     """Run every check on a trajectory; record its violations and skips.
 
     ``k_grid`` defaults to 50 levels on [0, 1.2 * sup_norm] so that the
-    entropy terms are exercised above the densest state as well.
+    entropy terms are exercised above the densest state as well.  ``hats``,
+    the cell densities of the states, are built here when not given, once
+    for every check.
     """
     if k_grid is None:
         k_grid = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
@@ -240,9 +247,11 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
         report.skipped.update(dict.fromkeys(
             ("oleinik_interior", "oleinik_leader"),
             "velocity law fails the sampled weighted-slope condition on [0, sup_norm]"))
+    if hats is None:
+        hats = [measures.hat_density(state) for state in trajectory.states]
     prev_tv = None
     interleave_err = 0.0
-    for state in trajectory.states:
+    for state, hat in zip(trajectory.states, hats, strict=True):
         t = state.time
         cell_mass = state.particle_mass
         report.times.append(t)
@@ -259,7 +268,6 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
             report.record("oleinik_interior", t, res.max_interior, bound)
             report.record("oleinik_leader", t, res.leader, bound)
 
-        hat = measures.hat_density(state)
         tv = total_variation(hat)
         report.tv_hat.append(tv)
         report.record("tv_contractivity", t, tv, report.tv_initial_datum + TV_CONTRACT_TOL)
@@ -288,7 +296,7 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
         report.skipped.update(dict.fromkeys(
             ("wasserstein_time_continuity", "l1_time_continuity"), "fewer than two samples"))
         return report
-    cont = time_continuity_moduli(trajectory, model, delta)
+    cont = time_continuity_moduli(trajectory, model, delta, hats)
     report.wasserstein_worst_slack = cont.wasserstein_worst_slack
     report.l1_worst_slack = cont.l1_worst_slack
     report.record("wasserstein_time_continuity", None, cont.wasserstein_worst_slack, 0.0,

@@ -6,7 +6,9 @@ every gap above particle_mass/R (R = maximum initial cell density); the
 integrator enforces a safety fraction of that floor by step rejection, which
 for the smooth right-hand side only ever fires as a numerical safeguard.
 One step controller runs every scheme from its Runge-Kutta coefficient table
-(``METHODS``); a new scheme is a new table, not a new setting.
+(``METHODS``); a new scheme is a new table, not a new setting.  Each run
+allocates one workspace that holds the stages, and one reduction over the
+gaps of all stage states tests them.
 """
 
 from __future__ import annotations
@@ -67,9 +69,18 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
-def _velocities(positions, cell_mass, model, floor=0.0):
+def _rhs(gaps, cell_mass, model, out):
+    """The right-hand side without a check: v(cell_mass / gap) of every
+    follower into ``out``.  Every evaluation of a run, each stage included,
+    calls this function through the module's globals.
+    """
+    np.divide(cell_mass, gaps, out=out)
+    out[...] = model._v(out)
+
+
+def _velocities(positions, cell_mass, model, floor=0.0, out=None):
     """Particle velocities, or None when a gap is not above 0 and ``floor``
-    or a density overflows.
+    or a density overflows.  ``out``, if given, receives them.
 
     Correctly rounded division is monotone, so the largest density is
     exactly cell_mass / (smallest gap): one scalar test covers every cell,
@@ -79,9 +90,9 @@ def _velocities(positions, cell_mass, model, floor=0.0):
     low = np.minimum.reduce(gaps)
     if not (low > 0.0 and low >= floor and cell_mass / low < np.inf):
         return None
-    out = np.empty(positions.size)
-    out[:-1] = model._v(cell_mass / gaps)
+    out = np.empty(positions.size) if out is None else out
     out[-1] = model.v_max
+    _rhs(gaps, cell_mass, model, out[:-1])
     return out
 
 
@@ -112,8 +123,8 @@ class _Tableau:
     checksummed, so the order of operations is kept: sums start from their
     first nonzero term and unit weights are not multiplied.  A combined
     error row or reuse of the last stage would change steps in the last bit.
-    The first stage is passed in: the controller already evaluated it when
-    it tested the accepted state against the gap floor.
+    The first stage is the controller's: it evaluated it when it tested the
+    accepted state against the gap floor.
     """
 
     def __init__(self, a, b, divisor=1.0, embedded=None):
@@ -122,34 +133,61 @@ class _Tableau:
         self.divisor = divisor
         self.embedded = None if embedded is None else _nonzero(embedded)
 
-    def step(self, x, k1, dt, cell_mass, model):
-        """(x_new, error estimate or None), or (None, None) if a stage state is invalid.
+    def bind(self, n, cell_mass, model, abs_tol, rel_tol):
+        """Allocate one run's workspace for n particles and bind every row to it.
 
-        ``k1`` is the velocity field at ``x`` (None if ``x`` is invalid).
+        Returns the first stage, which the controller fills with the checked
+        velocities of each accepted state, and ``step(x, dt, out)``: it writes
+        x_new into ``out`` and returns the error estimate's norm (0.0 without
+        one), or None if a stage state is invalid.  One reduction tests the
+        gaps of all stage states; stages after an invalid one see garbage,
+        so they run under a scoped errstate.
         """
-        if k1 is None:
-            return None, None
-        ks = [k1]
-        for row in self.stages:
-            xi = x
-            for j, a in row:
-                xi = xi + (dt * a) * ks[j]
-            k = _velocities(xi, cell_mass, model)
-            if k is None:
-                return None, None
-            ks.append(k)
-        h = dt / self.divisor
-        x_new = x + h * _weighted_sum(self.weights, ks)
-        if self.embedded is None:
-            return x_new, None
-        return x_new, x_new - (x + h * _weighted_sum(self.embedded, ks))
+        k = np.empty((len(self.stages) + 1, n))
+        k[:, -1] = model.v_max
+        gaps = np.empty((len(self.stages), n - 1))
+        all_gaps = gaps.reshape(-1)
+        xi, term, acc = np.empty(n), np.empty(n), np.empty(n)
+        xi_hi, xi_lo = xi[1:], xi[:-1]
+        plans = []
+        for i, ((j0, a0), *rest) in enumerate(self.stages):
+            plans.append((k[j0], a0, tuple((k[j], a) for j, a in rest), gaps[i], k[i + 1, :-1]))
+        weights = tuple((k[j], b) for j, b in self.weights)
+        embedded = None if self.embedded is None else tuple((k[j], b) for j, b in self.embedded)
+        divisor = self.divisor
+
+        def step(x, dt, out):
+            with np.errstate(all="ignore"):
+                for k0, a0, rest, row_gaps, head in plans:
+                    np.add(x, np.multiply(dt * a0, k0, out=xi), out=xi)
+                    for kj, a in rest:
+                        np.add(xi, np.multiply(dt * a, kj, out=term), out=xi)
+                    np.subtract(xi_hi, xi_lo, out=row_gaps)
+                    _rhs(row_gaps, cell_mass, model, head)
+            low = np.minimum.reduce(all_gaps)
+            if not (low > 0.0 and cell_mass / low < np.inf):
+                return None
+            h = dt / divisor
+            np.add(x, np.multiply(h, _weighted_sum(weights, acc, term), out=acc), out=out)
+            if embedded is None:
+                return 0.0
+            err = np.multiply(h, _weighted_sum(embedded, xi, term), out=xi)
+            np.subtract(out, np.add(x, err, out=err), out=err)
+            scale = np.maximum(np.abs(x, out=acc), np.abs(out, out=term), out=acc)
+            np.add(abs_tol, np.multiply(rel_tol, scale, out=scale), out=scale)
+            return float(np.maximum.reduce(np.divide(np.abs(err, out=err), scale, out=err)))
+
+        return k[0], step
 
 
-def _weighted_sum(weights, ks):
+def _weighted_sum(terms, acc, scratch):
+    """sum_j b_j k_j over the (k_j, b_j) pairs, from the first term on; the
+    sum is in ``acc`` unless it is a single unit-weight k_j."""
     total = None
-    for j, b in weights:
-        term = ks[j] if b == 1.0 else b * ks[j]
-        total = term if total is None else total + term
+    for kj, b in terms:
+        if b != 1.0:
+            kj = np.multiply(b, kj, out=acc if total is None else scratch)
+        total = kj if total is None else np.add(total, kj, out=acc)
     return total
 
 
@@ -189,7 +227,9 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
         integrator metadata (step size, step/rejection counts, gap floor).
 
     One controller runs the coefficient table of ``settings.method`` (see
-    ``METHODS``); a new scheme is a new table, not a new setting.  Steps end
+    ``METHODS``); a new scheme is a new table, not a new setting.  The run's
+    one workspace holds the stages, and one reduction over the gaps of every
+    stage state tests them all; returned states are copies.  Steps end
     on the sample times; an embedded error estimate adapts the step to
     abs_tol/rel_tol.  A step that drops a gap below gap_floor_safety *
     particle_mass / R (R from the initial configuration) or meets an invalid
@@ -223,7 +263,11 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     dt_min = STEP_UNDERFLOW_FRACTION * t_end if t_end > 0.0 else 0.0
 
     x = config0.positions.copy()
-    k1 = _velocities(x, cell_mass, model)
+    x_new = np.empty_like(x)
+    k1, step = scheme.bind(x.size, cell_mass, model, settings.abs_tol, settings.rel_tol)
+    if _velocities(x, cell_mass, model, out=k1) is None:
+        k1[:] = np.nan   # every stage state is then invalid
+    adaptive = scheme.embedded is not None
     t = 0.0
     steps = 0
     rejections = 0
@@ -234,16 +278,10 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
             remaining = target - t
             dt = min(dt_next, remaining)
             while True:
-                x_new, err = scheme.step(x, k1, dt, cell_mass, model)
-                err_norm = 0.0
-                if err is not None:
-                    scale = settings.abs_tol + settings.rel_tol * np.maximum(
-                        np.abs(x), np.abs(x_new))
-                    err_norm = float(np.max(np.abs(err) / scale))
-                if err_norm > 1.0:
+                err_norm = step(x, dt, x_new)
+                if err_norm is not None and err_norm > 1.0:
                     retry = max(0.9 * dt * err_norm ** -0.2, 0.1 * dt)
-                elif x_new is None or (
-                        k_new := _velocities(x_new, cell_mass, model, floor)) is None:
+                elif err_norm is None or _velocities(x_new, cell_mass, model, floor, k1) is None:
                     retry = 0.5 * dt
                 else:
                     break
@@ -255,9 +293,9 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
                 dt = retry
             # a rejection always leaves dt below remaining
             t = target if dt == remaining else t + dt
-            x, k1 = x_new, k_new
+            x, x_new = x_new, x
             steps += 1
-            if err is not None:
+            if adaptive:
                 factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
                 dt_next = min(dt * factor, dt_base * 100.0)
         states.append(ParticleConfiguration(

@@ -204,12 +204,11 @@ def _run_single(config: ExperimentConfig, n: int, out_dir: Path) -> RunResult:
     config0 = initial_data.atomize(datum, n)
     trajectory = dynamics.integrate(config0, model, config.t_end,
                                     config.integrator, config.sample_times)
-    report = diagnostics.run_diagnostics(trajectory, model, datum, config.delta)
+    hats = [measures.hat_density(state) for state in trajectory.states]
+    report = diagnostics.run_diagnostics(trajectory, model, datum, config.delta, hats=hats)
 
     run_dir = out_dir / f"run_N{n:05d}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    final = trajectory.states[-1]
-    hat = measures.hat_density(final)
     files = {}
 
     def emit(name, writer, *args):
@@ -218,14 +217,29 @@ def _run_single(config: ExperimentConfig, n: int, out_dir: Path) -> RunResult:
         files[str(path.relative_to(out_dir))] = _sha256(path)
 
     emit("trajectory.csv", write_trajectory_csv, trajectory)
-    emit("density_initial.csv", write_density_csv,
-         measures.hat_density(trajectory.states[0]))
-    emit("density_final.csv", write_density_csv, hat)
-    emit("quantile_final.csv", write_quantile_csv, hat)
+    emit("density_initial.csv", write_density_csv, hats[0])
+    emit("density_final.csv", write_density_csv, hats[-1])
+    emit("quantile_final.csv", write_quantile_csv, hats[-1])
     emit("diagnostics.json", lambda p, r: p.write_text(r.to_json() + "\n", encoding="utf-8"),
          report)
     emit("diagnostics.csv", write_diagnostics_csv, report)
     return RunResult(n, report, files, dict(trajectory.metadata))
+
+
+def _for_each_count(task, config: ExperimentConfig, jobs: int, *args) -> list:
+    """task(config, n, *args) for every particle count n, in their order.
+
+    ``jobs`` (at least 1) caps the worker processes, and at most one runs
+    per particle count; with one, the tasks run in this process.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(config.particle_counts))
+    if workers == 1:
+        return [task(config, n, *args) for n in config.particle_counts]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(task, config, n, *args) for n in config.particle_counts]
+        return [f.result() for f in futures]
 
 
 def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
@@ -234,21 +248,10 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
     The manifest lists every produced file with its content checksum; two
     runs of the same config produce byte-identical trees.  ``jobs`` (at
     least 1) caps the worker processes, and at most one runs per particle
-    count.
+    count; below 1 it raises before anything is written.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    workers = min(jobs, len(config.particle_counts))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_single, config, n, out)
-                       for n in config.particle_counts]
-            results = [f.result() for f in futures]
-        results.sort(key=lambda r: r.n_particles)
-    else:
-        results = [_run_single(config, n, out) for n in config.particle_counts]
+    results = _for_each_count(_run_single, config, jobs, out)
 
     manifest = {
         "config": config.raw,
@@ -312,13 +315,29 @@ def _riemann_setup(config: ExperimentConfig, datum, model):
     return sol, (lo, hi), float(bp[1])
 
 
-def convergence_study(config: ExperimentConfig) -> ConvergenceTable:
+def _converge_single(config: ExperimentConfig, n: int, datum, model):
+    """Cell mass, initial transport distance with its bound, and the cell
+    density at t_end of one particle count."""
+    config0 = initial_data.atomize(datum, n)
+    initial_dist = measures.wasserstein(measures.empirical(config0), datum)
+    bound = config0.particle_mass * (datum.support_max - datum.support_min)
+    if initial_dist > bound + 1e-10:
+        raise RuntimeError(
+            f"initial transport distance {initial_dist} exceeds bound {bound}")
+    trajectory = dynamics.integrate(config0, model, config.t_end,
+                                    config.integrator, sample_times=[0.0, config.t_end])
+    return config0.particle_mass, initial_dist, bound, measures.hat_density(trajectory.states[-1])
+
+
+def convergence_study(config: ExperimentConfig, jobs: int = 1) -> ConvergenceTable:
     """Refinement table over the configured particle counts.
 
     Each row records the initial-time transport distance against its exact
     bound (cell mass times support span; checked row by row), the transport
     distance at t_end against the Godunov oracle, the L1 error against the
-    oracle, and the observed order between consecutive rows.
+    oracle, and the observed order between consecutive rows.  The oracles
+    are computed once, here; ``jobs`` caps the worker processes that
+    integrate the particle counts, as in ``run_experiment``.
     """
     if len(config.particle_counts) < 3:
         raise ValueError("need at least 3 particle counts")
@@ -334,23 +353,14 @@ def convergence_study(config: ExperimentConfig) -> ConvergenceTable:
         sol, window, jump = _riemann_setup(config, datum, model)
         if jump != 0.0:
             raise ValueError("riemann oracle assumes the jump sits at x = 0")
+    results = _for_each_count(_converge_single, config, jobs, datum, model)
     dx = config.oracle.dx if config.oracle.dx is not None else span / 4096.0
     godunov_density = reference.godunov(datum, model, dx, config.oracle.cfl, config.t_end)
 
     rows = []
     prev_err = None
     prev_n = None
-    for n in config.particle_counts:
-        config0 = initial_data.atomize(datum, n)
-        initial_dist = measures.wasserstein(measures.empirical(config0), datum)
-        bound = config0.particle_mass * span
-        if initial_dist > bound + 1e-10:
-            raise RuntimeError(
-                f"initial transport distance {initial_dist} exceeds bound {bound}")
-        trajectory = dynamics.integrate(config0, model, config.t_end,
-                                        config.integrator,
-                                        sample_times=[0.0, config.t_end])
-        hat = measures.hat_density(trajectory.states[-1])
+    for n, (cell_mass, initial_dist, bound, hat) in zip(config.particle_counts, results):
         wass = measures.wasserstein(hat, godunov_density)
         if use_riemann:
             err = reference.riemann_l1_error(hat, sol, model, config.t_end, window)
@@ -359,7 +369,7 @@ def convergence_study(config: ExperimentConfig) -> ConvergenceTable:
         order = None
         if prev_err is not None and err > 0.0 and prev_err > 0.0:
             order = float(np.log(prev_err / err) / np.log(n / prev_n))
-        rows.append(ConvergenceRow(n, config0.particle_mass, float(initial_dist),
+        rows.append(ConvergenceRow(n, cell_mass, float(initial_dist),
                                    float(bound), float(wass), float(err), order))
         prev_err = err
         prev_n = n
@@ -383,7 +393,7 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_converge(config: ExperimentConfig, args) -> int:
-    table = convergence_study(config)
+    table = convergence_study(config, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "convergence.json").write_text(

@@ -16,7 +16,8 @@ from ftl1d import (
     integrate,
     scenario,
 )
-from ftl1d.dynamics import _velocities, default_step
+from ftl1d import dynamics
+from ftl1d.dynamics import METHODS, _velocities, default_step
 
 
 def lagrangian_rhs(y, model, cell_mass):
@@ -178,17 +179,17 @@ def test_settings_validation():
         IntegratorSettings(abs_tol=0.0)
 
 
+class Squeeze(Greenshields):
+    # follower faster than leader: gap must shrink below the floor
+    def _v(self, rho):
+        return np.full_like(rho, 2.0)
+
+
 def test_step_underflow_raises_with_diagnostic_state():
     # a gap floor of exactly 1 makes every step reject: the initial state is
     # at the floor and any motion of the follower relative to the leader
     # that dips below it by rounding cannot recover at smaller dt.
     c0 = ParticleConfiguration(0.0, 0.5, np.array([0.0, 0.25, 0.5]))
-
-    class Squeeze(Greenshields):
-        # follower faster than leader: gap must shrink below the floor
-        def _v(self, rho):
-            return np.full_like(rho, 2.0)
-
     model = Squeeze(v_max=1.0)
     with pytest.raises(IntegrationError) as err:
         integrate(c0, model, 1.0, IntegratorSettings(gap_floor_safety=1.0), [1.0])
@@ -281,3 +282,72 @@ def test_velocities_reject_gap_below_floor():
     x = np.array([0.0, 0.5, 1.5])
     np.testing.assert_array_equal(_velocities(x, 0.25, model, floor=0.5), [0.5, 0.75, 1.0])
     assert _velocities(x, 0.25, model, floor=0.6) is None
+
+
+def _digest(positions):
+    return hashlib.sha256(positions.astype("<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(("model", "digest"), [
+    (Greenshields(1.0), "7163146fe4a5bab17360b96116c3c4b0dc038f640cf3c5e13b2bef7991759cf4"),
+    (PipesMunjal(1.0, 2.5), "863d6e8134fb4f371ef63293bfbbcbc1de89d659977eeb33e74fbe153a27e104"),
+    (Underwood(1.0), "9de0b9f82315f6c5668f86f88b46302c9add9a787d3122f802c7584cef254803"),
+], ids=["greenshields", "pipes_munjal", "underwood"])
+def test_step_whose_middle_stage_crosses_is_halved(model, digest):
+    # m/(R|v'|) is 0.1 under Greenshields, and the step is 4: the middle
+    # stage x + (dt/2) k1 puts the first follower ahead of the second.  The
+    # stages after it run on negative densities (NaN under the fractional
+    # power of Pipes-Munjal), and a floating-point warning that escapes them
+    # fails this test under the suite's warnings-as-errors.
+    c0 = ParticleConfiguration(0.0, 0.05, np.array([0.0, 0.2, 0.3]))
+    dt = 4.0
+    k1 = _velocities(c0.positions, c0.particle_mass, model)
+    assert np.min(np.diff(c0.positions + (0.5 * dt) * k1)) < 0.0
+    tr = integrate(c0, model, dt, IntegratorSettings(dt=dt), [0.0, dt])
+    assert tr.metadata["steps"] == 2
+    assert tr.metadata["rejections"] == 2
+    assert _digest(tr.states[-1].positions) == digest
+
+
+def test_rk45_adaptive_at_the_gap_floor_is_pinned():
+    # every gap of the jammed box starts at m/R, and a gap floor of 1 at
+    # loose tolerances rejects steps at the floor, at an invalid stage and
+    # by error control (11, 1 and 7 of the 19)
+    c0 = atomize(scenario("box"), 32)
+    settings = IntegratorSettings(method="rk45_adaptive", abs_tol=1e-4, rel_tol=1e-4,
+                                  gap_floor_safety=1.0)
+    tr = integrate(c0, PipesMunjal(1.0, 2.5), 1.0, settings, [0.0, 0.5, 1.0])
+    assert tr.metadata["steps"] == 27
+    assert tr.metadata["rejections"] == 19
+    assert all(np.min(s.gaps()) >= tr.metadata["gap_floor"] for s in tr.states)
+    assert _digest(tr.states[-1].positions) == (
+        "54d9e2a35e7655f2998531a7982fd17b1ab33502f57b3f1071192355191a6681")
+
+
+def test_returned_states_and_error_positions_are_copies(monkeypatch):
+    # every state the controller checks passes through _velocities, so the
+    # arrays it sees include the run's position buffers
+    seen = []
+    velocities = dynamics._velocities
+
+    def recording(positions, *args, **kwargs):
+        seen.append(positions)
+        return velocities(positions, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_velocities", recording)
+    c0 = atomize(scenario("double_hump"), 16)
+    for method in METHODS:
+        seen.clear()
+        tr = integrate(c0, Greenshields(1.0), 1.0, IntegratorSettings(method=method),
+                       np.linspace(0.0, 1.0, 5))
+        states = [s.positions for s in tr.states]
+        for i, x in enumerate(states):
+            others = states[i + 1:] + seen + [c0.positions]
+            assert not any(np.shares_memory(x, other) for other in others)
+
+    seen.clear()
+    c0 = ParticleConfiguration(0.0, 0.5, np.array([0.0, 0.25, 0.5]))
+    with pytest.raises(IntegrationError) as err:
+        integrate(c0, Squeeze(v_max=1.0), 1.0, IntegratorSettings(gap_floor_safety=1.0), [1.0])
+    assert seen
+    assert not any(np.shares_memory(err.value.positions, other) for other in seen)

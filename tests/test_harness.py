@@ -268,6 +268,30 @@ def test_jobs_cap_the_pool_at_one_worker_per_count(tmp_path, monkeypatch, counts
     assert tree_digest(tmp_path / "pool") == tree_digest(tmp_path / "seq")
 
 
+@pytest.mark.parametrize("jobs, workers", [(2, [2]), (3, [3]), (8, [3])])
+def test_converge_jobs_run_the_counts_through_the_pool(tmp_path, monkeypatch, capsys, jobs,
+                                                       workers):
+    built = []
+
+    def pool(max_workers):
+        built.append(max_workers)
+        return _InlinePool()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG))
+    assert main(["converge", "--config", str(cfg_path), "--out", str(tmp_path / "seq")]) == 0
+    assert built == []
+    seq_stdout = capsys.readouterr().out
+    assert main(["converge", "--config", str(cfg_path), "--out", str(tmp_path / "pool"),
+                 "--jobs", str(jobs)]) == 0
+    assert built == workers
+    assert capsys.readouterr().out == seq_stdout
+    assert tree_digest(tmp_path / "pool") == tree_digest(tmp_path / "seq")
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        convergence_study(make_config(), jobs=0)
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_are_refused(tmp_path, capsys, jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
