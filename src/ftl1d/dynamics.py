@@ -266,7 +266,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     x_new = np.empty_like(x)
     k1, step = scheme.bind(x.size, cell_mass, model, settings.abs_tol, settings.rel_tol)
     if _velocities(x, cell_mass, model, out=k1) is None:
-        k1[:] = np.nan   # every stage state is then invalid
+        k1[:] = np.nan   # not left uninitialized: every stage state is then invalid
     adaptive = scheme.embedded is not None
     t = 0.0
     steps = 0

@@ -229,11 +229,9 @@ def _run_single(config: ExperimentConfig, n: int, out_dir: Path) -> RunResult:
 def _for_each_count(task, config: ExperimentConfig, jobs: int, *args) -> list:
     """task(config, n, *args) for every particle count n, in their order.
 
-    ``jobs`` (at least 1) caps the worker processes, and at most one runs
-    per particle count; with one, the tasks run in this process.
+    ``jobs`` caps the worker processes, and at most one runs per particle
+    count; with one, the tasks run in this process.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(config.particle_counts))
     if workers == 1:
         return [task(config, n, *args) for n in config.particle_counts]
@@ -248,9 +246,12 @@ def run_experiment(config: ExperimentConfig, out_dir, jobs: int = 1) -> list:
     The manifest lists every produced file with its content checksum; two
     runs of the same config produce byte-identical trees.  ``jobs`` (at
     least 1) caps the worker processes, and at most one runs per particle
-    count; below 1 it raises before anything is written.
+    count.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     results = _for_each_count(_run_single, config, jobs, out)
 
     manifest = {
@@ -341,6 +342,8 @@ def convergence_study(config: ExperimentConfig, jobs: int = 1) -> ConvergenceTab
     """
     if len(config.particle_counts) < 3:
         raise ValueError("need at least 3 particle counts")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     datum = config.datum()
     model = config.model()
     span = datum.support_max - datum.support_min
@@ -353,9 +356,9 @@ def convergence_study(config: ExperimentConfig, jobs: int = 1) -> ConvergenceTab
         sol, window, jump = _riemann_setup(config, datum, model)
         if jump != 0.0:
             raise ValueError("riemann oracle assumes the jump sits at x = 0")
-    results = _for_each_count(_converge_single, config, jobs, datum, model)
     dx = config.oracle.dx if config.oracle.dx is not None else span / 4096.0
     godunov_density = reference.godunov(datum, model, dx, config.oracle.cfl, config.t_end)
+    results = _for_each_count(_converge_single, config, jobs, datum, model)
 
     rows = []
     prev_err = None
