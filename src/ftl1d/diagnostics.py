@@ -227,13 +227,12 @@ class DiagnosticsReport:
 
 def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
                     datum: PiecewiseConstantDensity, delta: float,
-                    k_grid=None, hats=None) -> DiagnosticsReport:
+                    k_grid=None) -> DiagnosticsReport:
     """Run every check on a trajectory; record its violations and skips.
 
     ``k_grid`` defaults to 50 levels on [0, 1.2 * sup_norm] so that the
-    entropy terms are exercised above the densest state as well.  ``hats``,
-    the cell densities of the states, are built here when not given, once
-    for every check.
+    entropy terms are exercised above the densest state as well.  The cell
+    density of each state is built once, for every check.
     """
     if k_grid is None:
         k_grid = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
@@ -247,8 +246,7 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
         report.skipped.update(dict.fromkeys(
             ("oleinik_interior", "oleinik_leader"),
             "velocity law fails the sampled weighted-slope condition on [0, sup_norm]"))
-    if hats is None:
-        hats = [measures.hat_density(state) for state in trajectory.states]
+    hats = [measures.hat_density(state) for state in trajectory.states]
     prev_tv = None
     interleave_err = 0.0
     for state, hat in zip(trajectory.states, hats, strict=True):

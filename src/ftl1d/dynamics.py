@@ -151,21 +151,33 @@ class _Tableau:
         xi_hi, xi_lo = xi[1:], xi[:-1]
         plans = []
         for i, ((j0, a0), *rest) in enumerate(self.stages):
-            plans.append((k[j0], a0, tuple((k[j], a) for j, a in rest), gaps[i], k[i + 1, :-1]))
+            plans.append((k[j0], a0, tuple((k[j], a) for j, a in rest), gaps[i], k[i + 1, :-1],
+                          gaps[:i + 1].reshape(-1)))
         weights = tuple((k[j], b) for j, b in self.weights)
         embedded = None if self.embedded is None else tuple((k[j], b) for j, b in self.embedded)
         divisor = self.divisor
 
+        def valid(g):
+            low = np.minimum.reduce(g)
+            return low > 0.0 and cell_mass / low < np.inf
+
         def step(x, dt, out):
-            with np.errstate(all="ignore"):
-                for k0, a0, rest, row_gaps, head in plans:
-                    np.add(x, np.multiply(dt * a0, k0, out=xi), out=xi)
-                    for kj, a in rest:
-                        np.add(xi, np.multiply(dt * a, kj, out=term), out=xi)
-                    np.subtract(xi_hi, xi_lo, out=row_gaps)
-                    _rhs(row_gaps, cell_mass, model, head)
-            low = np.minimum.reduce(all_gaps)
-            if not (low > 0.0 and cell_mass / low < np.inf):
+            try:
+                with np.errstate(all="ignore"):
+                    for k0, a0, rest, row_gaps, head, filled in plans:
+                        np.add(x, np.multiply(dt * a0, k0, out=xi), out=xi)
+                        for kj, a in rest:
+                            np.add(xi, np.multiply(dt * a, kj, out=term), out=xi)
+                        np.subtract(xi_hi, xi_lo, out=row_gaps)
+                        _rhs(row_gaps, cell_mass, model, head)
+            except Exception:
+                # a law may raise on an invalid stage state (a tabulated law
+                # on a density beyond its table): that rejects the step, as
+                # testing each stage before its evaluation would have
+                if valid(filled):
+                    raise
+                return None
+            if not valid(all_gaps):
                 return None
             h = dt / divisor
             np.add(x, np.multiply(h, _weighted_sum(weights, acc, term), out=acc), out=out)

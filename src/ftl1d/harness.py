@@ -204,11 +204,12 @@ def _run_single(config: ExperimentConfig, n: int, out_dir: Path) -> RunResult:
     config0 = initial_data.atomize(datum, n)
     trajectory = dynamics.integrate(config0, model, config.t_end,
                                     config.integrator, config.sample_times)
-    hats = [measures.hat_density(state) for state in trajectory.states]
-    report = diagnostics.run_diagnostics(trajectory, model, datum, config.delta, hats=hats)
+    report = diagnostics.run_diagnostics(trajectory, model, datum, config.delta)
 
     run_dir = out_dir / f"run_N{n:05d}"
     run_dir.mkdir(parents=True, exist_ok=True)
+    final = trajectory.states[-1]
+    hat = measures.hat_density(final)
     files = {}
 
     def emit(name, writer, *args):
@@ -217,9 +218,10 @@ def _run_single(config: ExperimentConfig, n: int, out_dir: Path) -> RunResult:
         files[str(path.relative_to(out_dir))] = _sha256(path)
 
     emit("trajectory.csv", write_trajectory_csv, trajectory)
-    emit("density_initial.csv", write_density_csv, hats[0])
-    emit("density_final.csv", write_density_csv, hats[-1])
-    emit("quantile_final.csv", write_quantile_csv, hats[-1])
+    emit("density_initial.csv", write_density_csv,
+         measures.hat_density(trajectory.states[0]))
+    emit("density_final.csv", write_density_csv, hat)
+    emit("quantile_final.csv", write_quantile_csv, hat)
     emit("diagnostics.json", lambda p, r: p.write_text(r.to_json() + "\n", encoding="utf-8"),
          report)
     emit("diagnostics.csv", write_diagnostics_csv, report)

@@ -10,6 +10,7 @@ from ftl1d import (
     IntegratorSettings,
     ParticleConfiguration,
     PipesMunjal,
+    TabulatedVelocity,
     Underwood,
     atomize,
     check_assumptions,
@@ -292,13 +293,17 @@ def _digest(positions):
     (Greenshields(1.0), "7163146fe4a5bab17360b96116c3c4b0dc038f640cf3c5e13b2bef7991759cf4"),
     (PipesMunjal(1.0, 2.5), "863d6e8134fb4f371ef63293bfbbcbc1de89d659977eeb33e74fbe153a27e104"),
     (Underwood(1.0), "9de0b9f82315f6c5668f86f88b46302c9add9a787d3122f802c7584cef254803"),
-], ids=["greenshields", "pipes_munjal", "underwood"])
+    (TabulatedVelocity(np.array([0.0, 0.15, 1.5]), np.array([1.0, 0.7, 0.0])),
+     "9579ee4b832814e66029463fd4a3cf4b1454a84af99691380bf7c707c06d208a"),
+], ids=["greenshields", "pipes_munjal", "underwood", "tabulated"])
 def test_step_whose_middle_stage_crosses_is_halved(model, digest):
     # m/(R|v'|) is 0.1 under Greenshields, and the step is 4: the middle
     # stage x + (dt/2) k1 puts the first follower ahead of the second.  The
     # stages after it run on negative densities (NaN under the fractional
     # power of Pipes-Munjal), and a floating-point warning that escapes them
-    # fails this test under the suite's warnings-as-errors.
+    # fails this test under the suite's warnings-as-errors.  The tabulated
+    # law raises on a density beyond its table, which a stage after the
+    # crossed one reaches: that too rejects the step.
     c0 = ParticleConfiguration(0.0, 0.05, np.array([0.0, 0.2, 0.3]))
     dt = 4.0
     k1 = _velocities(c0.positions, c0.particle_mass, model)
@@ -307,6 +312,15 @@ def test_step_whose_middle_stage_crosses_is_halved(model, digest):
     assert tr.metadata["steps"] == 2
     assert tr.metadata["rejections"] == 2
     assert _digest(tr.states[-1].positions) == digest
+
+
+def test_law_that_raises_on_a_valid_stage_still_raises():
+    # the halved steps' stages are valid and reach densities beyond the
+    # table: the law's error is the run's, as it was before any rejection
+    model = TabulatedVelocity(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 0.0]))
+    c0 = ParticleConfiguration(0.0, 0.05, np.array([0.0, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="beyond tabulated range"):
+        integrate(c0, model, 4.0, IntegratorSettings(dt=4.0), [0.0, 4.0])
 
 
 def test_rk45_adaptive_at_the_gap_floor_is_pinned():
