@@ -226,22 +226,19 @@ class DiagnosticsReport:
 
 
 def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
-                    datum: PiecewiseConstantDensity, delta: float,
-                    k_grid=None) -> DiagnosticsReport:
+                    datum: PiecewiseConstantDensity, delta: float) -> DiagnosticsReport:
     """Run every check on a trajectory; record its violations and skips.
 
-    ``k_grid`` defaults to 50 levels on [0, 1.2 * sup_norm] so that the
-    entropy terms are exercised above the densest state as well.  The cell
+    The entropy terms are evaluated at 50 levels on [0, 1.2 * sup_norm], so
+    that they are exercised above the densest state as well.  The cell
     density of each state is built once, for every check.
     """
-    if k_grid is None:
-        k_grid = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
+    k_grid = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
     span = datum.support_max - datum.support_min
     report = DiagnosticsReport(c_delta=bv_constant(model, datum.sup_norm, span, delta),
                                delta=delta, tv_initial_datum=total_variation(datum))
 
-    oleinik_ok = check_assumptions(
-        model, datum.sup_norm, samples=64).weighted_slope_non_increasing
+    oleinik_ok = check_assumptions(model, datum.sup_norm).weighted_slope_non_increasing
     if not oleinik_ok:
         report.skipped.update(dict.fromkeys(
             ("oleinik_interior", "oleinik_leader"),

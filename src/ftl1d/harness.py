@@ -17,7 +17,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,16 +57,17 @@ def _settings(cls, level: str, given: dict):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; construction fails before any I/O."""
+    """Validated experiment description with its datum and law built once;
+    construction fails before any I/O."""
 
-    scenario: dict
-    velocity: dict
+    datum: initial_data.PiecewiseConstantDensity
+    model: velocity.VelocityModel
     particle_counts: tuple
     t_end: float
     sample_times: tuple
     delta: float
     integrator: dynamics.IntegratorSettings
-    oracle: OracleSettings
+    oracle: OracleSettings      # kind riemann or godunov; from_dict resolves auto
     raw: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -82,25 +83,18 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, t_end)")
         if any(t < 0.0 or t > self.t_end for t in self.sample_times):
             raise ValueError("sample times must lie in [0, t_end]")
-        # fail now on a broken scenario or velocity entry
-        self.datum()
-        self.model()
-
-    def datum(self) -> initial_data.PiecewiseConstantDensity:
-        return initial_data.datum_from_config(self.scenario)
-
-    def model(self) -> velocity.VelocityModel:
-        return velocity.from_config(self.velocity)
+        # every verb evaluates the law on [0, sup_norm]; a table that stops short raises now
+        self.model.flux_derivative(
+            np.linspace(0.0, self.datum.sup_norm, velocity.ADMISSIBILITY_SAMPLES))
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
         """Build from a config dict; a key no level takes raises ValueError.
 
-        ``initial`` is an alias of ``scenario``; giving both is an error.
+        The datum and the law are built here, once.  An ``auto`` oracle
+        becomes ``riemann`` for the riemann_like scenario, else ``godunov``.
         """
         top = dict(cfg)
-        if "scenario" in top and "initial" in top:
-            raise ValueError("give 'scenario' or its alias 'initial', not both")
         t_end = float(top.pop("t_end", 1.0))
         samples = top.pop("sample_times", None)
         if samples is None:
@@ -108,15 +102,19 @@ class ExperimentConfig:
         integrator = _settings(dynamics.IntegratorSettings, "integrator",
                                top.pop("integrator", {}))
         oracle = _settings(OracleSettings, "oracle", top.pop("oracle", {}))
-        scenario_cfg = top.pop("scenario", top.pop("initial", {"name": "box"}))
+        scenario_cfg = top.pop("scenario", {"name": "box"})
         velocity_cfg = top.pop("velocity", {"kind": "greenshields", "v_max": 1.0})
         counts = top.pop("particle_counts", [64])
         delta = float(top.pop("delta", t_end / 4.0 if t_end > 0.0 else 0.25))
         if top:
             raise ValueError(f"unknown config key(s): {', '.join(sorted(top))}")
+        datum = initial_data.datum_from_config(scenario_cfg)
+        if oracle.kind == "auto":
+            riemann_like = scenario_cfg.get("name") == "riemann_like"
+            oracle = replace(oracle, kind="riemann" if riemann_like else "godunov")
         return cls(
-            scenario=dict(scenario_cfg),
-            velocity=dict(velocity_cfg),
+            datum=datum,
+            model=velocity.from_config(velocity_cfg),
             particle_counts=tuple(int(n) for n in counts),
             t_end=t_end,
             sample_times=tuple(float(t) for t in samples),
@@ -199,12 +197,10 @@ class RunResult:
 
 
 def _run_single(config: ExperimentConfig, n: int, out_dir: Path) -> RunResult:
-    datum = config.datum()
-    model = config.model()
-    config0 = initial_data.atomize(datum, n)
-    trajectory = dynamics.integrate(config0, model, config.t_end,
+    config0 = initial_data.atomize(config.datum, n)
+    trajectory = dynamics.integrate(config0, config.model, config.t_end,
                                     config.integrator, config.sample_times)
-    report = diagnostics.run_diagnostics(trajectory, model, datum, config.delta)
+    report = diagnostics.run_diagnostics(trajectory, config.model, config.datum, config.delta)
 
     run_dir = out_dir / f"run_N{n:05d}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -303,31 +299,39 @@ class ConvergenceTable:
         return asdict(self)
 
 
-def _riemann_setup(config: ExperimentConfig, datum, model):
-    """Inner-jump Riemann solution and validity window for riemann_like data."""
-    bp, vals = datum.breakpoints, datum.values
-    if vals.size != 2:
+def _converge_setup(config: ExperimentConfig):
+    """Refuse, before any work, a config that a refinement table cannot use;
+    return the Riemann comparison window, which outside influence travelling
+    at the sampled max |f'| has not reached by t_end, or None for Godunov."""
+    datum, model = config.datum, config.model
+    if len(config.particle_counts) < 3:
+        raise ValueError("need at least 3 particle counts")
+    reference._require_concave(model, datum.sup_norm)
+    if config.oracle.kind != "riemann":
+        return None
+    if datum.values.size != 2:
         raise ValueError("riemann oracle needs a two-cell datum")
-    sol = reference.riemann_solve(model, float(vals[0]), float(vals[1]))
-    # outside influence travels no faster than the sampled max |f'|
+    if datum.breakpoints[1] != 0.0:
+        raise ValueError("riemann oracle assumes the jump sits at x = 0")
     speed = reference.max_wave_speed(model, datum.sup_norm)
     lo = datum.support_min + speed * config.t_end
     hi = datum.support_max - speed * config.t_end
     if not hi > lo:
         raise ValueError("t_end too large for a valid Riemann comparison window")
-    return sol, (lo, hi), float(bp[1])
+    return lo, hi
 
 
-def _converge_single(config: ExperimentConfig, n: int, datum, model):
+def _converge_single(config: ExperimentConfig, n: int):
     """Cell mass, initial transport distance with its bound, and the cell
     density at t_end of one particle count."""
+    datum = config.datum
     config0 = initial_data.atomize(datum, n)
     initial_dist = measures.wasserstein(measures.empirical(config0), datum)
     bound = config0.particle_mass * (datum.support_max - datum.support_min)
     if initial_dist > bound + 1e-10:
         raise RuntimeError(
             f"initial transport distance {initial_dist} exceeds bound {bound}")
-    trajectory = dynamics.integrate(config0, model, config.t_end,
+    trajectory = dynamics.integrate(config0, config.model, config.t_end,
                                     config.integrator, sample_times=[0.0, config.t_end])
     return config0.particle_mass, initial_dist, bound, measures.hat_density(trajectory.states[-1])
 
@@ -340,34 +344,26 @@ def convergence_study(config: ExperimentConfig, jobs: int = 1) -> ConvergenceTab
     distance at t_end against the Godunov oracle, the L1 error against the
     oracle, and the observed order between consecutive rows.  The oracles
     are computed once, here; ``jobs`` caps the worker processes that
-    integrate the particle counts, as in ``run_experiment``.
+    integrate the particle counts, as in ``run_experiment``.  A config the
+    table cannot use raises ValueError before any work.
     """
-    if len(config.particle_counts) < 3:
-        raise ValueError("need at least 3 particle counts")
+    window = _converge_setup(config)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    datum = config.datum()
-    model = config.model()
+    datum, model = config.datum, config.model
+    if window is not None:
+        sol = reference.riemann_solve(model, float(datum.values[0]), float(datum.values[1]))
     span = datum.support_max - datum.support_min
-
-    use_riemann = config.oracle.kind == "riemann" or (
-        config.oracle.kind == "auto"
-        and config.scenario.get("name") == "riemann_like")
-    window = None
-    if use_riemann:
-        sol, window, jump = _riemann_setup(config, datum, model)
-        if jump != 0.0:
-            raise ValueError("riemann oracle assumes the jump sits at x = 0")
     dx = config.oracle.dx if config.oracle.dx is not None else span / 4096.0
     godunov_density = reference.godunov(datum, model, dx, config.oracle.cfl, config.t_end)
-    results = _for_each_count(_converge_single, config, jobs, datum, model)
+    results = _for_each_count(_converge_single, config, jobs)
 
     rows = []
     prev_err = None
     prev_n = None
     for n, (cell_mass, initial_dist, bound, hat) in zip(config.particle_counts, results):
         wass = measures.wasserstein(hat, godunov_density)
-        if use_riemann:
+        if window is not None:
             err = reference.riemann_l1_error(hat, sol, model, config.t_end, window)
         else:
             err = measures.l1_distance(hat, godunov_density)
@@ -378,9 +374,7 @@ def convergence_study(config: ExperimentConfig, jobs: int = 1) -> ConvergenceTab
                                    float(bound), float(wass), float(err), order))
         prev_err = err
         prev_n = n
-    return ConvergenceTable(
-        oracle_kind="riemann" if use_riemann else "godunov",
-        window=window, rows=tuple(rows))
+    return ConvergenceTable(oracle_kind=config.oracle.kind, window=window, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +407,15 @@ def _cmd_converge(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_check(config: ExperimentConfig, args) -> int:
-    datum = config.datum()
-    model = config.model()
-    report = velocity.check_assumptions(model, datum.sup_norm, samples=256)
+    report = velocity.check_assumptions(config.model, config.datum.sup_norm)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.all_satisfied else 1
 
 
 def main(argv=None) -> int:
     """Run one verb; exit status 0 on a pass, 1 on a failed check and 2 on
-    a usage error, a refused config or ``--jobs`` below 1 included
-    (argparse's status)."""
+    a usage error (argparse's status).  A refused config, ``--jobs`` below 1
+    and a config that ``converge`` cannot use exit 2 too, before any work."""
     parser = argparse.ArgumentParser(
         prog="ftl1d",
         description="Follow-the-leader particle experiments for 1-D conservation laws")
@@ -431,14 +423,17 @@ def main(argv=None) -> int:
     for verb, fn in (("run", _cmd_run), ("converge", _cmd_converge), ("check", _cmd_check)):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel runs, at least 1")
+        if verb != "check":     # check evaluates one law and writes nothing
+            p.add_argument("--out", default="out", help="output directory")
+            p.add_argument("--jobs", type=int, default=1, help="parallel runs, at least 1")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
+        if args.verb != "check" and args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         config = ExperimentConfig.from_json(args.config)
+        if args.verb == "converge":
+            _converge_setup(config)     # convergence_study repeats it for library callers
     except (OSError, ValueError) as exc:   # json.JSONDecodeError included
         print(f"ftl1d: error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,7 @@ Every model maps a nonnegative density to a speed.  The particle scheme and
 the entropy-solution oracles both rely on v being strictly decreasing with a
 finite vacuum speed v(0) = v_max; some estimates additionally need the map
 rho -> rho * v'(rho) to be non-increasing.  ``check_assumptions`` samples
-those three conditions on a grid.
+those three conditions on a grid of ``ADMISSIBILITY_SAMPLES`` points.
 """
 
 from __future__ import annotations
@@ -16,6 +16,10 @@ import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DERIVATIVE_STEP = 1e-6   # centered-difference step of laws without a closed-form v'
+# points of every sampled admissibility test of a law on [0, rho_max], so
+# that ``ftl1d check``, the diagnostics' Oleinik skip and ``integrate``'s
+# refusal of an increasing law decide on the same grid
+ADMISSIBILITY_SAMPLES = 256
 
 
 def _centered_difference(v, rho, top):
@@ -316,8 +320,9 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(model: VelocityModel, rho_max: float, samples: int = 100) -> AssumptionReport:
-    """Sample the three admissibility conditions on a uniform grid [0, rho_max].
+def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
+    """Sample the three admissibility conditions on ``ADMISSIBILITY_SAMPLES``
+    uniform points of [0, rho_max].
 
     Checks, in order: v strictly decreasing, v(0) = v_max exactly, and
     rho * v'(rho) non-increasing.  Report-only; never raises on failure.
@@ -327,9 +332,7 @@ def check_assumptions(model: VelocityModel, rho_max: float, samples: int = 100) 
     """
     if not rho_max > 0.0:
         raise ValueError("rho_max must be positive")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    grid = np.linspace(0.0, rho_max, samples)
+    grid = np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES)
     v = model.value(grid)
     decreasing = bool(np.all(np.diff(v) <= 0.0)
                       and np.all(model.derivative(grid[1:]) < 0.0))

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from ftl1d import (
     from_piecewise,
     hat_density,
 )
+from ftl1d import initial_data, velocity
 from ftl1d.dynamics import IntegratorSettings
 from ftl1d.harness import (
     ConvergenceTable,
@@ -55,19 +57,11 @@ def tree_digest(root: Path) -> dict:
     }
 
 
-def test_initial_key_is_an_alias_for_scenario():
-    cfg = json.loads(json.dumps(BASE_CONFIG))
-    del cfg["scenario"]
-    cfg["initial"] = {"breakpoints": [0.0, 1.0], "values": [1.0]}
-    config = ExperimentConfig.from_dict(cfg)
-    assert config.datum().total_mass == 1.0
-
-
 def test_settings_take_only_the_keys_given():
     cfg = {k: v for k, v in BASE_CONFIG.items() if k not in ("integrator", "oracle")}
     config = ExperimentConfig.from_dict(cfg)
     assert config.integrator == IntegratorSettings()
-    assert config.oracle == OracleSettings()
+    assert config.oracle == OracleSettings(kind="riemann")   # auto, resolved for riemann_like
     # JSON integers read as floats (the manifest echoes them); null is the default step
     config = make_config(integrator={"dt": None, "abs_tol": 1, "gap_floor_safety": 1},
                          oracle={"dx": 1})
@@ -349,7 +343,7 @@ def test_cli_run_and_check(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
-    assert main(["check", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["check", "--config", str(cfg_path)]) == 0
 
 
 def test_cli_converge(tmp_path, capsys):
@@ -371,7 +365,7 @@ def test_cli_check_failure_exit_code(tmp_path):
     cfg["scenario"] = {"name": "box", "height": 2.0, "width": 0.5}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["check", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert main(["check", "--config", str(cfg_path)]) == 1
 
 
 def test_cli_run_exits_1_on_a_failed_check(tmp_path, capsys):
@@ -389,26 +383,97 @@ def test_cli_run_exits_1_on_a_failed_check(tmp_path, capsys):
     assert [v["check"] for v in report["violations"]] == ["oleinik_interior"]
 
 
-@pytest.mark.parametrize("verb", ["run", "converge", "check"])
-@pytest.mark.parametrize("text, message", [
-    (json.dumps(dict(BASE_CONFIG, particle_counts=[32, 64, 64])),
-     "particle_counts must be strictly ascending"),
-    ('{"t_end": 1.0,', "Expecting property name"),
-    (json.dumps(dict(BASE_CONFIG, velocity={"kind": "tabulated"})),
-     "tabulated velocity needs key(s): rho_table, v_table"),
-    (None, "[Errno 2] No such file or directory"),
-], ids=["refused", "malformed", "tabulated_without_tables", "missing_file"])
-def test_cli_exits_2_on_a_refused_config(tmp_path, capsys, verb, text, message):
+_ALL_VERBS = ("run", "converge", "check")
+# (id, config text or None for a missing file, start of the message, the verbs
+# that read the refused part)
+_REFUSED = [
+    ("refused", json.dumps(dict(BASE_CONFIG, particle_counts=[32, 64, 64])),
+     "particle_counts must be strictly ascending", _ALL_VERBS),
+    ("malformed", '{"t_end": 1.0,', "Expecting property name", _ALL_VERBS),
+    ("tabulated_without_tables", json.dumps(dict(BASE_CONFIG, velocity={"kind": "tabulated"})),
+     "tabulated velocity needs key(s): rho_table, v_table", _ALL_VERBS),
+    ("missing_file", None, "[Errno 2] No such file or directory", _ALL_VERBS),
+    ("two_counts", json.dumps(dict(BASE_CONFIG, particle_counts=[16, 32])),
+     "need at least 3 particle counts", ("converge",)),
+    ("jump_off_zero", json.dumps(dict(BASE_CONFIG, scenario={"name": "riemann_like",
+                                                             "jump_at": 0.3})),
+     "riemann oracle assumes the jump sits at x = 0", ("converge",)),
+    ("empty_window", json.dumps(dict(BASE_CONFIG, t_end=1.5)),
+     "t_end too large for a valid Riemann comparison window", ("converge",)),
+    ("riemann_oracle_on_a_box", json.dumps(dict(BASE_CONFIG, scenario={"name": "box"},
+                                                oracle={"kind": "riemann"})),
+     "riemann oracle needs a two-cell datum", ("converge",)),
+    ("table_short_of_the_datum", json.dumps(dict(
+        BASE_CONFIG, scenario={"name": "box", "height": 1.0},
+        velocity={"kind": "tabulated", "rho_table": [0.0, 0.5], "v_table": [1.0, 0.5]})),
+     "density beyond tabulated range [0, 0.5]", _ALL_VERBS),
+]
+
+
+@pytest.mark.parametrize("text, message, verb, verbs", [
+    pytest.param(text, message, verb, verbs, id=f"{name}-{verb}")
+    for name, text, message, verbs in _REFUSED for verb in verbs])
+def test_cli_exits_2_on_a_refused_config(tmp_path, capsys, verb, text, message, verbs):
     cfg_path = tmp_path / "config.json"
     if text is not None:
         cfg_path.write_text(text)
     out = tmp_path / "out"
-    assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+    flags = [] if verb == "check" else ["--out", str(out)]
+    assert main([verb, "--config", str(cfg_path), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"ftl1d: error: {message}")
     assert captured.err.count("\n") == 1
     assert not out.exists()
+    if verbs == ("converge",):
+        # a library caller of the table gets the same refusal as a ValueError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            convergence_study(ExperimentConfig.from_json(cfg_path))
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--out"])
+def test_check_takes_only_config(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--config", str(cfg_path), flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def test_run_builds_the_datum_and_the_law_once(tmp_path, monkeypatch):
+    calls = {"datum": 0, "law": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(initial_data, "datum_from_config",
+                        counted("datum", initial_data.datum_from_config))
+    monkeypatch.setattr(velocity, "from_config", counted("law", velocity.from_config))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(BASE_CONFIG, particle_counts=[8, 16, 32])))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"datum": 1, "law": 1}
+
+
+@pytest.mark.parametrize("height, slope_ok", [(0.99, True), (1.003, False)])
+def test_run_skips_oleinik_where_check_fails_the_slope_condition(tmp_path, capsys, height,
+                                                                 slope_ok):
+    # rho * v'(rho) of Underwood turns around at rho = 1; a grid of 64 points
+    # on [0, 1.003] does not see the turn, and the shared 256-point grid does
+    cfg = dict(BASE_CONFIG, particle_counts=[16], velocity={"kind": "underwood"},
+               scenario={"name": "box", "height": height})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(cfg_path)]) == (0 if slope_ok else 1)
+    assert json.loads(capsys.readouterr().out)["weighted_slope_non_increasing"] is slope_ok
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "run_N00016" / "diagnostics.json").read_text())
+    assert ("oleinik_interior" in report["skipped"]) is not slope_ok
 
 
 @pytest.mark.parametrize("override, key", [
@@ -425,7 +490,7 @@ def test_cli_exits_2_on_a_refused_config(tmp_path, capsys, verb, text, message):
     ({"scenario": {"name": "riemann_like", "jump": 0.1}}, "jump"),
     ({"scenario": {"name": "sawtooth_bv", "height": 2.0}}, "height"),
     ({"scenario": {"breakpoints": [0.0, 1.0], "values": [1.0], "left": 0.0}}, "left"),
-    ({"initial": {"name": "box"}}, "initial"),
+    ({"initial": {"name": "box"}}, "unknown config key\\(s\\): initial"),
 ], ids=["top", "top_plural", "integrator", "oracle", "velocity", "velocity_per_kind",
         "velocity_tabulated", "scenario_box", "scenario_double_hump",
         "scenario_riemann_like", "scenario_sawtooth_bv", "scenario_arrays",

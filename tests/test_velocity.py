@@ -3,6 +3,7 @@ import pytest
 
 from ftl1d import velocity
 from ftl1d.velocity import (
+    ADMISSIBILITY_SAMPLES,
     CustomVelocity,
     Greenshields,
     ModifiedGreenberg,
@@ -75,23 +76,23 @@ def test_derivative_matches_finite_differences():
 
 
 def test_check_assumptions_greenshields():
-    report = check_assumptions(Greenshields(1.0), rho_max=1.0, samples=100)
+    report = check_assumptions(Greenshields(1.0), rho_max=1.0)
     assert report.all_satisfied
-    assert report.grid.size == 100
+    assert report.grid.size == ADMISSIBILITY_SAMPLES
 
 
 def test_check_assumptions_all_families_on_unit_range():
     for model in BUILTINS:
-        report = check_assumptions(model, rho_max=1.0, samples=200)
+        report = check_assumptions(model, rho_max=1.0)
         assert report.all_satisfied, model
 
 
 def test_underwood_weighted_slope_fails_beyond_one():
     # rho * v'(rho) = -rho * exp(-rho) turns around at rho = 1, so the
     # sampled condition holds on [0, 1] but not on [0, 2].
-    ok = check_assumptions(Underwood(1.0), rho_max=1.0, samples=100)
+    ok = check_assumptions(Underwood(1.0), rho_max=1.0)
     assert ok.weighted_slope_non_increasing
-    bad = check_assumptions(Underwood(1.0), rho_max=2.0, samples=100)
+    bad = check_assumptions(Underwood(1.0), rho_max=2.0)
     assert bad.v_strictly_decreasing
     assert bad.v_at_zero_equals_v_max
     assert not bad.weighted_slope_non_increasing
@@ -101,7 +102,7 @@ def test_custom_increasing_tail_fails_monotonicity():
     model = CustomVelocity(v_func=lambda r: 1.0 - r + 0.6 * np.asarray(r) ** 2,
                            v_max=1.0,
                            v_prime_func=lambda r: -1.0 + 1.2 * np.asarray(r))
-    report = check_assumptions(model, rho_max=1.0, samples=100)
+    report = check_assumptions(model, rho_max=1.0)
     assert not report.v_strictly_decreasing
     assert report.v_at_zero_equals_v_max
 
@@ -111,13 +112,13 @@ def test_law_flat_by_rounding_near_vacuum_is_strictly_decreasing():
     model = PipesMunjal(1.0, 20.0)
     grid = np.linspace(0.0, 1.0, 256)
     assert np.any(np.diff(model.value(grid)) == 0.0)
-    assert check_assumptions(model, rho_max=1.0, samples=256).all_satisfied
+    assert check_assumptions(model, rho_max=1.0).all_satisfied
 
 
 def test_custom_flat_beyond_half_fails_monotonicity():
     # the samples never increase, but v' vanishes beyond 0.5
     model = CustomVelocity(v_func=lambda r: 1.0 - np.minimum(np.asarray(r), 0.5), v_max=1.0)
-    report = check_assumptions(model, rho_max=1.0, samples=100)
+    report = check_assumptions(model, rho_max=1.0)
     assert np.all(np.diff(model.value(report.grid)) <= 0.0)
     assert not report.v_strictly_decreasing
 
@@ -210,5 +211,3 @@ def test_from_config():
 def test_check_assumptions_validates_arguments():
     with pytest.raises(ValueError):
         check_assumptions(Greenshields(1.0), rho_max=0.0)
-    with pytest.raises(ValueError):
-        check_assumptions(Greenshields(1.0), rho_max=1.0, samples=1)
