@@ -462,8 +462,8 @@ def test_run_builds_the_datum_and_the_law_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("height, slope_ok", [(0.99, True), (1.003, False)])
 def test_run_skips_oleinik_where_check_fails_the_slope_condition(tmp_path, capsys, height,
                                                                  slope_ok):
-    # rho * v'(rho) of Underwood turns around at rho = 1; a grid of 64 points
-    # on [0, 1.003] does not see the turn, and the shared 256-point grid does
+    # rho * v'(rho) of Underwood turns around at rho = 1, so at height 1.003 the
+    # slope condition fails only on a fine enough grid; run and check share one
     cfg = dict(BASE_CONFIG, particle_counts=[16], velocity={"kind": "underwood"},
                scenario={"name": "box", "height": height})
     cfg_path = tmp_path / "config.json"
