@@ -28,6 +28,7 @@ TV_CONTRACT_TOL = 1e-8
 VELOCITY_TV_TOL = 1e-6
 ENTROPY_TOL = 1e-12
 INTERLEAVING_REL_TOL = 1e-12
+ENTROPY_LEVEL_REACH = 1.2   # entropy levels span [0, 1.2 * sup_norm]; a config's law must too
 
 
 def min_gap_ratio(config: ParticleConfiguration, rho_max: float) -> float:
@@ -229,11 +230,11 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
                     datum: PiecewiseConstantDensity, delta: float) -> DiagnosticsReport:
     """Run every check on a trajectory; record its violations and skips.
 
-    The entropy terms are evaluated at 50 levels on [0, 1.2 * sup_norm], so
-    that they are exercised above the densest state as well.  The cell
-    density of each state is built once, for every check.
+    The entropy terms are evaluated at 50 levels on [0, ENTROPY_LEVEL_REACH
+    * sup_norm], above the densest state as well.  The cell density of each
+    state is built once, for every check.
     """
-    k_grid = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
+    k_grid = np.linspace(0.0, ENTROPY_LEVEL_REACH * datum.sup_norm, 50)
     span = datum.support_max - datum.support_min
     report = DiagnosticsReport(c_delta=bv_constant(model, datum.sup_norm, span, delta),
                                delta=delta, tv_initial_datum=total_variation(datum))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .initial_data import ParticleConfiguration
-from .velocity import ADMISSIBILITY_SAMPLES, VelocityModel
+from .velocity import VelocityModel, check_assumptions
 
 STEP_UNDERFLOW_FRACTION = 1e-12
 
@@ -247,7 +247,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     particle_mass / R (R from the initial configuration) or meets an invalid
     stage state is retried at half the step; rejection-driven underflow
     below 1e-12 * t_end raises IntegrationError carrying the last valid state.
-    A law that increases anywhere on ``ADMISSIBILITY_SAMPLES`` points of
+    A law that ``check_assumptions`` does not find strictly decreasing on
     [0, R] raises ValueError before the first step (a law flat by rounding,
     as near vacuum, is run).
     """
@@ -267,8 +267,8 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     scheme = METHODS[settings.method]
     cell_mass = config0.particle_mass
     r_init = config0.max_density()
-    if np.any(np.diff(model.value(np.linspace(0.0, r_init, ADMISSIBILITY_SAMPLES))) > 0.0):
-        raise ValueError("velocity law increases on [0, initial max density]")
+    if not check_assumptions(model, r_init).v_strictly_decreasing:
+        raise ValueError("velocity law increases, or is flat, on [0, initial max density]")
     floor = settings.gap_floor_safety * cell_mass / r_init
     dt_base = settings.dt if settings.dt is not None else default_step(config0, model, max(t_end, 1e-300))
     if t_end == 0.0:

@@ -83,9 +83,13 @@ class ExperimentConfig:
             raise ValueError("delta must lie in (0, t_end)")
         if any(t < 0.0 or t > self.t_end for t in self.sample_times):
             raise ValueError("sample times must lie in [0, t_end]")
-        # every verb evaluates the law on [0, sup_norm]; a table that stops short raises now
-        self.model.flux_derivative(
-            np.linspace(0.0, self.datum.sup_norm, velocity.ADMISSIBILITY_SAMPLES))
+        # a run reads the law up to the entropy levels' reach, past every atomized density
+        reach = diagnostics.ENTROPY_LEVEL_REACH
+        try:
+            velocity.check_assumptions(self.model, reach * self.datum.sup_norm)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; the velocity law must be defined on [0, {reach} * "
+                             f"sup_norm] = [0, {reach * self.datum.sup_norm}]") from exc
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "ExperimentConfig":
@@ -302,7 +306,7 @@ class ConvergenceTable:
 def _converge_setup(config: ExperimentConfig):
     """Refuse, before any work, a config that a refinement table cannot use;
     return the Riemann comparison window, which outside influence travelling
-    at the sampled max |f'| has not reached by t_end, or None for Godunov."""
+    at max |f'| has not reached by t_end, or None for Godunov."""
     datum, model = config.datum, config.model
     if len(config.particle_counts) < 3:
         raise ValueError("need at least 3 particle counts")

@@ -3,23 +3,21 @@
 Every model maps a nonnegative density to a speed.  The particle scheme and
 the entropy-solution oracles both rely on v being strictly decreasing with a
 finite vacuum speed v(0) = v_max; some estimates additionally need the map
-rho -> rho * v'(rho) to be non-increasing.  ``check_assumptions`` samples
-those three conditions on a grid of ``ADMISSIBILITY_SAMPLES`` points.
+rho -> rho * v'(rho) to be non-increasing, and the oracles a concave flux
+rho * v(rho).  ``check_assumptions`` samples those four conditions on a grid
+of ``ADMISSIBILITY_SAMPLES`` points; no other code samples a law.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DERIVATIVE_STEP = 1e-6   # centered-difference step of laws without a closed-form v'
-# points of every sampled admissibility test of a law on [0, rho_max], so
-# that ``ftl1d check``, the diagnostics' Oleinik skip and ``integrate``'s
-# refusal of an increasing law decide on the same grid
-ADMISSIBILITY_SAMPLES = 256
+ADMISSIBILITY_SAMPLES = 256   # check_assumptions' grid: the one grid of every verdict on a law
 
 
 def _centered_difference(v, rho, top):
@@ -295,24 +293,25 @@ class TabulatedVelocity(VelocityModel):
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Sampled admissibility checks for a velocity law on [0, rho_max]."""
+    """Sampled admissibility checks for a velocity law on [0, rho_max]; every
+    field after ``grid`` is one verdict."""
 
     grid: np.ndarray
     v_strictly_decreasing: bool
     v_at_zero_equals_v_max: bool
     weighted_slope_non_increasing: bool
+    flux_concave: bool
+
+    def _verdicts(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "grid"}
 
     @property
     def all_satisfied(self) -> bool:
-        return (self.v_strictly_decreasing
-                and self.v_at_zero_equals_v_max
-                and self.weighted_slope_non_increasing)
+        return all(self._verdicts().values())
 
     def to_dict(self):
         return {
-            "v_strictly_decreasing": self.v_strictly_decreasing,
-            "v_at_zero_equals_v_max": self.v_at_zero_equals_v_max,
-            "weighted_slope_non_increasing": self.weighted_slope_non_increasing,
+            **self._verdicts(),
             "all_satisfied": self.all_satisfied,
             "grid_min": float(self.grid[0]),
             "grid_max": float(self.grid[-1]),
@@ -321,11 +320,12 @@ class AssumptionReport:
 
 
 def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
-    """Sample the three admissibility conditions on ``ADMISSIBILITY_SAMPLES``
+    """Sample the four admissibility conditions on ``ADMISSIBILITY_SAMPLES``
     uniform points of [0, rho_max].
 
-    Checks, in order: v strictly decreasing, v(0) = v_max exactly, and
-    rho * v'(rho) non-increasing.  Report-only; never raises on failure.
+    Checks, in order: v strictly decreasing, v(0) = v_max exactly,
+    rho * v'(rho) non-increasing, and f = rho * v concave (second differences
+    at most 1e-10 * (1 + max|f|)).  Report-only; never raises on failure.
     v counts as strictly decreasing when its samples never increase and v'
     is negative at every positive sample: near vacuum a law like
     1 - rho**20 rounds to v_max, so samples may tie, and v'(0) = 0 is allowed.
@@ -340,7 +340,10 @@ def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
     m = model.density_weighted_slope(grid)
     slack = 1e-12 * (1.0 + float(np.max(np.abs(m))))
     non_increasing = bool(np.all(np.diff(m) <= slack))
-    return AssumptionReport(grid, decreasing, bool(at_zero), non_increasing)
+    f = model.flux(grid)
+    second = f[2:] - 2.0 * f[1:-1] + f[:-2]
+    concave = bool(np.all(second <= 1e-10 * (1.0 + float(np.max(np.abs(f))))))
+    return AssumptionReport(grid, decreasing, bool(at_zero), non_increasing, concave)
 
 
 _BUILTIN_KINDS = {

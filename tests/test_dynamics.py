@@ -218,6 +218,16 @@ def test_default_step_of_increasing_law_is_positive():
         integrate(c0, model, 0.5)
 
 
+def test_law_flat_beyond_half_is_refused():
+    # the samples never increase, but v' vanishes beyond 0.5: check_assumptions
+    # does not find the law strictly decreasing, and integrate refuses it
+    c0 = atomize(scenario("box", height=1.0), 8)
+    model = CustomVelocity(lambda r: 1.0 - np.minimum(np.asarray(r), 0.5), v_max=1.0)
+    assert not check_assumptions(model, c0.max_density()).v_strictly_decreasing
+    with pytest.raises(ValueError, match="increases, or is flat"):
+        integrate(c0, model, 0.5)
+
+
 def test_law_flat_by_rounding_near_vacuum_still_integrates():
     # v = 1 - rho^20 rounds to 1 near vacuum, so consecutive samples tie; v'
     # is negative at every positive sample, so the law counts as strictly

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 
 from conftest import particle_states, pseudo_inverse
 from ftl1d import (
+    CustomVelocity,
     DiagnosticsReport,
     ParticleConfiguration,
     Trajectory,
@@ -335,7 +336,7 @@ def test_convergence_study_needs_three_counts():
         convergence_study(make_config(particle_counts=[8, 16]))
 
 
-def test_cli_run_and_check(tmp_path):
+def test_cli_run_and_check(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "config.json"
     cfg = dict(BASE_CONFIG)
     cfg["particle_counts"] = [16]
@@ -343,7 +344,15 @@ def test_cli_run_and_check(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
+    capsys.readouterr()
     assert main(["check", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["flux_concave"] is True
+    # v = 1 - rho + 0.6 rho^2: the flux turns convex beyond rho = 5/9
+    bumpy = CustomVelocity(v_func=lambda r: 1.0 - np.asarray(r) + 0.6 * np.asarray(r) ** 2,
+                           v_max=1.0)
+    monkeypatch.setattr(velocity, "from_config", lambda cfg: bumpy)
+    assert main(["check", "--config", str(cfg_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["flux_concave"] is False
 
 
 def test_cli_converge(tmp_path, capsys):
@@ -407,6 +416,18 @@ _REFUSED = [
         BASE_CONFIG, scenario={"name": "box", "height": 1.0},
         velocity={"kind": "tabulated", "rho_table": [0.0, 0.5], "v_table": [1.0, 0.5]})),
      "density beyond tabulated range [0, 0.5]", _ALL_VERBS),
+    # the atomized densities round above the sup norm, and the entropy levels
+    # reach 1.2 times it: the table must reach that far
+    ("table_ending_at_the_sup_norm", json.dumps(dict(
+        BASE_CONFIG, scenario={"name": "box", "height": 1.0, "width": 0.7},
+        velocity={"kind": "tabulated", "rho_table": [0.0, 1.0], "v_table": [1.0, 0.0]})),
+     "density beyond tabulated range [0, 1.0]; the velocity law must be defined on "
+     "[0, 1.2 * sup_norm] = [0, 1.2]", _ALL_VERBS),
+    ("table_short_of_the_entropy_reach", json.dumps(dict(
+        BASE_CONFIG, scenario={"name": "box", "height": 1.0, "width": 0.7},
+        velocity={"kind": "tabulated", "rho_table": [0.0, 1.19], "v_table": [1.0, 0.0]})),
+     "density beyond tabulated range [0, 1.19]; the velocity law must be defined on "
+     "[0, 1.2 * sup_norm] = [0, 1.2]", _ALL_VERBS),
 ]
 
 
@@ -429,6 +450,16 @@ def test_cli_exits_2_on_a_refused_config(tmp_path, capsys, verb, text, message, 
         # a library caller of the table gets the same refusal as a ValueError
         with pytest.raises(ValueError, match=re.escape(message)):
             convergence_study(ExperimentConfig.from_json(cfg_path))
+
+
+def test_run_accepts_a_table_ending_at_the_entropy_reach(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, particle_counts=[16], scenario={"name": "box", "height": 1.0,
+                                                           "width": 0.7},
+               velocity={"kind": "tabulated", "rho_table": [0.0, 1.2], "v_table": [1.0, 0.0]})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == "N=16: ok\n"
 
 
 @pytest.mark.parametrize("flag", ["--jobs", "--out"])

@@ -26,8 +26,8 @@ from ftl1d import (
     riemann_solve,
     scenario,
 )
-from ftl1d.reference import _interface_flux, check_concave_flux, max_wave_speed
-from ftl1d.velocity import VelocityModel
+from ftl1d.reference import _interface_flux, max_wave_speed
+from ftl1d.velocity import VelocityModel, check_assumptions
 
 
 def test_shock_classification_and_speed():
@@ -61,7 +61,7 @@ def test_non_concave_flux_rejected():
     bumpy = CustomVelocity(v_func=lambda r: 1.0 - np.asarray(r) + 0.6 * np.asarray(r) ** 2,
                            v_max=1.0,
                            v_prime_func=lambda r: -1.0 + 1.2 * np.asarray(r))
-    assert not check_concave_flux(bumpy, 1.0)
+    assert not check_assumptions(bumpy, 1.0).flux_concave
     with pytest.raises(UnsupportedFluxError):
         riemann_solve(bumpy, 0.2, 0.9)
     with pytest.raises(UnsupportedFluxError):
@@ -376,6 +376,20 @@ def test_riemann_l1_error_vanishes_on_exact_piecewise_solution(model, rho_l, rho
     vals = riemann_eval(sol, model, t, mids)
     density = PiecewiseConstantDensity(edges, vals)
     assert 0.0 <= riemann_l1_error(density, sol, model, t, window) <= 1e-14
+
+
+# every built-in law has a concave flux on [0, 2]
+_BUILTIN_LAWS = st.one_of(
+    _LAWS, st.builds(ModifiedGreenberg, st.floats(0.2, 3.0), st.floats(0.05, 0.95)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(model=_BUILTIN_LAWS, rho_hi=st.floats(0.0, 2.0))
+def test_max_wave_speed_closed_form_equals_the_sampled_max(model, rho_hi):
+    # f' decreases on a concave flux, so the largest |f'| sits at an end of
+    # [0, rho_hi]; the 257-point sample of |f'| is the reference
+    sampled = np.max(np.abs(model.flux_derivative(np.linspace(0.0, rho_hi, 257))))
+    assert max_wave_speed(model, rho_hi) == sampled
 
 
 @settings(deadline=None, max_examples=60)
