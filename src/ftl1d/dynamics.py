@@ -7,18 +7,22 @@ integrator enforces a safety fraction of that floor by step rejection, which
 for the smooth right-hand side only ever fires as a numerical safeguard.
 One step controller runs every scheme from its Runge-Kutta coefficient table
 (``METHODS``); a new scheme is a new table, not a new setting.  Each run
-allocates one workspace that holds the stages, and one reduction over the
-gaps of all stage states tests them.
+allocates one workspace that holds the stages, one reduction over the gaps
+of all stage states tests them, and the weighted sum of the update (and of
+the error estimate) is one product and one reduction.  A run's stepping loop
+is one errstate scope.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import velocity
 from .initial_data import ParticleConfiguration
-from .velocity import VelocityModel, check_assumptions
+from .velocity import VelocityModel
 
 STEP_UNDERFLOW_FRACTION = 1e-12
 
@@ -74,21 +78,22 @@ def _rhs(gaps, cell_mass, model, out):
     follower into ``out``.  Every evaluation of a run, each stage included,
     calls this function through the module's globals.
     """
-    np.divide(cell_mass, gaps, out=out)
-    out[...] = model._v(out)
+    return model._v(np.divide(cell_mass, gaps, out=out), out)
 
 
-def _velocities(positions, cell_mass, model, floor=0.0, out=None):
+def _velocities(positions, cell_mass, model, floor=0.0, out=None, gaps=None):
     """Particle velocities, or None when a gap is not above 0 and ``floor``
-    or a density overflows.  ``out``, if given, receives them.
+    or a density overflows.  ``out`` and ``gaps``, if given, receive the
+    velocities and the gaps.
 
     Correctly rounded division is monotone, so the largest density is
     exactly cell_mass / (smallest gap): one scalar test covers every cell,
-    and a NaN gap fails it through the minimum.
+    and a NaN gap fails it through the minimum.  The test divides Python
+    floats, which overflow to inf without a numpy scalar's warning.
     """
-    gaps = positions[1:] - positions[:-1]
+    gaps = np.subtract(positions[1:], positions[:-1], out=gaps)
     low = np.minimum.reduce(gaps)
-    if not (low > 0.0 and low >= floor and cell_mass / low < np.inf):
+    if not (low > 0.0 and low >= floor and cell_mass / float(low) < math.inf):
         return None
     out = np.empty(positions.size) if out is None else out
     out[-1] = model.v_max
@@ -120,9 +125,14 @@ class _Tableau:
     no nodes c_i), ``b`` the weights of x + (dt / divisor) * sum_j b_j k_j,
     and ``embedded``, if given, those of an order-4 solution whose difference
     is the error estimate; without it the step is fixed.  Artifacts are
-    checksummed, so the order of operations is kept: sums start from their
-    first nonzero term and unit weights are not multiplied.  A combined
-    error row or reuse of the last stage would change steps in the last bit.
+    checksummed, so the order of operations is kept: each sum adds its
+    nonzero terms in order, from the first (0 * k can flip a -0.0 or turn an
+    inf into NaN, so zero coefficients stay dropped).  The weights and the
+    embedded row are each one product and one reduction over its rows from
+    -0.0, the identity of IEEE addition (+0.0 would turn a sum of -0.0 terms
+    into +0.0); a stage state is a running sum from x, which measured faster
+    than a product with dt-scaled coefficients.  A combined error row or
+    reuse of the last stage would change the last bit.
     The first stage is the controller's: it evaluated it when it tested the
     accepted state against the gap floor.
     """
@@ -141,7 +151,7 @@ class _Tableau:
         x_new into ``out`` and returns the error estimate's norm (0.0 without
         one), or None if a stage state is invalid.  One reduction tests the
         gaps of all stage states; stages after an invalid one see garbage,
-        so they run under a scoped errstate.
+        so ``step`` runs inside the errstate scope of ``integrate``.
         """
         k = np.empty((len(self.stages) + 1, n))
         k[:, -1] = model.v_max
@@ -149,27 +159,42 @@ class _Tableau:
         all_gaps = gaps.reshape(-1)
         xi, term, acc = np.empty(n), np.empty(n), np.empty(n)
         xi_hi, xi_lo = xi[1:], xi[:-1]
+
+        def bound_sum(terms):
+            # k's rows of the terms (a view when contiguous), their
+            # coefficients repeated along the rows (a broadcast column
+            # multiplies slower), and the product's workspace
+            rows = [j for j, _ in terms]
+            if rows == list(range(rows[0], rows[-1] + 1)):
+                rows = slice(rows[0], rows[-1] + 1)
+            coefficients = np.repeat(np.array([c for _, c in terms])[:, None], n, axis=1)
+            return rows, coefficients, np.empty_like(coefficients)
+
         plans = []
         for i, ((j0, a0), *rest) in enumerate(self.stages):
             plans.append((k[j0], a0, tuple((k[j], a) for j, a in rest), gaps[i], k[i + 1, :-1],
                           gaps[:i + 1].reshape(-1)))
-        weights = tuple((k[j], b) for j, b in self.weights)
-        embedded = None if self.embedded is None else tuple((k[j], b) for j, b in self.embedded)
+        weights = bound_sum(self.weights)
+        embedded = None if self.embedded is None else bound_sum(self.embedded)
         divisor = self.divisor
 
         def valid(g):
             low = np.minimum.reduce(g)
-            return low > 0.0 and cell_mass / low < np.inf
+            return low > 0.0 and cell_mass / float(low) < math.inf
+
+        def weighted_sum(bound, out):
+            rows, coefficients, work = bound
+            np.multiply(coefficients, k[rows], out=work)
+            return np.add.reduce(work, axis=0, out=out, initial=-0.0)
 
         def step(x, dt, out):
             try:
-                with np.errstate(all="ignore"):
-                    for k0, a0, rest, row_gaps, head, filled in plans:
-                        np.add(x, np.multiply(dt * a0, k0, out=xi), out=xi)
-                        for kj, a in rest:
-                            np.add(xi, np.multiply(dt * a, kj, out=term), out=xi)
-                        np.subtract(xi_hi, xi_lo, out=row_gaps)
-                        _rhs(row_gaps, cell_mass, model, head)
+                for k0, a0, rest, row_gaps, head, filled in plans:
+                    np.add(x, np.multiply(dt * a0, k0, out=xi), out=xi)
+                    for kj, a in rest:
+                        np.add(xi, np.multiply(dt * a, kj, out=term), out=xi)
+                    np.subtract(xi_hi, xi_lo, out=row_gaps)
+                    _rhs(row_gaps, cell_mass, model, head)
             except Exception:
                 # a law may raise on an invalid stage state (a tabulated law
                 # on a density beyond its table): that rejects the step, as
@@ -180,27 +205,16 @@ class _Tableau:
             if not valid(all_gaps):
                 return None
             h = dt / divisor
-            np.add(x, np.multiply(h, _weighted_sum(weights, acc, term), out=acc), out=out)
+            np.add(x, np.multiply(h, weighted_sum(weights, acc), out=acc), out=out)
             if embedded is None:
                 return 0.0
-            err = np.multiply(h, _weighted_sum(embedded, xi, term), out=xi)
+            err = np.multiply(h, weighted_sum(embedded, xi), out=xi)
             np.subtract(out, np.add(x, err, out=err), out=err)
             scale = np.maximum(np.abs(x, out=acc), np.abs(out, out=term), out=acc)
             np.add(abs_tol, np.multiply(rel_tol, scale, out=scale), out=scale)
             return float(np.maximum.reduce(np.divide(np.abs(err, out=err), scale, out=err)))
 
         return k[0], step
-
-
-def _weighted_sum(terms, acc, scratch):
-    """sum_j b_j k_j over the (k_j, b_j) pairs, from the first term on; the
-    sum is in ``acc`` unless it is a single unit-weight k_j."""
-    total = None
-    for kj, b in terms:
-        if b != 1.0:
-            kj = np.multiply(b, kj, out=acc if total is None else scratch)
-        total = kj if total is None else np.add(total, kj, out=acc)
-    return total
 
 
 # The integration methods by name: classical RK4 at a fixed step, and the
@@ -241,9 +255,10 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     One controller runs the coefficient table of ``settings.method`` (see
     ``METHODS``); a new scheme is a new table, not a new setting.  The run's
     one workspace holds the stages, and one reduction over the gaps of every
-    stage state tests them all; returned states are copies.  Steps end
-    on the sample times; an embedded error estimate adapts the step to
-    abs_tol/rel_tol.  A step that drops a gap below gap_floor_safety *
+    stage state tests them all; returned states are copies.  The stepping
+    loop runs in one errstate scope that ignores floating-point warnings.
+    Steps end on the sample times; an embedded error estimate adapts the
+    step to abs_tol/rel_tol.  A step that drops a gap below gap_floor_safety *
     particle_mass / R (R from the initial configuration) or meets an invalid
     stage state is retried at half the step; rejection-driven underflow
     below 1e-12 * t_end raises IntegrationError carrying the last valid state.
@@ -267,7 +282,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     scheme = METHODS[settings.method]
     cell_mass = config0.particle_mass
     r_init = config0.max_density()
-    if not check_assumptions(model, r_init).v_strictly_decreasing:
+    if not velocity.check_assumptions(model, r_init).v_strictly_decreasing:
         raise ValueError("velocity law increases, or is flat, on [0, initial max density]")
     floor = settings.gap_floor_safety * cell_mass / r_init
     dt_base = settings.dt if settings.dt is not None else default_step(config0, model, max(t_end, 1e-300))
@@ -277,6 +292,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
 
     x = config0.positions.copy()
     x_new = np.empty_like(x)
+    gaps = np.empty(x.size - 1)
     k1, step = scheme.bind(x.size, cell_mass, model, settings.abs_tol, settings.rel_tol)
     if _velocities(x, cell_mass, model, out=k1) is None:
         k1[:] = np.nan   # not left uninitialized: every stage state is then invalid
@@ -286,33 +302,34 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     rejections = 0
     states = []
     dt_next = dt_base
-    for target in samples:
-        while t < target:
-            remaining = target - t
-            dt = min(dt_next, remaining)
-            while True:
-                err_norm = step(x, dt, x_new)
-                if err_norm is not None and err_norm > 1.0:
-                    retry = max(0.9 * dt * err_norm ** -0.2, 0.1 * dt)
-                elif err_norm is None or _velocities(x_new, cell_mass, model, floor, k1) is None:
-                    retry = 0.5 * dt
-                else:
-                    break
-                rejections += 1
-                if retry < dt_min:
-                    raise IntegrationError(
-                        f"step size underflow at t={t:.6g} (dt={retry:.3g})",
-                        time=t, positions=x.copy())
-                dt = retry
-            # a rejection always leaves dt below remaining
-            t = target if dt == remaining else t + dt
-            x, x_new = x_new, x
-            steps += 1
-            if adaptive:
-                factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-                dt_next = min(dt * factor, dt_base * 100.0)
-        states.append(ParticleConfiguration(
-            time=target, particle_mass=cell_mass, positions=x.copy()))
+    with np.errstate(all="ignore"):
+        for target in samples:
+            while t < target:
+                remaining = target - t
+                dt = min(dt_next, remaining)
+                while True:
+                    err_norm = step(x, dt, x_new)
+                    if err_norm is not None and err_norm > 1.0:
+                        retry = max(0.9 * dt * err_norm ** -0.2, 0.1 * dt)
+                    elif err_norm is None or _velocities(x_new, cell_mass, model, floor, k1, gaps) is None:
+                        retry = 0.5 * dt
+                    else:
+                        break
+                    rejections += 1
+                    if retry < dt_min:
+                        raise IntegrationError(
+                            f"step size underflow at t={t:.6g} (dt={retry:.3g})",
+                            time=t, positions=x.copy())
+                    dt = retry
+                # a rejection always leaves dt below remaining
+                t = target if dt == remaining else t + dt
+                x, x_new = x_new, x
+                steps += 1
+                if adaptive:
+                    factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+                    dt_next = min(dt * factor, dt_base * 100.0)
+            states.append(ParticleConfiguration(
+                time=target, particle_mass=cell_mass, positions=x.copy()))
 
     metadata = {
         "method": settings.method,

@@ -67,16 +67,6 @@ class PiecewiseConstantDensity:
         """Cumulative mass F(x) = integral of the density up to x (exact)."""
         return np.interp(x, self.breakpoints, self.cumulative_masses)
 
-    def quantile(self, level: float) -> float:
-        """Leftmost position where the cumulative mass reaches ``level``."""
-        if not 0.0 <= level <= self.total_mass:
-            raise ValueError("level outside [0, total_mass]")
-        cum = self.cumulative_masses
-        j = int(np.searchsorted(cum, level, side="left"))
-        if j < cum.size and cum[j] == level:
-            return float(self.breakpoints[j])
-        return float(self.breakpoints[j - 1] + (level - cum[j - 1]) / self.values[j - 1])
-
 
 def from_piecewise(breakpoints, values) -> PiecewiseConstantDensity:
     """Build a datum from cell edges and per-cell densities; it must carry mass."""
@@ -133,7 +123,9 @@ def atomize(datum: PiecewiseConstantDensity, n_particles: int) -> ParticleConfig
     Returns the time-0 configuration whose N+1 positions are the slab edges:
     the first and last coincide with the support hull, interior edges invert
     the cumulative distribution at levels i * mass / N (leftmost solution).
-    Every initial gap is at least particle_mass / sup_norm.
+    Every initial gap is at least particle_mass / sup_norm.  A level equal
+    to a cumulative mass takes that breakpoint; any other lies inside a cell
+    of positive mass and is interpolated in it.
     """
     if n_particles < 2:
         raise ValueError("need at least 2 particles")
@@ -142,8 +134,12 @@ def atomize(datum: PiecewiseConstantDensity, n_particles: int) -> ParticleConfig
     positions = np.empty(n + 1)
     positions[0] = datum.support_min
     positions[n] = datum.support_max
-    for i in range(1, n):
-        positions[i] = datum.quantile(i * cell_mass)
+    levels, cum = np.arange(1, n) * cell_mass, datum.cumulative_masses
+    j = np.searchsorted(cum, levels, side="left")
+    hit = cum[j] == levels
+    left = j[~hit] - 1
+    positions[1:n][hit] = datum.breakpoints[j[hit]]
+    positions[1:n][~hit] = datum.breakpoints[left] + (levels[~hit] - cum[left]) / datum.values[left]
     return ParticleConfiguration(time=0.0, particle_mass=cell_mass, positions=positions)
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import PiecewiseConstantDensity
-from .velocity import VelocityModel, check_assumptions
+from . import velocity
+from .velocity import VelocityModel
 
 
 class UnsupportedFluxError(ValueError):
@@ -25,7 +26,7 @@ class UnsupportedFluxError(ValueError):
 
 def _require_concave(model: VelocityModel, rho_hi: float):
     # [0, 0] holds one state, and check_assumptions refuses an empty range
-    if rho_hi > 0.0 and not check_assumptions(model, rho_hi).flux_concave:
+    if rho_hi > 0.0 and not velocity.check_assumptions(model, rho_hi).flux_concave:
         raise UnsupportedFluxError(
             f"flux is not concave on [0, {rho_hi}]; oracle unavailable")
 

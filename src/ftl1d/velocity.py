@@ -39,6 +39,9 @@ def _as_density(rho):
 class VelocityModel:
     """Base class for velocity laws; subclasses implement _v and _dv.
 
+    ``_v(rho, out)`` writes v(rho) into ``out`` and returns it; ``out`` may
+    be ``rho`` itself, as in the integrator's right-hand side.
+
     Methods: value, derivative, flux, flux_derivative, density_weighted_slope,
     critical_density and inverse_flux_derivative (the last two overridden
     where a closed form exists).  The built-in laws refuse a v_max that is
@@ -52,7 +55,7 @@ class VelocityModel:
         if not 0.0 < self.v_max < math.inf:
             raise ValueError("v_max must be positive and finite")
 
-    def _v(self, rho: np.ndarray) -> np.ndarray:
+    def _v(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _dv(self, rho: np.ndarray) -> np.ndarray:
@@ -61,7 +64,7 @@ class VelocityModel:
     def value(self, rho):
         """Speed v(rho).  Accepts scalars or arrays, rho >= 0 and finite."""
         arr = _as_density(rho)
-        out = self._v(arr)
+        out = self._v(arr, np.empty(arr.shape))
         return float(out) if np.ndim(rho) == 0 else out
 
     def derivative(self, rho):
@@ -78,7 +81,7 @@ class VelocityModel:
 
     def _flux(self, rho: np.ndarray) -> np.ndarray:
         """The flux of an array already known to be finite and nonnegative."""
-        return rho * self._v(rho)
+        return rho * self._v(rho, np.empty(rho.shape))
 
     def flux_derivative(self, rho):
         """Characteristic speed f'(rho) = v(rho) + rho * v'(rho).
@@ -86,7 +89,7 @@ class VelocityModel:
         The vacuum speed is v_max, also where v'(0) diverges.
         """
         arr = _as_density(rho)
-        out = self._v(arr) + self.density_weighted_slope(arr)
+        out = self._v(arr, np.empty(arr.shape)) + self.density_weighted_slope(arr)
         return float(out) if np.ndim(rho) == 0 else out
 
     def density_weighted_slope(self, rho):
@@ -143,8 +146,8 @@ class Greenshields(VelocityModel):
 
     v_max: float = 1.0
 
-    def _v(self, rho):
-        return self.v_max * (1.0 - rho)
+    def _v(self, rho, out):
+        return np.multiply(self.v_max, np.subtract(1.0, rho, out=out), out=out)
 
     def _dv(self, rho):
         return np.full_like(rho, -self.v_max)
@@ -170,8 +173,9 @@ class PipesMunjal(VelocityModel):
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
-    def _v(self, rho):
-        return self.v_max * (1.0 - rho**self.alpha)
+    def _v(self, rho, out):
+        np.subtract(1.0, np.power(rho, self.alpha, out=out), out=out)
+        return np.multiply(self.v_max, out, out=out)
 
     def _dv(self, rho):
         # alpha < 1 has an unbounded slope at vacuum; the -inf is deliberate.
@@ -188,8 +192,8 @@ class Underwood(VelocityModel):
 
     v_max: float = 1.0
 
-    def _v(self, rho):
-        return self.v_max * np.exp(-rho)
+    def _v(self, rho, out):
+        return np.multiply(self.v_max, np.exp(np.negative(rho, out=out), out=out), out=out)
 
     def _dv(self, rho):
         return -self.v_max * np.exp(-rho)
@@ -214,8 +218,9 @@ class ModifiedGreenberg(VelocityModel):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1) for a decreasing law")
 
-    def _v(self, rho):
-        return self.v_max * (np.log(rho + self.alpha) / np.log(self.alpha))
+    def _v(self, rho, out):
+        np.log(np.add(rho, self.alpha, out=out), out=out)
+        return np.multiply(self.v_max, np.divide(out, np.log(self.alpha), out=out), out=out)
 
     def _dv(self, rho):
         return self.v_max / (np.log(self.alpha) * (rho + self.alpha))
@@ -238,13 +243,14 @@ class CustomVelocity(VelocityModel):
         if float(self.v_func(0.0)) != self.v_max:
             raise ValueError("v_func(0) must equal v_max")
 
-    def _v(self, rho):
-        return np.asarray(self.v_func(rho), dtype=float)
+    def _v(self, rho, out):
+        out[...] = self.v_func(rho)
+        return out
 
     def _dv(self, rho):
         if self.v_prime_func is not None:
             return np.asarray(self.v_prime_func(rho), dtype=float)
-        return _centered_difference(self._v, rho, np.inf)
+        return _centered_difference(self.value, rho, np.inf)
 
 
 @dataclass(frozen=True)
@@ -282,13 +288,14 @@ class TabulatedVelocity(VelocityModel):
                 f"density beyond tabulated range [0, {self.rho_table[-1]}]"
             )
 
-    def _v(self, rho):
+    def _v(self, rho, out):
         self._check_range(rho)
-        return np.interp(rho, self.rho_table, self.v_table)
+        out[...] = np.interp(rho, self.rho_table, self.v_table)
+        return out
 
     def _dv(self, rho):
         self._check_range(rho)
-        return _centered_difference(self._v, rho, self.rho_table[-1])
+        return _centered_difference(self.value, rho, self.rho_table[-1])
 
 
 @dataclass(frozen=True)

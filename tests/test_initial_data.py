@@ -120,6 +120,50 @@ def test_equal_mass_partition_on_random_data(cells, n):
     np.testing.assert_allclose(masses, c.particle_mass, rtol=0.0, atol=1e-12 * d.total_mass)
 
 
+def quantile_loop(datum, n):
+    """atomize's positions by one inversion of the CDF per interior edge,
+    the scalar form that the vectorised ``atomize`` replaced."""
+    cell_mass = datum.total_mass / n
+    cum, positions = datum.cumulative_masses, np.empty(n + 1)
+    positions[0], positions[n] = datum.support_min, datum.support_max
+    for i in range(1, n):
+        level = i * cell_mass
+        j = int(np.searchsorted(cum, level, side="left"))
+        if j < cum.size and cum[j] == level:
+            positions[i] = datum.breakpoints[j]
+        else:
+            positions[i] = datum.breakpoints[j - 1] + (level - cum[j - 1]) / datum.values[j - 1]
+    return positions
+
+
+@settings(deadline=None, max_examples=200)
+@given(cells=piecewise_cells(positive_mass=True), n=st.integers(2, 200),
+       mode=st.sampled_from(["drawn", "dyadic", "mirrored"]))
+def test_atomize_matches_the_scalar_inversion_bit_for_bit(cells, n, mode):
+    breakpoints, values = cells
+    widths = np.ceil(np.diff(breakpoints) * 8.0) / 8.0
+    if mode == "dyadic":
+        # widths and values on a grid of 1/8: every cell mass is a multiple of
+        # 1/64, and N a multiple of 64 * total mass puts every cumulative
+        # mass, the ends of the vacuum plateaus included, on a level or
+        # within rounding of one (exactly on it when N / (64 * total) is 2)
+        breakpoints = np.round(breakpoints[0]) + np.concatenate(([0.0], np.cumsum(widths)))
+        values = np.ceil(values * 8.0) / 8.0
+    elif mode == "mirrored":
+        # a cell, a vacuum plateau and the same cell: with N a power of 2 the
+        # middle level is exactly the plateau's cumulative mass, and the
+        # cell's drawn value makes interpolating there round off its end
+        w, v = widths[values > 0.0][0], values[values > 0.0][0]
+        breakpoints = np.round(breakpoints[0]) + np.array([0.0, w, w + 1.0, 2.0 * w + 1.0])
+        values = np.array([v, 0.0, v])
+        n = 2 ** (1 + n % 7)
+    d = from_piecewise(breakpoints, values)
+    if mode == "dyadic":
+        n = int(d.total_mass * 64.0) * (2 + n % 2)
+    expected = quantile_loop(d, n)
+    assert atomize(d, n).positions.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("name", ["box", "double_hump", "riemann_like", "sawtooth_bv"])
 def test_dyadic_nesting(name):
     d = scenario(name)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ftl1d import velocity
+from ftl1d import atomize, integrate, reference, scenario, velocity
 from ftl1d.velocity import (
     ADMISSIBILITY_SAMPLES,
     CustomVelocity,
@@ -211,3 +213,51 @@ def test_from_config():
 def test_check_assumptions_validates_arguments():
     with pytest.raises(ValueError):
         check_assumptions(Greenshields(1.0), rho_max=0.0)
+
+
+LAWS = BUILTINS + [
+    TabulatedVelocity(rho_table=np.array([0.0, 0.15, 1.5, 2.0]),
+                      v_table=np.array([1.0, 0.7, 0.1, 0.0])),
+    CustomVelocity(v_func=lambda rho: 1.0 - 0.25 * rho * rho, v_max=1.0),
+]
+
+# the built-in laws' formulas in the order of operations of their _v
+FORMULAS = {
+    Greenshields: lambda m, rho: m.v_max * (1.0 - rho),
+    PipesMunjal: lambda m, rho: m.v_max * (1.0 - rho**m.alpha),
+    Underwood: lambda m, rho: m.v_max * np.exp(-rho),
+    ModifiedGreenberg: lambda m, rho: m.v_max * (np.log(rho + m.alpha) / np.log(m.alpha)),
+}
+
+
+@settings(deadline=None, max_examples=100)
+@given(law=st.sampled_from(LAWS),
+       rho=st.one_of(st.floats(0.0, 2.0),
+                     st.lists(st.floats(0.0, 2.0), min_size=0, max_size=20)))
+def test_v_writes_into_out_and_equals_value(law, rho):
+    rho = np.asarray(rho, dtype=float)
+    expected = law.value(rho)
+    buf = np.empty(rho.shape)
+    assert law._v(rho, buf) is buf
+    assert np.all(buf == expected)
+    # out may be rho itself, as in the integrator's right-hand side
+    alias = rho.copy()
+    assert law._v(alias, alias) is alias
+    assert np.all(alias == expected)
+    if type(law) in FORMULAS:
+        assert np.all(buf == FORMULAS[type(law)](law, rho))
+
+
+def test_integrate_and_riemann_solve_call_check_assumptions_through_the_module(monkeypatch):
+    calls = []
+    check = velocity.check_assumptions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(velocity, "check_assumptions", counted)
+    integrate(atomize(scenario("box"), 8), Greenshields(1.0), 0.1)
+    assert len(calls) == 1
+    reference.riemann_solve(Greenshields(1.0), 0.2, 0.8)
+    assert len(calls) == 2
