@@ -149,16 +149,6 @@ def max_wave_speed(model: VelocityModel, rho_hi: float) -> float:
     return float(np.max(np.abs(model.flux_derivative(np.array([0.0, rho_hi])))))
 
 
-def _interface_flux(model: VelocityModel, rl, rr, f_l, f_r, star: float):
-    """Godunov flux from valid states rl | rr and their fluxes f_l | f_r.
-
-    min(f_l, f_r) where rl <= rr, else f at star clipped to [rr, rl], star
-    being the argmax of the flux on [0, max state].
-    """
-    clipped = np.minimum(np.maximum(star, rr), rl)
-    return np.where(rl <= rr, np.minimum(f_l, f_r), model._flux(clipped))
-
-
 def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cfl: float,
             t_end: float, pad: float | None = None) -> PiecewiseConstantDensity:
     """March the monotone finite-volume scheme to t_end and return the profile.
@@ -177,12 +167,12 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
     Returns:
         Cell-average density at t_end on the padded grid.
 
-    Each step updates only the window of positive cells plus one cell on
-    each side, and evaluates f once per cell of it; the cells outside are
-    unchanged bit for bit, as a full-grid step leaves them.  Mass
-    conservation is asserted every step to 1e-12 of the total, which also
-    fails on a NaN or infinite state; averages stay within [0, sup_norm] up
-    to rounding.
+    Each step updates, in place, only the window of positive cells plus one
+    cell on each side, from demand-supply interface fluxes in one workspace
+    per call; the cells outside are bit for bit as a full-grid step leaves
+    them.  Mass conservation is asserted every step to 1e-12 of the total,
+    which also fails on a NaN or infinite state; averages stay within
+    [0, sup_norm] up to rounding.
     """
     if not dx > 0.0:
         raise ValueError("dx must be positive")
@@ -209,12 +199,13 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
     left = datum.support_min - pad
     n_cells = int(math.ceil((datum.support_max + pad - left) / dx))
     edges = left + dx * np.arange(n_cells + 1)
-    # the state and its clipped copy carry a vacuum ghost cell on each side;
-    # a ghost takes what leaves the grid and is never read back
+    # a vacuum ghost cell on each side takes what leaves the grid; it is zeroed
+    # after each step, so it is never read back
     u = np.zeros(n_cells + 2)
     u[1:-1] = np.diff(datum.cdf_values(edges)) / dx
     mass0 = float(u[1:-1].sum() * dx)
-    clipped = np.zeros(n_cells + 2)
+    # the window's demands (then flux differences), supplies and fluxes
+    demand, supply, flux = np.zeros((3, n_cells + 3))
     occupied = np.flatnonzero(u > 0.0)
     if occupied.size == 0:
         n_steps = 0  # every interface carries f(0): nothing moves
@@ -222,28 +213,34 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
         lo, hi = occupied[0], occupied[-1]
     peak = star = None
     for _ in range(n_steps):
-        # rounding can leave -eps level residues in vacuum cells; evaluate
-        # the interface fluxes on the clipped profile
-        np.maximum(u[1:-1], 0.0, out=clipped[1:-1])
         # [lo, hi] spans the positive cells.  An interface between two
-        # vacuum cells carries min(f(0), f(0)) = 0, so a step changes no cell
-        # outside [lo - 1, hi + 1], and the next window lies inside it
+        # vacuum cells carries min(f(0), f(star)) = 0, so a step changes no
+        # cell outside [lo - 1, hi + 1], and the next window lies inside it
         lo, hi = lo - 1, hi + 1
-        while not clipped[lo] > 0.0:
+        while not u[lo] > 0.0:
             lo += 1
-        while not clipped[hi] > 0.0:
+        while not u[hi] > 0.0:
             hi -= 1
-        w = clipped[lo - 1:hi + 2]
-        f = model._flux(w)
-        flux = np.empty(w.size + 1)
-        flux[0], flux[-1] = f[0], f[-1]  # vacuum | vacuum: f(0)
+        w = u[lo - 1:hi + 2]
         # critical_density may be a search of hundreds of flux calls; it
         # depends only on the window maximum, which often holds for many steps
         top = float(w.max())
         if top != peak:
             peak, star = top, model.critical_density(top)
-        flux[1:-1] = _interface_flux(model, w[:-1], w[1:], f[:-1], f[1:], star)
-        u[lo - 1:hi + 2] -= (dt / dx) * (flux[1:] - flux[:-1])
+        # a concave flux rises up to star and falls beyond: the Godunov flux is
+        # min(demand f(clip(rl, 0, star)), supply f(max(rr, star))), and the
+        # clip lifts rounding's -eps residues in vacuum cells to 0
+        n = w.size - 1
+        d, s, f = demand[:n], supply[:n], flux[1:n + 1]
+        np.minimum(np.maximum(w[:-1], 0.0, out=d), star, out=d)
+        np.multiply(d, model._v(d, f), out=d)
+        np.maximum(w[1:], star, out=s)
+        np.multiply(s, model._v(s, f), out=s)
+        np.minimum(d, s, out=f)
+        flux[0] = flux[n + 1] = 0.0  # vacuum | vacuum at the window's ends
+        change = np.subtract(flux[1:n + 2], flux[:n + 1], out=demand[:n + 1])
+        w -= np.multiply(dt / dx, change, out=change)
+        u[0] = u[-1] = 0.0
         # the states are not validated: a NaN or infinite one fails this test
         mass = float(u[1:-1].sum() * dx)
         if not abs(mass - mass0) <= 1e-12 * mass0:

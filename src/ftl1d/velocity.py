@@ -106,7 +106,8 @@ class VelocityModel:
     def critical_density(self, hi: float) -> float:
         """Argmax of the flux on [0, hi], by golden-section search.
 
-        The flux is assumed unimodal on [0, hi] (as it is when concave).
+        The flux is assumed unimodal on [0, hi] (as it is when concave); hi
+        itself is returned where its flux is at least that at the search's end.
         """
         a, b = 0.0, hi
         for _ in range(200):
@@ -118,7 +119,8 @@ class VelocityModel:
                 a = c1
             else:
                 b = c2
-        return float(0.5 * (a + b))
+        mid = 0.5 * (a + b)
+        return float(hi if self.flux(hi) >= self.flux(mid) else mid)
 
     def inverse_flux_derivative(self, xi, lo: float, hi: float):
         """Solve f'(rho) = xi for rho in [lo, hi], bisecting to 1e-13 * max(1, hi).
