@@ -66,9 +66,8 @@ class IntegratorSettings:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States recorded at the requested sample times."""
+    """States recorded at the requested sample times, each stamped with its time."""
 
-    sample_times: np.ndarray
     states: tuple
     metadata: dict = field(default_factory=dict)
 
@@ -112,6 +111,21 @@ def default_step(config: ParticleConfiguration, model: VelocityModel, t_end: flo
     if not spread > 0.0:
         return t_end / 100.0
     return min(0.1 * config.particle_mass / spread, t_end / 100.0)
+
+
+def sample_grid(sample_times, t_end: float) -> tuple:
+    """The sorted, deduplicated samples of a run to a finite t_end >= 0; None
+    gives [0, t_end].  They must be nonempty and in [0, t_end]: a NaN is refused."""
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and nonnegative")
+    if sample_times is None:
+        sample_times = (0.0, t_end)
+    samples = tuple(sorted({float(t) for t in sample_times}))
+    if not samples:
+        raise ValueError("need at least one sample time")
+    if not all(0.0 <= t <= t_end for t in samples):
+        raise ValueError("sample times must lie in [0, t_end]")
+    return samples
 
 
 def _nonzero(row):
@@ -243,10 +257,10 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     Args:
         config0: initial configuration (time stamp 0).
         model: velocity law.
-        t_end: final time, >= 0.
+        t_end: final time, finite and >= 0.
         settings: stepper selection and control; defaults to fixed RK4.
         sample_times: times in [0, t_end] at which states are recorded;
-            defaults to [0, t_end].
+            defaults to [0, t_end] (see ``sample_grid``).
 
     Returns:
         Trajectory with one state per (deduplicated, sorted) sample time and
@@ -268,16 +282,8 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     """
     if config0.time != 0.0:
         raise ValueError("initial configuration must be at time 0")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    samples = sample_grid(sample_times, t_end)
     settings = settings or IntegratorSettings()
-    if sample_times is None:
-        sample_times = [0.0, t_end] if t_end > 0.0 else [0.0]
-    samples = np.unique(np.asarray([float(t) for t in sample_times]))
-    if samples.size == 0:
-        raise ValueError("need at least one sample time")
-    if samples[0] < 0.0 or samples[-1] > t_end:
-        raise ValueError("sample times must lie in [0, t_end]")
 
     scheme = METHODS[settings.method]
     cell_mass = config0.particle_mass
@@ -285,10 +291,8 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     if not velocity.check_assumptions(model, r_init).v_strictly_decreasing:
         raise ValueError("velocity law increases, or is flat, on [0, initial max density]")
     floor = settings.gap_floor_safety * cell_mass / r_init
-    dt_base = settings.dt if settings.dt is not None else default_step(config0, model, max(t_end, 1e-300))
-    if t_end == 0.0:
-        dt_base = 1.0
-    dt_min = STEP_UNDERFLOW_FRACTION * t_end if t_end > 0.0 else 0.0
+    dt_base = settings.dt if settings.dt is not None else default_step(config0, model, t_end)
+    dt_min = STEP_UNDERFLOW_FRACTION * t_end
 
     x = config0.positions.copy()
     x_new = np.empty_like(x)
@@ -342,4 +346,4 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
         "steps": steps,
         "rejections": rejections,
     }
-    return Trajectory(sample_times=samples, states=tuple(states), metadata=metadata)
+    return Trajectory(states=tuple(states), metadata=metadata)

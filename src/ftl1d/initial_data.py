@@ -117,6 +117,16 @@ class ParticleConfiguration:
         return float(np.max(self.densities()))
 
 
+def count(value, what: str, floor: int = 2) -> int:
+    """``value``, an int, a numpy integer or an integral float, as an int >= ``floor``.
+    Every count a config gives is read through it; a fraction raises ValueError."""
+    integral = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                or isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if not (integral and value >= floor):
+        raise ValueError(f"{what} must be an integer >= {floor}, got {value!r}")
+    return int(value)
+
+
 def atomize(datum: PiecewiseConstantDensity, n_particles: int) -> ParticleConfiguration:
     """Split the datum's subgraph into ``n_particles`` equal-mass slabs.
 
@@ -125,11 +135,10 @@ def atomize(datum: PiecewiseConstantDensity, n_particles: int) -> ParticleConfig
     the cumulative distribution at levels i * mass / N (leftmost solution).
     Every initial gap is at least particle_mass / sup_norm.  A level equal
     to a cumulative mass takes that breakpoint; any other lies inside a cell
-    of positive mass and is interpolated in it.
+    of positive mass and is interpolated in it.  ``n_particles`` is a
+    ``count`` of at least 2.
     """
-    if n_particles < 2:
-        raise ValueError("need at least 2 particles")
-    n = int(n_particles)
+    n = count(n_particles, "particle count")
     cell_mass = datum.total_mass / n
     positions = np.empty(n + 1)
     positions[0] = datum.support_min
@@ -172,7 +181,7 @@ def scenario(name: str, **params) -> PiecewiseConstantDensity:
         jump = float(params.pop("jump_at", 0.0))
         bp, vals = [jump - half, jump, jump + half], [left_h, right_h]
     elif name == "sawtooth_bv":
-        steps = int(params.pop("steps", 4))
+        steps = count(params.pop("steps", 4), "sawtooth_bv steps", floor=1)
         top = float(params.pop("top", 1.0))
         width = float(params.pop("step_width", 0.5))
         left = float(params.pop("left", 0.0))

@@ -174,8 +174,8 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
     which also fails on a NaN or infinite state; averages stay within
     [0, sup_norm] up to rounding.
     """
-    if not dx > 0.0:
-        raise ValueError("dx must be positive")
+    if not 0.0 < dx < math.inf:
+        raise ValueError("dx must be positive and finite")
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
     if t_end < 0.0:

@@ -76,12 +76,8 @@ class VelocityModel:
     def flux(self, rho):
         """Flux f(rho) = rho * v(rho); exactly zero at vacuum."""
         arr = _as_density(rho)
-        out = self._flux(arr)
+        out = arr * self._v(arr, np.empty(arr.shape))
         return float(out) if np.ndim(rho) == 0 else out
-
-    def _flux(self, rho: np.ndarray) -> np.ndarray:
-        """The flux of an array already known to be finite and nonnegative."""
-        return rho * self._v(rho, np.empty(rho.shape))
 
     def flux_derivative(self, rho):
         """Characteristic speed f'(rho) = v(rho) + rho * v'(rho).

@@ -239,7 +239,7 @@ def test_run_diagnostics_flags_planted_violation():
     bad = ParticleConfiguration(
         0.5, c0.particle_mass,
         np.concatenate((c0.positions[:-1], [c0.positions[-1] + 3.0])))
-    tr = Trajectory(np.array([0.0, 0.5]), (c0, bad), {})
+    tr = Trajectory((c0, bad), {})
     report = run_diagnostics(tr, model, datum, 0.25)
     assert not report.passed
     checks = {v.check for v in report.violations}
@@ -255,7 +255,7 @@ def test_run_diagnostics_flags_planted_transport_jump():
     model = Greenshields(1.0)
     c0 = atomize(datum, 8)
     moved = ParticleConfiguration(0.01, c0.particle_mass, c0.positions + 10.0)
-    tr = Trajectory(np.array([0.0, 0.01]), (c0, moved), {})
+    tr = Trajectory((c0, moved), {})
     report = run_diagnostics(tr, model, datum, 0.25)
     assert "wasserstein_time_continuity" in {v.check for v in report.violations}
 
@@ -267,7 +267,7 @@ def _trajectory(samples, cell_mass=0.25):
         gaps = cell_mass / np.asarray(densities, dtype=float)
         positions = (left[0] if left else 0.0) + np.concatenate(([0.0], np.cumsum(gaps)))
         states.append(ParticleConfiguration(t, cell_mass, positions))
-    return Trajectory(np.array([s.time for s in states]), tuple(states), {})
+    return Trajectory(tuple(states), {})
 
 
 def _steady(densities, times=(0.0, 0.5, 1.0)):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ftl1d import (
     scenario,
 )
 from ftl1d import dynamics
-from ftl1d.dynamics import METHODS, _velocities, default_step
+from ftl1d.dynamics import METHODS, _velocities, default_step, sample_grid
 
 
 def lagrangian_rhs(y, model, cell_mass):
@@ -118,6 +119,40 @@ def test_sample_time_validation():
         integrate(c0, Greenshields(1.0), 1.0, None, [-0.5])
     with pytest.raises(ValueError):
         integrate(c0, Greenshields(1.0), 1.0, None, [])
+
+
+def test_sample_grid_defaults_sorts_and_deduplicates():
+    assert sample_grid(None, 2.0) == (0.0, 2.0)
+    assert sample_grid(None, 0.0) == (0.0,)
+    assert sample_grid([1, 0.5, 0.0, 0.5], 1.0) == (0.0, 0.5, 1.0)
+    assert all(type(t) is float for t in sample_grid([np.float64(0.5), 1], 1.0))
+
+
+@pytest.mark.parametrize("samples, t_end, message", [
+    ([], 1.0, "need at least one sample time"),
+    ([0.0, math.nan, 1.0], 1.0, "sample times must lie in"),
+    ([-0.5, 1.0], 1.0, "sample times must lie in"),
+    ([0.0, 1.5], 1.0, "sample times must lie in"),
+    ([0.0], -1.0, "t_end must be finite"),
+    ([0.0], math.nan, "t_end must be finite"),
+    ([0.0], math.inf, "t_end must be finite"),
+    (None, math.inf, "t_end must be finite"),
+])
+def test_sample_grid_refusals(samples, t_end, message):
+    with pytest.raises(ValueError, match=message):
+        sample_grid(samples, t_end)
+
+
+def test_infinite_horizon_is_refused_before_any_step():
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        integrate(two_particle_config(), Greenshields(1.0), math.inf)
+
+
+def test_zero_horizon_records_the_configured_step():
+    c0 = two_particle_config()
+    assert integrate(c0, Greenshields(1.0), 0.0).metadata["dt"] == 0.0
+    settings = IntegratorSettings(dt=0.1)
+    assert integrate(c0, Greenshields(1.0), 0.0, settings).metadata["dt"] == 0.1
 
 
 def test_initial_configuration_must_start_at_zero():

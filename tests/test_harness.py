@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import re
 from pathlib import Path
 
@@ -150,6 +151,14 @@ def test_trajectory_csv_round_trips(tmp_path):
     assert all(repr(float(r[2])) == r[2] for r in body)
 
 
+def test_config_reads_integral_counts_and_sorts_the_samples():
+    config = make_config(particle_counts=[8.0, np.int64(16)], sample_times=[0.5, 0, 0.25, 0.5])
+    assert config.particle_counts == (8, 16)
+    assert all(type(n) is int for n in config.particle_counts)
+    assert config.sample_times == (0.0, 0.25, 0.5)
+    assert make_config(t_end=0.0, sample_times=None, delta=0.25).sample_times == (0.0,)
+
+
 def test_run_experiment_t_end_zero(tmp_path):
     config = make_config(t_end=0.0, sample_times=[0.0], particle_counts=[8])
     results = run_experiment(config, tmp_path)
@@ -189,7 +198,7 @@ def test_csv_writers_format_each_cell_as_repr_of_float(tmp_path):
     states = (ParticleConfiguration(0.0, 0.5, [-1.5e16, -0.0]),      # two particles
               ParticleConfiguration(1e-05, 0.5, [-2.5, 1e-05]),
               ParticleConfiguration(1.5e16, 0.5, [0.1, 1.5e16]))
-    write_trajectory_csv(path, Trajectory(np.array([s.time for s in states]), states))
+    write_trajectory_csv(path, Trajectory(states))
     assert path.read_text(encoding="utf-8") == _reference_csv(
         "t,i,x_i", [(s.time, str(i), x) for s in states for i, x in enumerate(s.positions)])
 
@@ -393,6 +402,7 @@ def test_cli_run_exits_1_on_a_failed_check(tmp_path, capsys):
 
 
 _ALL_VERBS = ("run", "converge", "check")
+_WITHOUT_SAMPLES = {k: v for k, v in BASE_CONFIG.items() if k != "sample_times"}
 # (id, config text or None for a missing file, start of the message, the verbs
 # that read the refused part)
 _REFUSED = [
@@ -428,6 +438,22 @@ _REFUSED = [
         velocity={"kind": "tabulated", "rho_table": [0.0, 1.19], "v_table": [1.0, 0.0]})),
      "density beyond tabulated range [0, 1.19]; the velocity law must be defined on "
      "[0, 1.2 * sup_norm] = [0, 1.2]", _ALL_VERBS),
+    # the run's shape: its samples, its particle counts, its horizon and the
+    # oracle's step; JSON reads 1e400 as an infinity
+    ("nan_sample", json.dumps(dict(BASE_CONFIG, t_end=1.0, sample_times=[0, math.nan, 1])),
+     "sample times must lie in [0, t_end]", _ALL_VERBS),
+    ("no_samples", json.dumps(dict(BASE_CONFIG, sample_times=[])),
+     "need at least one sample time", _ALL_VERBS),
+    ("fractional_count", json.dumps(dict(BASE_CONFIG, particle_counts=[8.7, 16])),
+     "particle count must be an integer >= 2, got 8.7", _ALL_VERBS),
+    ("counts_as_a_string", json.dumps(dict(BASE_CONFIG, particle_counts="289")),
+     "particle count must be an integer >= 2, got '2'", _ALL_VERBS),
+    ("infinite_count", json.dumps(dict(BASE_CONFIG, particle_counts=[8, math.inf]))
+     .replace("Infinity", "1e400"), "particle count must be an integer >= 2, got inf", _ALL_VERBS),
+    ("infinite_horizon", json.dumps(dict(_WITHOUT_SAMPLES, t_end=math.inf, delta=0.25))
+     .replace("Infinity", "1e400"), "t_end must be finite and nonnegative", _ALL_VERBS),
+    ("infinite_oracle_step", json.dumps(dict(BASE_CONFIG, oracle={"dx": math.inf}))
+     .replace("Infinity", "1e400"), "oracle dx must be positive and finite", _ALL_VERBS),
 ]
 
 

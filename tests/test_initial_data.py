@@ -97,6 +97,28 @@ def test_atomize_requires_two_particles():
         atomize(d, 1)
 
 
+@pytest.mark.parametrize("value", [8, 8.0, np.int64(8), np.float64(8.0)])
+def test_count_accepts_integral_values(value):
+    n = initial_data.count(value, "particle count")
+    assert n == 8 and type(n) is int
+
+
+@pytest.mark.parametrize("value", [8.7, 1, 1.0, "8", True, np.inf, np.nan, None])
+def test_count_refuses_what_is_not_an_integer_at_the_floor(value):
+    with pytest.raises(ValueError, match="particle count must be an integer >= 2"):
+        initial_data.count(value, "particle count")
+
+
+def test_atomize_and_sawtooth_refuse_fractional_counts():
+    d = from_piecewise([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError, match="got 8.7"):
+        atomize(d, 8.7)
+    with pytest.raises(ValueError, match="sawtooth_bv steps must be an integer >= 1, got 2.7"):
+        scenario("sawtooth_bv", steps=2.7)
+    assert atomize(d, 8.0).positions.size == 9
+    assert scenario("sawtooth_bv", steps=1.0).values.size == 1
+
+
 @pytest.mark.parametrize("name", ["box", "double_hump", "riemann_like", "sawtooth_bv"])
 @pytest.mark.parametrize("n", [2, 7, 16, 64])
 def test_equal_mass_partition(name, n):

@@ -304,6 +304,12 @@ def test_godunov_searches_critical_density_only_when_the_maximum_changes():
     assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
+@pytest.mark.parametrize("dx", [math.inf, math.nan, 0.0, -0.1])
+def test_godunov_refuses_a_step_that_is_not_positive_and_finite(dx):
+    with pytest.raises(ValueError, match="dx must be positive and finite"):
+        godunov(scenario("riemann_like"), Greenshields(1.0), dx=dx, cfl=0.5, t_end=0.5)
+
+
 def test_godunov_without_a_positive_cell_returns_vacuum():
     # the least subnormal mass, spread over a cell of width 2, rounds to 0
     datum = from_piecewise([0.0, 1.0], [5e-324])
