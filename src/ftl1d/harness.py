@@ -16,8 +16,9 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
+import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,19 +41,58 @@ class OracleSettings:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
 
 
-def _settings(cls, level: str, given: dict):
-    """``cls`` from the keys a config gives; the class owns every default.
+# the JSON types of a config, by the words that name them in a refusal
+_JSON_TYPES = {"a number": numbers.Real, "a list of numbers": list, "a string": str,
+               "an object": dict}
+# the JSON type of a settings or law field, by its annotation
+_FIELD_TYPES = {"float": "a number", "float | None": "a number", "str": "a string",
+                "np.ndarray": "a list of numbers"}
 
-    A float field reads its value through float(), so a JSON integer
-    becomes a float; null stays None.  A key ``cls`` has no field for
-    raises ValueError.
-    """
-    types = {f.name: str(f.type) for f in fields(cls)}
-    unknown = sorted(set(given) - set(types))
+
+def _read(value, path: str, kind: str):
+    """``value``, of the JSON type that ``kind`` names, at the config's dotted
+    ``path``; a number is read as a float, a list of numbers as a list of floats.
+    Any other type, true and false included, raises ValueError naming the path."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{path} must be {kind}, got {value!r}")
+    if kind == "a list of numbers":
+        return [_read(v, f"{path}[{i}]", "a number") for i, v in enumerate(value)]
+    try:
+        return float(value) if kind == "a number" else value
+    except OverflowError:
+        raise ValueError(f"{path} is an integer too large for a float") from None
+
+
+def _settings(cls, path: str, given):
+    """``cls`` from the config object at ``path``; ``cls`` owns every default
+    and range.  A key with no field, or a field without a default left out,
+    raises ValueError; each value is read as its field's annotation, null
+    only where the field's default is None."""
+    taken = {f.name: f for f in fields(cls) if f.init}
+    unknown = sorted(set(_read(given, path, "an object")) - set(taken))
     if unknown:
-        raise ValueError(f"unknown {level} key(s): {', '.join(unknown)}")
-    return cls(**{k: float(v) if v is not None and "float" in types[k] else v
+        raise ValueError(f"unknown {path} key(s): {', '.join(unknown)}")
+    missing = [k for k, f in taken.items() if f.default is MISSING and k not in given]
+    if missing:
+        raise ValueError(f"{path} needs key(s): {', '.join(missing)}")
+    return cls(**{k: v if v is None and taken[k].default is None
+                  else _read(v, f"{path}.{k}", _FIELD_TYPES[taken[k].type])
                   for k, v in given.items()})
+
+
+def _datum(cfg: dict) -> initial_data.PiecewiseConstantDensity:
+    """A named ``initial_data.scenario`` with number parameters, or explicit
+    breakpoints and values; a key the chosen form does not take raises ValueError."""
+    if "name" in cfg:
+        params = {k: _read(v, f"scenario.{k}", "a number") for k, v in cfg.items() if k != "name"}
+        return initial_data.scenario(_read(cfg["name"], "scenario.name", "a string"), **params)
+    if "breakpoints" in cfg and "values" in cfg:
+        extra = sorted(set(cfg) - {"breakpoints", "values"})
+        if extra:
+            raise ValueError(f"unknown explicit scenario key(s): {', '.join(extra)}")
+        return initial_data.from_piecewise(*(_read(cfg[k], f"scenario.{k}", "a list of numbers")
+                                             for k in ("breakpoints", "values")))
+    raise ValueError("scenario config needs 'name' or 'breakpoints'+'values'")
 
 
 @dataclass(frozen=True)
@@ -75,8 +115,8 @@ class ExperimentConfig:
             raise ValueError("particle_counts must be nonempty")
         if list(self.particle_counts) != sorted(set(self.particle_counts)):
             raise ValueError("particle_counts must be strictly ascending")
-        if self.t_end > 0.0 and not 0.0 < self.delta < self.t_end:
-            raise ValueError("delta must lie in (0, t_end)")
+        if not (0.0 < self.delta < self.t_end or self.t_end == 0.0 < self.delta):
+            raise ValueError("delta must lie in (0, t_end), or be positive at t_end 0")
         # a run reads the law up to the entropy levels' reach, past every atomized density
         reach = diagnostics.ENTROPY_LEVEL_REACH
         try:
@@ -86,41 +126,42 @@ class ExperimentConfig:
                              f"sup_norm] = [0, {reach * self.datum.sup_norm}]") from exc
 
     @classmethod
-    def from_dict(cls, cfg: dict) -> "ExperimentConfig":
-        """Build from a config dict; a key no level takes raises ValueError.
+    def from_dict(cls, cfg) -> "ExperimentConfig":
+        """Build from a parsed JSON config, every value read by ``_read``; a key
+        no level takes raises ValueError.
 
         The datum and the law are built here, once; ``initial_data.count``
-        reads each particle count and ``dynamics.sample_grid`` the horizon and
+        checks each particle count and ``dynamics.sample_grid`` the horizon and
         samples.  An ``auto`` oracle becomes ``riemann`` for the riemann_like
         scenario, else ``godunov``.
         """
-        top = dict(cfg)
-        t_end = float(top.pop("t_end", 1.0))
-        samples = dynamics.sample_grid(top.pop("sample_times", None), t_end)
-        integrator = _settings(dynamics.IntegratorSettings, "integrator",
-                               top.pop("integrator", {}))
-        oracle = _settings(OracleSettings, "oracle", top.pop("oracle", {}))
-        scenario_cfg = top.pop("scenario", {"name": "box"})
-        velocity_cfg = top.pop("velocity", {"kind": "greenshields", "v_max": 1.0})
-        counts = top.pop("particle_counts", [64])
-        delta = float(top.pop("delta", t_end / 4.0 if t_end > 0.0 else 0.25))
-        if top:
-            raise ValueError(f"unknown config key(s): {', '.join(sorted(top))}")
-        datum = initial_data.datum_from_config(scenario_cfg)
+        unknown = sorted(set(_read(cfg, "config", "an object")) - {
+            "scenario", "velocity", "particle_counts", "t_end", "sample_times", "delta",
+            "integrator", "oracle"})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        t_end = _read(cfg.get("t_end", 1.0), "t_end", "a number")
+        samples = cfg.get("sample_times")
+        samples = dynamics.sample_grid(
+            None if samples is None else _read(samples, "sample_times", "a list of numbers"), t_end)
+        delta = _read(cfg.get("delta", t_end / 4.0 if t_end > 0.0 else 0.25), "delta", "a number")
+        integrator = _settings(dynamics.IntegratorSettings, "integrator", cfg.get("integrator", {}))
+        oracle = _settings(OracleSettings, "oracle", cfg.get("oracle", {}))
+        scenario = _read(cfg.get("scenario", {"name": "box"}), "scenario", "an object")
+        datum = _datum(scenario)
+        law = _read(cfg.get("velocity", {"kind": "greenshields"}), "velocity", "an object")
+        kind = _read(law.get("kind", ""), "velocity.kind", "a string").lower()
+        if kind not in velocity.KINDS:
+            raise ValueError(f"unknown velocity kind {kind!r}")
+        model = _settings(velocity.KINDS[kind], "velocity",
+                          {k: v for k, v in law.items() if k != "kind"})
+        counts = _read(cfg.get("particle_counts", [64]), "particle_counts", "a list of numbers")
         if oracle.kind == "auto":
-            riemann_like = scenario_cfg.get("name") == "riemann_like"
+            riemann_like = scenario.get("name") == "riemann_like"
             oracle = replace(oracle, kind="riemann" if riemann_like else "godunov")
-        return cls(
-            datum=datum,
-            model=velocity.from_config(velocity_cfg),
-            particle_counts=tuple(initial_data.count(n, "particle count") for n in counts),
-            t_end=t_end,
-            sample_times=samples,
-            delta=delta,
-            integrator=integrator,
-            oracle=oracle,
-            raw=dict(cfg),
-        )
+        return cls(datum=datum, model=model, t_end=t_end, sample_times=samples, delta=delta,
+                   particle_counts=tuple(initial_data.count(n, "particle count") for n in counts),
+                   integrator=integrator, oracle=oracle, raw=cfg)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

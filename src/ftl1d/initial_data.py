@@ -193,18 +193,3 @@ def scenario(name: str, **params) -> PiecewiseConstantDensity:
         raise ValueError(f"unknown {name} parameter(s): {', '.join(sorted(params))}")
     return from_piecewise(bp, vals)
 
-
-def datum_from_config(cfg: dict) -> PiecewiseConstantDensity:
-    """Datum from configuration: named scenario or explicit arrays.
-
-    A key the chosen form does not take raises ValueError.
-    """
-    if "name" in cfg:
-        params = {k: v for k, v in cfg.items() if k != "name"}
-        return scenario(cfg["name"], **params)
-    if "breakpoints" in cfg and "values" in cfg:
-        extra = sorted(set(cfg) - {"breakpoints", "values"})
-        if extra:
-            raise ValueError(f"unknown explicit scenario key(s): {', '.join(extra)}")
-        return from_piecewise(cfg["breakpoints"], cfg["values"])
-    raise ValueError("scenario config needs 'name' or 'breakpoints'+'values'")

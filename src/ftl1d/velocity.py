@@ -351,36 +351,10 @@ def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
     return AssumptionReport(grid, decreasing, bool(at_zero), non_increasing, concave)
 
 
-_BUILTIN_KINDS = {
+KINDS = {   # the laws a config names by its velocity ``kind``
     "greenshields": Greenshields,
     "pipes_munjal": PipesMunjal,
     "underwood": Underwood,
     "modified_greenberg": ModifiedGreenberg,
+    "tabulated": TabulatedVelocity,
 }
-
-
-def from_config(cfg: dict) -> VelocityModel:
-    """Build a model from configuration keys: kind, v_max, alpha or tables.
-
-    A key the kind does not take raises ValueError.
-    """
-    cfg = dict(cfg)
-    kind = str(cfg.pop("kind", "")).lower()
-    if kind == "tabulated":
-        missing = [key for key in ("rho_table", "v_table") if key not in cfg]
-        if missing:
-            raise ValueError(f"tabulated velocity needs key(s): {', '.join(missing)}")
-        model = TabulatedVelocity(
-            rho_table=np.asarray(cfg.pop("rho_table"), dtype=float),
-            v_table=np.asarray(cfg.pop("v_table"), dtype=float),
-        )
-    elif kind in _BUILTIN_KINDS:
-        kwargs = {"v_max": float(cfg.pop("v_max", 1.0))}
-        if kind in ("pipes_munjal", "modified_greenberg") and "alpha" in cfg:
-            kwargs["alpha"] = float(cfg.pop("alpha"))
-        model = _BUILTIN_KINDS[kind](**kwargs)
-    else:
-        raise ValueError(f"unknown velocity kind {kind!r}")
-    if cfg:
-        raise ValueError(f"unknown {kind} velocity key(s): {', '.join(sorted(cfg))}")
-    return model

@@ -1,13 +1,16 @@
 import concurrent.futures
+import functools
 import hashlib
 import json
 import math
+import operator
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import particle_states, pseudo_inverse
 from ftl1d import (
@@ -19,7 +22,7 @@ from ftl1d import (
     from_piecewise,
     hat_density,
 )
-from ftl1d import initial_data, velocity
+from ftl1d import harness, velocity
 from ftl1d.dynamics import IntegratorSettings
 from ftl1d.harness import (
     ConvergenceTable,
@@ -359,7 +362,9 @@ def test_cli_run_and_check(tmp_path, capsys, monkeypatch):
     # v = 1 - rho + 0.6 rho^2: the flux turns convex beyond rho = 5/9
     bumpy = CustomVelocity(v_func=lambda r: 1.0 - np.asarray(r) + 0.6 * np.asarray(r) ** 2,
                            v_max=1.0)
-    monkeypatch.setattr(velocity, "from_config", lambda cfg: bumpy)
+    settings = harness._settings
+    monkeypatch.setattr(harness, "_settings", lambda cls, path, given: bumpy
+                        if path == "velocity" else settings(cls, path, given))
     assert main(["check", "--config", str(cfg_path)]) == 1
     assert json.loads(capsys.readouterr().out)["flux_concave"] is False
 
@@ -410,7 +415,7 @@ _REFUSED = [
      "particle_counts must be strictly ascending", _ALL_VERBS),
     ("malformed", '{"t_end": 1.0,', "Expecting property name", _ALL_VERBS),
     ("tabulated_without_tables", json.dumps(dict(BASE_CONFIG, velocity={"kind": "tabulated"})),
-     "tabulated velocity needs key(s): rho_table, v_table", _ALL_VERBS),
+     "velocity needs key(s): rho_table, v_table", _ALL_VERBS),
     ("missing_file", None, "[Errno 2] No such file or directory", _ALL_VERBS),
     ("two_counts", json.dumps(dict(BASE_CONFIG, particle_counts=[16, 32])),
      "need at least 3 particle counts", ("converge",)),
@@ -447,13 +452,41 @@ _REFUSED = [
     ("fractional_count", json.dumps(dict(BASE_CONFIG, particle_counts=[8.7, 16])),
      "particle count must be an integer >= 2, got 8.7", _ALL_VERBS),
     ("counts_as_a_string", json.dumps(dict(BASE_CONFIG, particle_counts="289")),
-     "particle count must be an integer >= 2, got '2'", _ALL_VERBS),
+     "particle_counts must be a list of numbers, got '289'", _ALL_VERBS),
     ("infinite_count", json.dumps(dict(BASE_CONFIG, particle_counts=[8, math.inf]))
      .replace("Infinity", "1e400"), "particle count must be an integer >= 2, got inf", _ALL_VERBS),
     ("infinite_horizon", json.dumps(dict(_WITHOUT_SAMPLES, t_end=math.inf, delta=0.25))
      .replace("Infinity", "1e400"), "t_end must be finite and nonnegative", _ALL_VERBS),
     ("infinite_oracle_step", json.dumps(dict(BASE_CONFIG, oracle={"dx": math.inf}))
      .replace("Infinity", "1e400"), "oracle dx must be positive and finite", _ALL_VERBS),
+    # every value is read as its JSON type, and null only where the key allows it;
+    # a string is not read as a number
+    ("scalar_counts", json.dumps(dict(BASE_CONFIG, particle_counts=64)),
+     "particle_counts must be a list of numbers, got 64", _ALL_VERBS),
+    ("scalar_samples", json.dumps(dict(BASE_CONFIG, sample_times=0.5)),
+     "sample_times must be a list of numbers, got 0.5", _ALL_VERBS),
+    ("null_horizon", json.dumps(dict(BASE_CONFIG, t_end=None)),
+     "t_end must be a number, got None", _ALL_VERBS),
+    ("null_delta", json.dumps(dict(BASE_CONFIG, delta=None)),
+     "delta must be a number, got None", _ALL_VERBS),
+    ("null_cfl", json.dumps(dict(BASE_CONFIG, oracle={"cfl": None})),
+     "oracle.cfl must be a number, got None", _ALL_VERBS),
+    ("list_alpha", json.dumps(dict(BASE_CONFIG, velocity={"kind": "pipes_munjal",
+                                                           "alpha": [2.0]})),
+     "velocity.alpha must be a number, got [2.0]", _ALL_VERBS),
+    ("integrator_as_a_list", json.dumps(dict(BASE_CONFIG, integrator=["rk4_fixed"])),
+     "integrator must be an object, got ['rk4_fixed']", _ALL_VERBS),
+    ("top_level_list", "[1, 2]", "config must be an object, got [1, 2]", _ALL_VERBS),
+    ("string_horizon", json.dumps(dict(BASE_CONFIG, t_end="1")),
+     "t_end must be a number, got '1'", _ALL_VERBS),
+    ("boolean_speed", json.dumps(dict(BASE_CONFIG, velocity={"kind": "greenshields",
+                                                              "v_max": True})),
+     "velocity.v_max must be a number, got True", _ALL_VERBS),
+    ("huge_integer_horizon", json.dumps(dict(BASE_CONFIG, t_end=10 ** 400)),
+     "t_end is an integer too large for a float", _ALL_VERBS),
+    ("negative_delta_at_zero_horizon", json.dumps({"scenario": {"name": "box"}, "t_end": 0,
+                                                   "delta": -1, "particle_counts": [8]}),
+     "delta must lie in (0, t_end), or be positive at t_end 0", _ALL_VERBS),
 ]
 
 
@@ -478,6 +511,48 @@ def test_cli_exits_2_on_a_refused_config(tmp_path, capsys, verb, text, message, 
             convergence_study(ExperimentConfig.from_json(cfg_path))
 
 
+def _paths(node, prefix=()):
+    """The path of every key and list index below ``node``, a parsed config."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_DROP = object()
+# the root, every key and index of BASE_CONFIG, and keys it leaves to their defaults
+_MUTABLE = [(), *_paths(BASE_CONFIG), ("scenario", "left_height"), ("velocity", "alpha"),
+            ("integrator", "dt"), ("integrator", "abs_tol"), ("oracle", "dx"),
+            ("oracle", "kind")]
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 100), st.just(10 ** 400),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.5, 0.0, 0.5, 2.0]),
+    st.sampled_from(["", "1", "box", "tabulated", "riemann", "rk45_adaptive"]),
+    st.text(max_size=3), st.lists(st.floats(-2.0, 2.0), max_size=3),
+    st.sampled_from([[], [1, 2], {}, {"a": 1}]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(path=st.sampled_from(_MUTABLE), value=st.one_of(st.just(_DROP), _JSON_VALUES))
+def test_a_mutated_config_is_read_or_refused_with_a_value_error(path, value):
+    # one key dropped or set to any JSON value, the root included; nothing integrates
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    if not path:
+        cfg = {} if value is _DROP else value
+    else:
+        *head, last = path
+        parent = functools.reduce(operator.getitem, head, cfg)
+        if value is not _DROP:
+            parent[last] = value
+        elif isinstance(parent, list) or last in parent:
+            del parent[last]
+    try:
+        ExperimentConfig.from_dict(cfg)
+    except ValueError:
+        pass
+
+
 def test_run_accepts_a_table_ending_at_the_entropy_reach(tmp_path, capsys):
     cfg = dict(BASE_CONFIG, particle_counts=[16], scenario={"name": "box", "height": 1.0,
                                                            "width": 0.7},
@@ -500,16 +575,18 @@ def test_check_takes_only_config(tmp_path, capsys, flag):
 
 def test_run_builds_the_datum_and_the_law_once(tmp_path, monkeypatch):
     calls = {"datum": 0, "law": 0}
+    datum, settings = harness._datum, harness._settings
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def counted_datum(cfg):
+        calls["datum"] += 1
+        return datum(cfg)
 
-    monkeypatch.setattr(initial_data, "datum_from_config",
-                        counted("datum", initial_data.datum_from_config))
-    monkeypatch.setattr(velocity, "from_config", counted("law", velocity.from_config))
+    def counted_settings(cls, path, given):
+        calls["law"] += cls in velocity.KINDS.values()
+        return settings(cls, path, given)
+
+    monkeypatch.setattr(harness, "_datum", counted_datum)
+    monkeypatch.setattr(harness, "_settings", counted_settings)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(dict(BASE_CONFIG, particle_counts=[8, 16, 32])))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0

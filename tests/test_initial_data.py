@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import piecewise_cells
 from ftl1d import initial_data
+from ftl1d.harness import ExperimentConfig
 from ftl1d.initial_data import (
     ParticleConfiguration,
     PiecewiseConstantDensity,
@@ -224,9 +225,12 @@ def test_scenarios_expected_shapes():
 
 
 def test_datum_from_config():
-    d = initial_data.datum_from_config({"name": "box", "height": 2.0})
+    def datum(cfg):
+        return ExperimentConfig.from_dict({"scenario": cfg}).datum
+
+    d = datum({"name": "box", "height": 2.0})
     assert d.sup_norm == 2.0
-    d2 = initial_data.datum_from_config({"breakpoints": [0, 1], "values": [1.0]})
+    d2 = datum({"breakpoints": [0, 1], "values": [1.0]})
     assert d2.total_mass == 1.0
     with pytest.raises(ValueError):
-        initial_data.datum_from_config({})
+        datum({})

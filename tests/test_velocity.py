@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftl1d import atomize, integrate, reference, scenario, velocity
+from ftl1d.harness import ExperimentConfig
 from ftl1d.velocity import (
     ADMISSIBILITY_SAMPLES,
     CustomVelocity,
@@ -137,13 +138,20 @@ def test_custom_requires_matching_vacuum_speed():
         CustomVelocity(v_func=lambda r: 1.0 - np.asarray(r), v_max=2.0)
 
 
+def _law(cfg):
+    """The law a config's ``velocity`` object builds; the datum's sup norm 0.5
+    lies inside every table below."""
+    return ExperimentConfig.from_dict({"scenario": {"name": "box", "height": 0.5},
+                                       "velocity": cfg}).model
+
+
 @pytest.mark.parametrize("kind", ["greenshields", "pipes_munjal", "underwood",
                                   "modified_greenberg"])
 @pytest.mark.parametrize("v_max", [0.0, -1.0, float("nan"), float("inf")])
 def test_builtin_laws_refuse_v_max_not_positive_and_finite(kind, v_max):
     # v = 0 is not strictly decreasing, and no flow has a NaN or infinite vacuum speed
     with pytest.raises(ValueError, match="v_max must be positive and finite"):
-        velocity.from_config({"kind": kind, "v_max": v_max})
+        _law({"kind": kind, "v_max": v_max})
 
 
 def test_modified_greenberg_rejects_alpha_outside_unit_interval():
@@ -194,20 +202,19 @@ def test_tabulated_rejects_non_decreasing_values():
 
 
 def test_from_config():
-    model = velocity.from_config({"kind": "pipes_munjal", "v_max": 2.0, "alpha": 3.0})
+    model = _law({"kind": "pipes_munjal", "v_max": 2.0, "alpha": 3.0})
     assert isinstance(model, PipesMunjal)
     assert model.v_max == 2.0 and model.alpha == 3.0
-    tab = velocity.from_config({"kind": "tabulated",
-                                "rho_table": [0.0, 1.0], "v_table": [1.0, 0.0]})
+    tab = _law({"kind": "tabulated", "rho_table": [0.0, 1.0], "v_table": [1.0, 0.0]})
     assert isinstance(tab, TabulatedVelocity)
     with pytest.raises(ValueError):
-        velocity.from_config({"kind": "unknown"})
+        _law({"kind": "unknown"})
     with pytest.raises(ValueError, match=r"needs key\(s\): v_table$"):
-        velocity.from_config({"kind": "tabulated", "rho_table": [0.0, 1.0]})
+        _law({"kind": "tabulated", "rho_table": [0.0, 1.0]})
     # the finite-difference step is a module constant, not a config key
     with pytest.raises(ValueError, match="derivative_step"):
-        velocity.from_config({"kind": "tabulated", "rho_table": [0.0, 1.0],
-                              "v_table": [1.0, 0.0], "derivative_step": 1e-4})
+        _law({"kind": "tabulated", "rho_table": [0.0, 1.0],
+              "v_table": [1.0, 0.0], "derivative_step": 1e-4})
 
 
 def test_check_assumptions_validates_arguments():
