@@ -63,11 +63,13 @@ def oleinik_residual(config: ParticleConfiguration, model: VelocityModel) -> Ole
     density range; ``run_diagnostics`` decides whether it applies.
     """
     y = config.densities()
-    t = config.time
-    v = model.value(y)
-    interior = t * y[:-1] * (v[1:] - v[:-1])
-    leader = float(t * y[-1] * (model.v_max - v[-1]))
-    return OleinikResidual(interior=interior, leader=leader)
+    return _oleinik(config.time, y, model.value(y), model.v_max)
+
+
+def _oleinik(t: float, y, v, v_max: float) -> OleinikResidual:
+    """The residuals of cell densities ``y`` with speeds ``v`` at time ``t``."""
+    return OleinikResidual(interior=t * y[:-1] * (v[1:] - v[:-1]),
+                           leader=float(t * y[-1] * (v_max - v[-1])))
 
 
 def total_variation(density: PiecewiseConstantDensity) -> float:
@@ -78,9 +80,11 @@ def total_variation(density: PiecewiseConstantDensity) -> float:
 
 def velocity_total_variation(config: ParticleConfiguration, model: VelocityModel) -> float:
     """TV of the velocity profile v(density), with jumps to v_max outside."""
-    w = model.value(config.densities())
-    return float(abs(model.v_max - w[0]) + abs(model.v_max - w[-1])
-                 + np.sum(np.abs(np.diff(w))))
+    return _velocity_tv(model.value(config.densities()), model.v_max)
+
+
+def _velocity_tv(w, v_max: float) -> float:
+    return float(abs(v_max - w[0]) + abs(v_max - w[-1]) + np.sum(np.abs(np.diff(w))))
 
 
 def bv_constant(model: VelocityModel, rho_max: float, span: float, delta: float) -> float:
@@ -97,6 +101,7 @@ def entropy_K_terms(config: ParticleConfiguration, model: VelocityModel, k) -> n
     (i = 1..N) equals k * (v(k) - v(y_i)) * (sgn(y_i - k) - sgn(y_{i-1} - k));
     every term is nonnegative for a decreasing velocity law.  A scalar level
     gives the N terms, an array of K levels a K x N array, one row per level.
+    ``run_diagnostics`` evaluates only the terms that can be nonzero.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0.0):
@@ -104,9 +109,35 @@ def entropy_K_terms(config: ParticleConfiguration, model: VelocityModel, k) -> n
     y = np.concatenate((config.densities(), [0.0]))
     v_y = model.value(y)
     k = k[..., None] if k.ndim else k
-    v_k = model.value(k)
-    sgn = np.sign(y - k)
-    return k * (v_k - v_y[1:]) * (sgn[..., 1:] - sgn[..., :-1])
+    return _entropy_terms(k, model.value(k), y[:-1], y[1:], v_y[1:])
+
+
+def _entropy_terms(k, v_k, y_left, y_right, v_right):
+    """k * (v(k) - v(y_right)) * (sgn(y_right - k) - sgn(y_left - k)), elementwise
+    over operands that broadcast or are gathered to one shape."""
+    return k * (v_k - v_right) * (np.sign(y_right - k) - np.sign(y_left - k))
+
+
+def _entropy_min(levels, v_levels, y, v) -> float:
+    """min(-0.0, the smallest entropy term) over the sorted ``levels`` and
+    every jump; ``y`` and ``v`` are the cell densities and their speeds, with
+    the vacuum past the leader appended.
+
+    A term's sign difference is nonzero only for the levels in [lo, hi], the
+    two densities of its jump, both ends included, so only those (level,
+    jump) pairs are evaluated.  Every other term is +0.0 or -0.0, between
+    which the dense minimum chooses by array position; min(-0.0, ...) fixes
+    the sign of a zero minimum.
+    """
+    left, right = y[:-1], y[1:]
+    lo, hi = np.minimum(left, right), np.maximum(left, right)
+    first = np.searchsorted(levels, lo, side="left")
+    counts = np.searchsorted(levels, hi, side="right") - first
+    jump = np.repeat(np.arange(counts.size), counts)
+    level = np.arange(jump.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    terms = _entropy_terms(levels[level], v_levels[level], left[jump], right[jump],
+                           v[1:][jump])
+    return min(-0.0, float(np.min(terms, initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -231,10 +262,12 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
     """Run every check on a trajectory; record its violations and skips.
 
     The entropy terms are evaluated at 50 levels on [0, ENTROPY_LEVEL_REACH
-    * sup_norm], above the densest state as well.  The cell density of each
-    state is built once, for every check.
+    * sup_norm], above the densest state as well, and only inside each jump
+    (``_entropy_min``).  Each state is read once: its cell density, and the
+    speeds of those densities, serve every check.
     """
-    k_grid = np.linspace(0.0, ENTROPY_LEVEL_REACH * datum.sup_norm, 50)
+    levels = np.linspace(0.0, ENTROPY_LEVEL_REACH * datum.sup_norm, 50)
+    v_levels = model.value(levels)
     span = datum.support_max - datum.support_min
     report = DiagnosticsReport(c_delta=bv_constant(model, datum.sup_norm, span, delta),
                                delta=delta, tv_initial_datum=total_variation(datum))
@@ -250,13 +283,15 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
     for state, hat in zip(trajectory.states, hats, strict=True):
         t = state.time
         cell_mass = state.particle_mass
+        y = np.append(hat.values, 0.0)     # the cell densities, then the vacuum past the leader
+        v = model.value(y)
         report.times.append(t)
 
         ratio = min_gap_ratio(state, datum.sup_norm)
         report.min_gap_ratios.append(ratio)
         report.record("min_gap_ratio", t, ratio, 1.0 - GAP_RATIO_TOL, lower=True)
 
-        res = oleinik_residual(state, model)
+        res = _oleinik(t, y[:-1], v[:-1], model.v_max)
         report.oleinik_interior_max.append(res.max_interior)
         report.oleinik_leader.append(res.leader)
         if oleinik_ok:
@@ -271,12 +306,12 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
             report.record("tv_monotone", t, tv, prev_tv + TV_CONTRACT_TOL)
         prev_tv = tv
 
-        tvv = velocity_total_variation(state, model)
+        tvv = _velocity_tv(v[:-1], model.v_max)
         report.tv_velocity.append(tvv)
         if t >= delta:
             report.record("tv_velocity", t, tvv, report.c_delta + VELOCITY_TV_TOL)
 
-        k_min = float(np.min(entropy_K_terms(state, model, k_grid)))
+        k_min = _entropy_min(levels, v_levels, y, v)
         report.entropy_min.append(k_min)
         report.record("entropy_terms", t, k_min, -ENTROPY_TOL, lower=True)
 

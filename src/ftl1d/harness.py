@@ -115,8 +115,9 @@ class ExperimentConfig:
             raise ValueError("particle_counts must be nonempty")
         if list(self.particle_counts) != sorted(set(self.particle_counts)):
             raise ValueError("particle_counts must be strictly ascending")
-        if not (0.0 < self.delta < self.t_end or self.t_end == 0.0 < self.delta):
-            raise ValueError("delta must lie in (0, t_end), or be positive at t_end 0")
+        if not (0.0 < self.delta < self.t_end or self.t_end == 0.0 < self.delta < np.inf):
+            raise ValueError("delta must lie in (0, t_end), or be positive and finite at t_end 0, "
+                             f"got {self.delta!r}")
         # a run reads the law up to the entropy levels' reach, past every atomized density
         reach = diagnostics.ENTROPY_LEVEL_REACH
         try:

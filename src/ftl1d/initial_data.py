@@ -117,13 +117,21 @@ class ParticleConfiguration:
         return float(np.max(self.densities()))
 
 
+# the largest count: a run's work grows like the square of its particle count,
+# so at 2**20 it is already 10**6 times that at N = 1024
+MAX_COUNT = 2 ** 20
+
+
 def count(value, what: str, floor: int = 2) -> int:
-    """``value``, an int, a numpy integer or an integral float, as an int >= ``floor``.
-    Every count a config gives is read through it; a fraction raises ValueError."""
+    """``value``, an int, a numpy integer or an integral float, as an int in
+    [``floor``, MAX_COUNT].  Every count a config gives is read through it,
+    before anything is allocated; any other value raises ValueError."""
     integral = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
                 or isinstance(value, (float, np.floating)) and float(value).is_integer())
     if not (integral and value >= floor):
         raise ValueError(f"{what} must be an integer >= {floor}, got {value!r}")
+    if value > MAX_COUNT:
+        raise ValueError(f"{what} must be at most {MAX_COUNT}, got {value!r}")
     return int(value)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import particle_states
 from ftl1d import (
     CustomVelocity,
     Greenshields,
@@ -347,6 +348,47 @@ def test_run_diagnostics_flags_each_planted_check_alone(check, monkeypatch):
     assert first.value == pytest.approx(value, rel=1e-3)
     assert first.bound == pytest.approx(bound, rel=1e-12)
     assert report.skipped == clean_report.skipped
+
+
+@st.composite
+def _state_on_levels(draw, levels):
+    """A state whose densities tie levels: the particle mass is a level and
+    the gaps, exact binary fractions from an integer start, are 1/2, 1 and 2
+    (the density is that level, twice or half of it, and level 2i is exactly
+    twice level i) or 63/64 and 65/64 (a density just above or below it, with
+    no level strictly between)."""
+    mass = levels[draw(st.integers(1, levels.size - 1))]
+    gaps = [1.0] + draw(st.lists(st.sampled_from([0.5, 63 / 64, 1.0, 65 / 64, 2.0]),
+                                 max_size=20))
+    left = float(draw(st.integers(-3, 3)))
+    return ParticleConfiguration(0.0, mass, left + np.concatenate(([0.0], np.cumsum(gaps))))
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), height=st.floats(0.1, 2.0),
+       model=st.sampled_from([Greenshields(1.0), PipesMunjal(1.0, 2.0), Underwood(1.0),
+                              ModifiedGreenberg(1.0, 0.1), _BUMPY]))
+def test_run_entropy_min_is_the_dense_minimum(data, height, model):
+    # the run evaluates the levels inside each jump only; its minimum is that
+    # of the dense K x N definition, with a zero minimum read as -0.0
+    datum = from_piecewise([0.0, 1.0], [height])
+    levels = np.linspace(0.0, diagnostics.ENTROPY_LEVEL_REACH * height, 50)
+    state = data.draw(st.one_of(particle_states(), _state_on_levels(levels)))
+    report = run_diagnostics(Trajectory((state,), {}), model, datum, 0.25)
+    dense = min(-0.0, float(np.min(entropy_K_terms(state, model, levels))))
+    assert repr(report.entropy_min[0]) == repr(dense)
+
+
+@pytest.mark.parametrize("gap", [63 / 64, 65 / 64], ids=["low_end", "high_end"])
+def test_run_entropy_min_keeps_a_level_tied_to_an_end_of_a_jump(gap):
+    # the first cell's density is level 20 of the run's grid; the second lies
+    # just above or below it, with no level between, where _BUMPY increases:
+    # the one negative term is the one at the tied level
+    datum = from_piecewise([0.0, 1.0], [2.0])
+    levels = np.linspace(0.0, diagnostics.ENTROPY_LEVEL_REACH * datum.sup_norm, 50)
+    state = ParticleConfiguration(0.0, levels[20], np.array([0.0, 1.0, 1.0 + gap]))
+    report = run_diagnostics(Trajectory((state,), {}), _BUMPY, datum, 0.25)
+    assert report.entropy_min[0] == np.min(entropy_K_terms(state, _BUMPY, levels)) < 0.0
 
 
 def test_oleinik_residual_type():

@@ -142,6 +142,20 @@ def test_run_experiment_artifacts(tmp_path):
         assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest
 
 
+def test_diagnostics_artifacts_are_pinned(tmp_path):
+    # every bit of both diagnostics files of one small run: Greenshields, the
+    # default RK4, N = 64 and 5 samples
+    cfg = dict(BASE_CONFIG, particle_counts=[64], t_end=1.0,
+               sample_times=[0.0, 0.25, 0.5, 0.75, 1.0])
+    del cfg["integrator"]
+    run_experiment(ExperimentConfig.from_dict(cfg), tmp_path)
+    digests = tree_digest(tmp_path / "run_N00064")
+    assert digests["diagnostics.json"] == (
+        "a931a15a653de044e109d10415a213240bb1464e65705501563b24c7a8a331cf")
+    assert digests["diagnostics.csv"] == (
+        "dbae79bf8b6ab30331aeb5c342c9572808cf111420da83beb527290f27c3586c")
+
+
 def test_trajectory_csv_round_trips(tmp_path):
     run_experiment(make_config(particle_counts=[16]), tmp_path)
     rows = (tmp_path / "run_N00016" / "trajectory.csv").read_text().strip().splitlines()
@@ -486,7 +500,15 @@ _REFUSED = [
      "t_end is an integer too large for a float", _ALL_VERBS),
     ("negative_delta_at_zero_horizon", json.dumps({"scenario": {"name": "box"}, "t_end": 0,
                                                    "delta": -1, "particle_counts": [8]}),
-     "delta must lie in (0, t_end), or be positive at t_end 0", _ALL_VERBS),
+     "delta must lie in (0, t_end), or be positive and finite at t_end 0", _ALL_VERBS),
+    # an infinite delta would be written into the manifest as Infinity, not strict JSON
+    ("infinite_delta_at_zero_horizon", json.dumps({"scenario": {"name": "box"}, "t_end": 0,
+                                                   "delta": math.inf, "particle_counts": [8]})
+     .replace("Infinity", "1e400"),
+     "delta must lie in (0, t_end), or be positive and finite at t_end 0, got inf", _ALL_VERBS),
+    # refused before the smaller count's run is integrated or written
+    ("count_above_the_ceiling", json.dumps(dict(BASE_CONFIG, particle_counts=[8, 1e30])),
+     "particle count must be at most 1048576, got 1e+30", _ALL_VERBS),
 ]
 
 

@@ -110,6 +110,15 @@ def test_count_refuses_what_is_not_an_integer_at_the_floor(value):
         initial_data.count(value, "particle count")
 
 
+def test_count_refuses_what_lies_above_the_ceiling():
+    assert initial_data.count(initial_data.MAX_COUNT, "particle count") == 2 ** 20
+    for value in (initial_data.MAX_COUNT + 1, float(initial_data.MAX_COUNT + 1), 1e30, 10 ** 400):
+        with pytest.raises(ValueError, match="particle count must be at most 1048576, got"):
+            initial_data.count(value, "particle count")
+    with pytest.raises(ValueError, match="sawtooth_bv steps must be at most 1048576, got 1e\\+30"):
+        scenario("sawtooth_bv", steps=1e30)
+
+
 def test_atomize_and_sawtooth_refuse_fractional_counts():
     d = from_piecewise([0.0, 1.0], [1.0])
     with pytest.raises(ValueError, match="got 8.7"):
