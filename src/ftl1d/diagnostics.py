@@ -11,7 +11,6 @@ apply to a run is skipped, and the report says why.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -27,7 +26,6 @@ OLEINIK_REL_TOL = 1e-6
 TV_CONTRACT_TOL = 1e-8
 VELOCITY_TV_TOL = 1e-6
 ENTROPY_TOL = 1e-12
-INTERLEAVING_REL_TOL = 1e-12
 ENTROPY_LEVEL_REACH = 1.2   # entropy levels span [0, 1.2 * sup_norm]; a config's law must too
 
 
@@ -63,28 +61,33 @@ def oleinik_residual(config: ParticleConfiguration, model: VelocityModel) -> Ole
     density range; ``run_diagnostics`` decides whether it applies.
     """
     y = config.densities()
-    return _oleinik(config.time, y, model.value(y), model.v_max)
+    interior, leader = _oleinik(config.time, y, model.value(y), model.v_max)
+    return OleinikResidual(interior=interior, leader=float(leader))
 
 
-def _oleinik(t: float, y, v, v_max: float) -> OleinikResidual:
-    """The residuals of cell densities ``y`` with speeds ``v`` at time ``t``."""
-    return OleinikResidual(interior=t * y[:-1] * (v[1:] - v[:-1]),
-                           leader=float(t * y[-1] * (v_max - v[-1])))
+def _oleinik(t, y, v, v_max):
+    """Interior and leader residuals along the last axis, one time ``t`` per
+    row, of densities ``y`` (overwritten by t * y) with speeds ``v``."""
+    leader = t * y[..., -1] * (v_max - v[..., -1])
+    np.multiply(np.expand_dims(t, -1), y[..., :-1], out=y[..., :-1])
+    interior = np.diff(v)
+    return np.multiply(interior, y[..., :-1], out=interior), leader
 
 
 def total_variation(density: PiecewiseConstantDensity) -> float:
     """TV of a piecewise-constant density, edge jumps to vacuum included."""
-    vals = density.values
-    return float(vals[0] + vals[-1] + np.sum(np.abs(np.diff(vals))))
+    return float(_tv(density.values, 0.0))
 
 
 def velocity_total_variation(config: ParticleConfiguration, model: VelocityModel) -> float:
     """TV of the velocity profile v(density), with jumps to v_max outside."""
-    return _velocity_tv(model.value(config.densities()), model.v_max)
+    return float(_tv(model.value(config.densities()), model.v_max))
 
 
-def _velocity_tv(w, v_max: float) -> float:
-    return float(abs(v_max - w[0]) + abs(v_max - w[-1]) + np.sum(np.abs(np.diff(w))))
+def _tv(w, outside: float):
+    """TV along the last axis of a profile that is ``outside`` past both ends."""
+    d = np.diff(w)
+    return abs(outside - w[..., 0]) + abs(outside - w[..., -1]) + np.sum(np.abs(d, out=d), axis=-1)
 
 
 def bv_constant(model: VelocityModel, rho_max: float, span: float, delta: float) -> float:
@@ -153,11 +156,8 @@ class TimeContinuityReport:
 
 
 def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
-                           delta: float, hats=None) -> TimeContinuityReport:
+                           delta: float) -> TimeContinuityReport:
     """Check both time-continuity moduli on consecutive sample pairs.
-
-    ``hats`` holds the cell densities of the states (``measures.hat_density``)
-    when the caller has built them; otherwise they are built here.
 
     The transport metric between the cell reconstructions is Lipschitz with
     rate 2L*max(|v_max|, |v(R)|, v_max - v(R)) for all times; the mass-space
@@ -169,44 +169,48 @@ def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
     (up to rounding).  A failing run reports its worst consecutive slack.
 
     Every state of one trajectory is a cell density on the same mass grid,
-    so each consecutive transport distance is read in closed form on the
-    mass cells (``measures.lagrangian_wasserstein``), like the L1 distance.
-    The interleaving identity of ``run_diagnostics`` keeps the merged
-    ``measures.wasserstein``: it pairs a hat density with an empirical
-    staircase, and in closed form it would check the formula against itself.
+    so each consecutive distance is read in closed form on the mass cells,
+    as ``measures.lagrangian_wasserstein`` and ``measures.lagrangian_l1``
+    read it, for all pairs at once.
     """
     states = trajectory.states
     if len(states) < 2:
         raise ValueError("need at least two samples")
+    y, _, shifts = _stack(states)
     init = states[0]
     r = init.max_density()
     span = float(init.positions[-1] - init.positions[0])
-    total = init.total_mass
     v_r = model.value(r)
-    w_rate = 2.0 * total * max(abs(model.v_max), abs(v_r), model.v_max - v_r)
+    w_rate = 2.0 * init.total_mass * max(abs(model.v_max), abs(v_r), model.v_max - v_r)
     l1_rate = r * r * (bv_constant(model, r, span, delta) + model.v_max - v_r)
 
-    w_slack = np.inf
-    l1_slack = np.inf
-    w_pairs = 0
-    l1_pairs = 0
-    if hats is None:
-        hats = [measures.hat_density(state) for state in states]
-    for (t0, hat0), (t1, hat1) in itertools.pairwise(
-            (state.time, hat) for state, hat in zip(states, hats, strict=True)):
-        w_slack = min(w_slack,
-                      w_rate * (t1 - t0) - measures.lagrangian_wasserstein(hat0, hat1))
-        w_pairs += 1
-        if t0 >= delta:
-            l1_slack = min(l1_slack,
-                           l1_rate * (t1 - t0) - measures.lagrangian_l1(hat0, hat1))
-            l1_pairs += 1
-    if l1_pairs == 0:
-        l1_slack = 0.0
+    mass = init.particle_mass
+    times = np.array([state.time for state in states])
+    dt = times[1:] - times[:-1]
+    w_slack = w_rate * dt - measures.segment_l1(shifts[:, :-1], shifts[:, 1:], mass)
+    dy = np.subtract(y[:-1, :-1], y[1:, :-1])
+    l1_slack = (l1_rate * dt - mass * np.sum(np.abs(dy, out=dy), axis=1))[times[:-1] >= delta]
     return TimeContinuityReport(
         wasserstein_rate=w_rate, l1_rate=l1_rate,
-        wasserstein_worst_slack=float(w_slack), l1_worst_slack=float(l1_slack),
-        wasserstein_pairs=w_pairs, l1_pairs=l1_pairs)
+        wasserstein_worst_slack=float(np.min(w_slack)),
+        l1_worst_slack=float(np.min(l1_slack)) if l1_slack.size else 0.0,
+        wasserstein_pairs=int(w_slack.size), l1_pairs=int(l1_slack.size))
+
+
+def _stack(states):
+    """The cell densities of states of one particle mass, the vacuum past the
+    leader appended, as one (S, N+1) array; each state's smallest gap; and
+    the (S-1, N+1) shifts of the positions between consecutive states."""
+    mass = states[0].particle_mass
+    if any(state.particle_mass != mass for state in states):
+        raise ValueError("the states must carry one particle mass")
+    x = np.array([state.positions for state in states])
+    y = np.empty(x.shape)
+    gaps = np.subtract(x[:, 1:], x[:, :-1], out=y[:, :-1])
+    low = np.min(gaps, axis=1)
+    np.divide(mass, gaps, out=gaps)
+    y[:, -1] = 0.0
+    return y, low, x[:-1] - x[1:]
 
 
 @dataclass
@@ -235,9 +239,8 @@ class DiagnosticsReport:
     c_delta: float = float("nan")
     delta: float = float("nan")
     tv_initial_datum: float = float("nan")
-    wasserstein_worst_slack: float = float("nan")
-    l1_worst_slack: float = float("nan")
-    interleaving_max_rel_error: float = float("nan")
+    wasserstein_worst_slack: float | None = None
+    l1_worst_slack: float | None = None
     violations: list = field(default_factory=list)
     skipped: dict = field(default_factory=dict)
 
@@ -254,17 +257,19 @@ class DiagnosticsReport:
         return {**asdict(self), "passed": self.passed}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
                     datum: PiecewiseConstantDensity, delta: float) -> DiagnosticsReport:
     """Run every check on a trajectory; record its violations and skips.
 
-    The entropy terms are evaluated at 50 levels on [0, ENTROPY_LEVEL_REACH
-    * sup_norm], above the densest state as well, and only inside each jump
-    (``_entropy_min``).  Each state is read once: its cell density, and the
-    speeds of those densities, serve every check.
+    The states are read as one (S, N+1) array of cell densities, the vacuum
+    past the leader appended, and one array of their speeds: each check
+    reduces their rows, and at most three such arrays are held at once.  The
+    entropy terms are evaluated one state at a time, at 50 levels on
+    [0, ENTROPY_LEVEL_REACH * sup_norm], above the densest state as well,
+    and only inside each jump (``_entropy_min``).
     """
     levels = np.linspace(0.0, ENTROPY_LEVEL_REACH * datum.sup_norm, 50)
     v_levels = model.value(levels)
@@ -277,57 +282,44 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
         report.skipped.update(dict.fromkeys(
             ("oleinik_interior", "oleinik_leader"),
             "velocity law fails the sampled weighted-slope condition on [0, sup_norm]"))
-    hats = [measures.hat_density(state) for state in trajectory.states]
-    prev_tv = None
-    interleave_err = 0.0
-    for state, hat in zip(trajectory.states, hats, strict=True):
-        t = state.time
-        cell_mass = state.particle_mass
-        y = np.append(hat.values, 0.0)     # the cell densities, then the vacuum past the leader
-        v = model.value(y)
-        report.times.append(t)
+    states = trajectory.states
+    cont = time_continuity_moduli(trajectory, model, delta) if len(states) > 1 else None
+    y, low = _stack(states)[:2]   # drop the shifts: at most three (S, N+1) arrays at once
+    v = model.value(y)
+    mass = states[0].particle_mass
+    report.times = [state.time for state in states]
+    report.min_gap_ratios = (low / (mass / datum.sup_norm)).tolist()
+    report.tv_hat = _tv(y[:, :-1], 0.0).tolist()
+    report.tv_velocity = _tv(v[:, :-1], model.v_max).tolist()
+    report.entropy_min = [_entropy_min(levels, v_levels, *row) for row in zip(y, v)]
+    # last, as it overwrites the densities
+    interior, leader = _oleinik(np.array(report.times), y[:, :-1], v[:, :-1], model.v_max)
+    report.oleinik_interior_max = (np.max(interior, axis=1) if interior.shape[1]
+                                   else np.zeros(len(states))).tolist()
+    report.oleinik_leader = leader.tolist()
 
-        ratio = min_gap_ratio(state, datum.sup_norm)
-        report.min_gap_ratios.append(ratio)
+    bound = mass * (1.0 + OLEINIK_REL_TOL)
+    prev_tv = np.inf
+    for t, ratio, inner, lead, tv, tvv, k_min in zip(
+            report.times, report.min_gap_ratios, report.oleinik_interior_max,
+            report.oleinik_leader, report.tv_hat, report.tv_velocity, report.entropy_min):
         report.record("min_gap_ratio", t, ratio, 1.0 - GAP_RATIO_TOL, lower=True)
-
-        res = _oleinik(t, y[:-1], v[:-1], model.v_max)
-        report.oleinik_interior_max.append(res.max_interior)
-        report.oleinik_leader.append(res.leader)
         if oleinik_ok:
-            bound = cell_mass * (1.0 + OLEINIK_REL_TOL)
-            report.record("oleinik_interior", t, res.max_interior, bound)
-            report.record("oleinik_leader", t, res.leader, bound)
-
-        tv = total_variation(hat)
-        report.tv_hat.append(tv)
+            report.record("oleinik_interior", t, inner, bound)
+            report.record("oleinik_leader", t, lead, bound)
         report.record("tv_contractivity", t, tv, report.tv_initial_datum + TV_CONTRACT_TOL)
-        if prev_tv is not None:
-            report.record("tv_monotone", t, tv, prev_tv + TV_CONTRACT_TOL)
+        report.record("tv_monotone", t, tv, prev_tv + TV_CONTRACT_TOL)
         prev_tv = tv
-
-        tvv = _velocity_tv(v[:-1], model.v_max)
-        report.tv_velocity.append(tvv)
         if t >= delta:
             report.record("tv_velocity", t, tvv, report.c_delta + VELOCITY_TV_TOL)
-
-        k_min = _entropy_min(levels, v_levels, y, v)
-        report.entropy_min.append(k_min)
         report.record("entropy_terms", t, k_min, -ENTROPY_TOL, lower=True)
-
-        ident = 0.5 * cell_mass * (state.positions[-1] - state.positions[0])
-        dist = measures.wasserstein(hat, measures.empirical(state))
-        interleave_err = max(interleave_err, abs(dist - ident) / ident)
     if not any(t >= delta for t in report.times):
         report.skipped["tv_velocity"] = "no sample at or after delta"
-    report.interleaving_max_rel_error = interleave_err
-    report.record("interleaving_identity", None, interleave_err, INTERLEAVING_REL_TOL)
 
-    if len(trajectory.states) < 2:
+    if cont is None:
         report.skipped.update(dict.fromkeys(
             ("wasserstein_time_continuity", "l1_time_continuity"), "fewer than two samples"))
         return report
-    cont = time_continuity_moduli(trajectory, model, delta, hats)
     report.wasserstein_worst_slack = cont.wasserstein_worst_slack
     report.l1_worst_slack = cont.l1_worst_slack
     report.record("wasserstein_time_continuity", None, cont.wasserstein_worst_slack, 0.0,

@@ -1,4 +1,6 @@
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ftl1d import (
     hat_density,
     integrate,
     lagrangian_l1,
+    lagrangian_wasserstein,
     min_gap_ratio,
     oleinik_residual,
     run_diagnostics,
@@ -29,13 +32,13 @@ from ftl1d import (
     velocity_total_variation,
     wasserstein,
 )
-from ftl1d import diagnostics, measures
+from ftl1d import diagnostics
 from ftl1d.diagnostics import OleinikResidual
 from ftl1d.dynamics import Trajectory
 
 CHECKS = {"min_gap_ratio", "oleinik_interior", "oleinik_leader", "tv_contractivity",
-          "tv_monotone", "tv_velocity", "entropy_terms", "interleaving_identity",
-          "wasserstein_time_continuity", "l1_time_continuity"}
+          "tv_monotone", "tv_velocity", "entropy_terms", "wasserstein_time_continuity",
+          "l1_time_continuity"}
 
 
 def config(positions, mass=0.5, time=0.0):
@@ -225,7 +228,6 @@ def test_run_diagnostics_clean_run():
     assert report.passed
     assert report.violations == []
     assert len(report.times) == 4
-    assert report.interleaving_max_rel_error <= 1e-12
     payload = report.to_dict()
     assert payload["passed"] is True
     assert payload["c_delta"] == report.c_delta
@@ -289,7 +291,7 @@ _PAIRS = [0.9, 1.0] * 3 + [0.9, 0.6]
 _PERMUTED = [0.9, 0.9] + [1.0, 0.9] * 2 + [1.0, 0.6]
 
 # check: (model, clean twin, planted samples, (time, value, bound) of the
-# first violation); the interleaving plant is a wrong measures.wasserstein
+# first violation)
 PLANTS = {
     # two cells of density 1.2 > R at t = 0, where every Oleinik residual is 0
     "min_gap_ratio": (Greenshields(1.0), _steady(_LOW),
@@ -316,8 +318,6 @@ PLANTS = {
     # one cell in the increasing range of the law, at every sample
     "entropy_terms": (_BUMPY, _steady(_LOW), _steady([0.4] * 3 + [0.95] + [0.4] * 4),
                       (0.0, -0.0136, -diagnostics.ENTROPY_TOL)),
-    "interleaving_identity": (Greenshields(1.0), _steady(_LOW), _steady(_LOW),
-                              (None, 1e-9, diagnostics.INTERLEAVING_REL_TOL)),
     # the mass 2 moves by 5 in 0.5 time units; the rate 4 allows a distance 2
     "wasserstein_time_continuity": (Greenshields(1.0), _steady(_LOW),
                                     _steady(_LOW, (0.0, 0.5)) + [(1.0, _LOW, 5.0)],
@@ -333,14 +333,10 @@ PLANTS = {
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
-def test_run_diagnostics_flags_each_planted_check_alone(check, monkeypatch):
+def test_run_diagnostics_flags_each_planted_check_alone(check):
     model, clean, planted, (time, value, bound) = PLANTS[check]
     clean_report = run_diagnostics(_trajectory(clean), model, _DATUM, 0.5)
     assert clean_report.passed
-    if check == "interleaving_identity":
-        exact = measures.wasserstein
-        monkeypatch.setattr(measures, "wasserstein",
-                            lambda a, b: exact(a, b) * (1.0 + 1e-9))
     report = run_diagnostics(_trajectory(planted), model, _DATUM, 0.5)
     assert {v.check for v in report.violations} == {check}
     first = report.violations[0]
@@ -426,7 +422,9 @@ def test_time_continuity_skipped_with_one_sample():
     assert report.passed
     assert report.skipped == dict.fromkeys(
         ("wasserstein_time_continuity", "l1_time_continuity"), "fewer than two samples")
-    assert np.isnan(report.wasserstein_worst_slack)
+    assert report.wasserstein_worst_slack is None
+    assert report.l1_worst_slack is None
+    assert json.loads(report.to_json())["wasserstein_worst_slack"] is None
 
 
 # widths and positive values of at least 0.25 keep the default RK4 step,
@@ -475,3 +473,70 @@ def test_run_diagnostics_matches_standalone_helpers(cells, model, n):
     assert failed <= CHECKS
     assert set(report.skipped) <= CHECKS
     assert not failed & set(report.skipped)
+
+
+def _wobbling_box(samples, n, seed):
+    """A hand-built trajectory: the particles of a unit box moved by random
+    shifts of both signs, so that consecutive states cross each other."""
+    rng = np.random.default_rng(seed)
+    x0 = atomize(scenario("box"), n).positions
+    states = []
+    for t in np.linspace(0.0, 1.0, samples).tolist():
+        gaps = np.diff(x0) * rng.uniform(0.8, 1.25, size=n)
+        left = rng.uniform(-0.01, 0.01)
+        states.append(ParticleConfiguration(t, 1.0 / n, left + np.concatenate(([0.0],
+                                                                             np.cumsum(gaps)))))
+    return Trajectory(tuple(states), {})
+
+
+@pytest.mark.parametrize("model", [Greenshields(1.0), PipesMunjal(1.0, 2.0), Underwood(1.0),
+                                   ModifiedGreenberg(1.0, 0.1)])
+def test_run_diagnostics_keeps_the_bits_of_its_helpers_on_long_odd_rows(model):
+    # N = 300 cells: above numpy's pairwise-sum block of 128 and not a
+    # multiple of 8, so a row reduction that summed in another order would
+    # show; S = 11 samples
+    tr = _wobbling_box(11, 300, seed=3)
+    datum = scenario("box")
+    report = run_diagnostics(tr, model, datum, 0.25)
+    levels = np.linspace(0.0, diagnostics.ENTROPY_LEVEL_REACH * datum.sup_norm, 50)
+    for k, state in enumerate(tr.states):
+        res = oleinik_residual(state, model)
+        assert report.min_gap_ratios[k] == min_gap_ratio(state, datum.sup_norm)
+        assert report.oleinik_interior_max[k] == res.max_interior
+        assert report.oleinik_leader[k] == res.leader
+        assert report.tv_hat[k] == total_variation(hat_density(state))
+        assert report.tv_velocity[k] == velocity_total_variation(state, model)
+        dense = min(-0.0, float(np.min(entropy_K_terms(state, model, levels))))
+        assert repr(report.entropy_min[k]) == repr(dense)
+    cont = time_continuity_moduli(tr, model, 0.25)
+    worst_w = worst_l1 = np.inf
+    for a, b in itertools.pairwise(tr.states):
+        hat_a, hat_b = hat_density(a), hat_density(b)
+        worst_w = min(worst_w, cont.wasserstein_rate * (b.time - a.time)
+                      - lagrangian_wasserstein(hat_a, hat_b))
+        if a.time >= 0.25:
+            worst_l1 = min(worst_l1, cont.l1_rate * (b.time - a.time)
+                           - lagrangian_l1(hat_a, hat_b))
+    assert report.wasserstein_worst_slack == worst_w
+    assert report.l1_worst_slack == worst_l1
+    assert cont.l1_pairs == 7
+
+
+def test_run_diagnostics_memory_budget():
+    # S = 41 states of N = 1024 cells, as the dense benchmark's double hump.
+    # The run reads them as stacked (S, N+1) arrays and holds at most three
+    # at once, plus numpy's fixed iteration buffers; with one hat density per
+    # state and the interleaving identity it peaked at 3.65 such arrays here
+    s, n = 41, 1024
+    x0 = atomize(scenario("box"), n).positions
+    states = tuple(ParticleConfiguration(t, 1.0 / n, x0 + 0.5 * t * x0 * x0)
+                   for t in np.linspace(0.0, 1.0, s).tolist())
+    tr, model, datum = Trajectory(states, {}), PipesMunjal(1.0, 2.0), scenario("box")
+    run_diagnostics(tr, model, datum, 0.25)
+    tracemalloc.start()
+    try:
+        run_diagnostics(tr, model, datum, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * s * (n + 1) * 8

@@ -144,14 +144,14 @@ def test_run_experiment_artifacts(tmp_path):
 
 def test_diagnostics_artifacts_are_pinned(tmp_path):
     # every bit of both diagnostics files of one small run: Greenshields, the
-    # default RK4, N = 64 and 5 samples
+    # default RK4, N = 64 and 5 samples; the JSON holds no interleaving key
     cfg = dict(BASE_CONFIG, particle_counts=[64], t_end=1.0,
                sample_times=[0.0, 0.25, 0.5, 0.75, 1.0])
     del cfg["integrator"]
     run_experiment(ExperimentConfig.from_dict(cfg), tmp_path)
     digests = tree_digest(tmp_path / "run_N00064")
     assert digests["diagnostics.json"] == (
-        "a931a15a653de044e109d10415a213240bb1464e65705501563b24c7a8a331cf")
+        "9cb4ddd1b78b0774d9ac4f5c27c3f33d3e07eb6bcd089d22a775c55c88d90ab2")
     assert digests["diagnostics.csv"] == (
         "dbae79bf8b6ab30331aeb5c342c9572808cf111420da83beb527290f27c3586c")
 
