@@ -29,7 +29,7 @@ from . import __version__, diagnostics, dynamics, initial_data, measures, refere
 @dataclass(frozen=True)
 class OracleSettings:
     dx: float | None = None
-    cfl: float = 0.5
+    cfl: float = 0.9
     kind: str = "auto"    # auto | riemann | godunov
 
     def __post_init__(self):

@@ -173,6 +173,16 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
     them.  Mass conservation is asserted every step to 1e-12 of the total,
     which also fails on a NaN or infinite state; averages stay within
     [0, sup_norm] up to rounding.
+
+    The scheme is monotone for every cfl <= 1, so on all of (0, 1).  With
+    lam = dt / dx, a cell's update H(u_{j-1}, u_j, u_{j+1}) = u_j - lam *
+    (F(u_j, u_{j+1}) - F(u_{j-1}, u_j)) rises in u_{j-1} and u_{j+1}, and
+    dH/du_j = 1 - lam * (d1F(u_j, u_{j+1}) - d2F(u_{j-1}, u_j)).  Here
+    d1F = f'(u_j) >= 0 is nonzero only where u_j < star, and d2F = f'(u_j)
+    <= 0 only where u_j > star, so at most one of them acts and
+    dH/du_j >= 1 - lam * max|f'| = 1 - cfl.  The harness default 0.9 keeps a
+    margin for cell averages that round above the sup norm and for a max|f'|
+    that rests on a sampled concavity verdict.
     """
     if not 0.0 < dx < math.inf:
         raise ValueError("dx must be positive and finite")

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,18 @@ def test_convergence_study_godunov_oracle():
     assert table.window is None
     assert all(np.isfinite(r.l1_error) for r in table.rows)
     assert all(np.isfinite(r.wasserstein_vs_godunov) for r in table.rows)
+
+
+def test_oracle_cfl_moves_only_the_godunov_column_of_a_riemann_table():
+    # in Riemann mode the L1 column reads the exact solution, so the Godunov
+    # step moves only the transport distance to the Godunov profile
+    half = convergence_study(make_config(oracle={"cfl": 0.5}))
+    default = convergence_study(make_config(oracle={}))
+    assert half.oracle_kind == default.oracle_kind == "riemann"
+    assert [r.l1_error for r in default.rows] == [r.l1_error for r in half.rows]
+    for a, b in zip(half.rows, default.rows):
+        assert a.wasserstein_vs_godunov != b.wasserstein_vs_godunov
+        assert replace(a, wasserstein_vs_godunov=0.0) == replace(b, wasserstein_vs_godunov=0.0)
 
 
 def test_convergence_study_needs_three_counts():

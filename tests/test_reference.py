@@ -26,6 +26,7 @@ from ftl1d import (
     riemann_solve,
     scenario,
 )
+from ftl1d.harness import OracleSettings
 from ftl1d.reference import max_wave_speed
 from ftl1d.velocity import VelocityModel, check_assumptions
 
@@ -251,6 +252,9 @@ def test_godunov_default_pad_covers_stencil_reach(name):
     assert density.total_mass == pytest.approx(datum.total_mass, rel=1e-12)
 
 
+# the Courant numbers of the march's property tests: the step of criterion 11
+# and the one the harness takes by default
+_CFLS = (0.5, OracleSettings().cfl)
 # no closed-form critical density for the last two: a golden-section search
 _TABLE = np.linspace(0.0, 1.25, 11)
 _GODUNOV_LAWS = [Greenshields(1.0), PipesMunjal(1.0, 2.0), PipesMunjal(1.0, 0.5),
@@ -269,25 +273,26 @@ def test_godunov_matches_full_grid_march_bit_for_bit(model, case):
     else:
         # a pad under one cell and a faint tail: the window spans the grid
         datum, pad = from_piecewise([0.0, 0.5, 1.5], [0.8, 1e-13]), 0.01
-    dx, cfl, t_end = 0.05, 0.5, 0.5
-    density = godunov(datum, model, dx, cfl, t_end, pad)
-    if case == "small_pad":
-        assert density.values[0] > 0.0 and density.values[-1] > 0.0
+    dx, t_end = 0.05, 0.5
+    for cfl in _CFLS:
+        density = godunov(datum, model, dx, cfl, t_end, pad)
+        if case == "small_pad":
+            assert density.values[0] > 0.0 and density.values[-1] > 0.0
 
-    # every cell stepped every time, written out here rather than taken
-    # from the package
-    edges = density.breakpoints
-    n_steps = math.ceil(t_end / (cfl * dx / max_wave_speed(model, datum.sup_norm)))
-    dt = t_end / n_steps
-    u = np.diff(datum.cdf_values(edges)) / dx
-    zero = np.zeros(1)
-    for _ in range(n_steps):
-        q = np.concatenate((zero, u, zero))
-        star = model.critical_density(float(np.max(q)))
-        demand = model.flux(np.clip(q[:-1], 0.0, star))
-        supply = model.flux(np.maximum(q[1:], star))
-        u = u - (dt / dx) * np.diff(np.minimum(demand, supply))
-    np.testing.assert_array_equal(density.values, np.maximum(u, 0.0))
+        # every cell stepped every time, written out here rather than taken
+        # from the package
+        edges = density.breakpoints
+        n_steps = math.ceil(t_end / (cfl * dx / max_wave_speed(model, datum.sup_norm)))
+        dt = t_end / n_steps
+        u = np.diff(datum.cdf_values(edges)) / dx
+        zero = np.zeros(1)
+        for _ in range(n_steps):
+            q = np.concatenate((zero, u, zero))
+            star = model.critical_density(float(np.max(q)))
+            demand = model.flux(np.clip(q[:-1], 0.0, star))
+            supply = model.flux(np.maximum(q[1:], star))
+            u = u - (dt / dx) * np.diff(np.minimum(demand, supply))
+        np.testing.assert_array_equal(density.values, np.maximum(u, 0.0))
 
 
 def test_godunov_searches_critical_density_only_when_the_maximum_changes():
@@ -356,8 +361,9 @@ _TIMES = st.floats(0.05, 2.0)
 @given(cells=piecewise_cells(positive_mass=True), model=_LAWS, t_end=st.floats(0.0, 0.5))
 def test_godunov_conserves_mass_on_random_data(cells, model, t_end):
     datum = from_piecewise(*cells)
-    density = godunov(datum, model, dx=0.05, cfl=0.5, t_end=t_end)
-    assert abs(density.total_mass - datum.total_mass) <= 1e-12 * datum.total_mass
+    for cfl in _CFLS:
+        density = godunov(datum, model, dx=0.05, cfl=cfl, t_end=t_end)
+        assert abs(density.total_mass - datum.total_mass) <= 1e-12 * datum.total_mass
 
 
 @settings(deadline=None, max_examples=30)
@@ -367,15 +373,47 @@ def test_godunov_is_tvd_and_keeps_the_maximum_on_random_data(cells, model, t_end
     # initial cell averages; one pad covering the stencil's reach puts them
     # on the grid of the march
     datum = from_piecewise(*cells)
-    dx, cfl = 0.05, 0.5
-    n_steps = math.ceil(t_end / (cfl * dx / max_wave_speed(model, datum.sup_norm)))
-    pad = (n_steps + 1) * dx
-    initial = godunov(datum, model, dx, cfl, 0.0, pad)
-    marched = godunov(datum, model, dx, cfl, t_end, pad)
-    np.testing.assert_array_equal(marched.breakpoints, initial.breakpoints)
-    variation = np.sum(np.abs(np.diff(initial.values)))
-    assert np.sum(np.abs(np.diff(marched.values))) <= variation * (1.0 + 1e-12)
-    assert np.max(marched.values) <= np.max(initial.values) + 1e-13
+    dx = 0.05
+    for cfl in _CFLS:
+        n_steps = math.ceil(t_end / (cfl * dx / max_wave_speed(model, datum.sup_norm)))
+        pad = (n_steps + 1) * dx
+        initial = godunov(datum, model, dx, cfl, 0.0, pad)
+        marched = godunov(datum, model, dx, cfl, t_end, pad)
+        np.testing.assert_array_equal(marched.breakpoints, initial.breakpoints)
+        variation = np.sum(np.abs(np.diff(initial.values)))
+        assert np.sum(np.abs(np.diff(marched.values))) <= variation * (1.0 + 1e-12)
+        assert np.max(marched.values) <= np.max(initial.values) + 1e-13
+
+
+@settings(deadline=None, max_examples=30)
+@given(cells=piecewise_cells(positive_mass=True), model=_LAWS, t_end=st.floats(0.0, 0.5),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+def test_godunov_keeps_ordered_data_ordered_up_to_cfl_one(cells, model, t_end, fractions):
+    # monotone means u0 <= v0 gives u <= v, and the scheme is monotone while
+    # cfl <= 1.  The lower datum keeps the upper one's maximum and outermost
+    # positive cells, so both march with one dt on one grid
+    edges, upper = cells
+    lower = upper * np.array(fractions[:upper.size])
+    positive = np.flatnonzero(upper > 0.0)
+    keep = [positive[0], positive[-1], int(np.argmax(upper))]
+    lower[keep] = upper[keep]
+    below, above = from_piecewise(edges, lower), from_piecewise(edges, upper)
+    for cfl in (*_CFLS, 0.99):
+        u = godunov(below, model, dx=0.05, cfl=cfl, t_end=t_end)
+        v = godunov(above, model, dx=0.05, cfl=cfl, t_end=t_end)
+        np.testing.assert_array_equal(u.breakpoints, v.breakpoints)
+        assert np.all(u.values <= v.values + 1e-13)
+
+
+def test_godunov_at_the_default_cfl_is_closer_to_the_riemann_solution():
+    # a longer step adds less numerical diffusion: the default step is the
+    # more accurate oracle, not only the cheaper one
+    model = Greenshields(1.0)
+    sol = riemann_solve(model, 0.8, 0.2)
+    errors = [riemann_l1_error(godunov(scenario("riemann_like"), model, dx=0.01, cfl=cfl,
+                                       t_end=0.5), sol, model, 0.5, (-0.5, 0.5))
+              for cfl in _CFLS]
+    assert errors[1] < errors[0]
 
 
 @settings(deadline=None, max_examples=60)
