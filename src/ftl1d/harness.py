@@ -29,14 +29,11 @@ from . import __version__, diagnostics, dynamics, initial_data, measures, refere
 @dataclass(frozen=True)
 class OracleSettings:
     dx: float | None = None
-    cfl: float = 0.9
     kind: str = "auto"    # auto | riemann | godunov
 
     def __post_init__(self):
         if self.dx is not None and not 0.0 < self.dx < np.inf:
             raise ValueError("oracle dx must be positive and finite")
-        if not 0.0 < self.cfl < 1.0:
-            raise ValueError("oracle cfl must lie in (0, 1)")
         if self.kind not in ("auto", "riemann", "godunov"):
             raise ValueError(f"unknown oracle kind {self.kind!r}")
 
@@ -336,11 +333,18 @@ class ConvergenceTable:
     rows: tuple
 
 
+def _require_decreasing(config: ExperimentConfig):
+    """Refuse a law that ``integrate`` refuses, by the verdict ``check`` reports."""
+    if not velocity.check_assumptions(config.model, config.datum.sup_norm).v_strictly_decreasing:
+        raise ValueError(f"velocity law increases, or is flat, on [0, {config.datum.sup_norm}]")
+
+
 def _converge_setup(config: ExperimentConfig):
     """Refuse, before any work, a config that a refinement table cannot use;
     return the Riemann comparison window, which outside influence travelling
     at max |f'| has not reached by t_end, or None for Godunov."""
     datum, model = config.datum, config.model
+    _require_decreasing(config)
     if len(config.particle_counts) < 3:
         raise ValueError("need at least 3 particle counts")
     reference._require_concave(model, datum.sup_norm)
@@ -391,7 +395,7 @@ def convergence_study(config: ExperimentConfig, jobs: int = 1) -> ConvergenceTab
         sol = reference.riemann_solve(model, float(datum.values[0]), float(datum.values[1]))
     span = datum.support_max - datum.support_min
     dx = config.oracle.dx if config.oracle.dx is not None else span / 4096.0
-    godunov_density = reference.godunov(datum, model, dx, config.oracle.cfl, config.t_end)
+    godunov_density = reference.godunov(datum, model, dx, reference.CFL, config.t_end)
     results = _for_each_count(_converge_single, config, jobs)
 
     rows = []
@@ -450,8 +454,9 @@ def _cmd_check(config: ExperimentConfig, args) -> int:
 
 def main(argv=None) -> int:
     """Run one verb; exit status 0 on a pass, 1 on a failed check and 2 on
-    a usage error (argparse's status).  A refused config, ``--jobs`` below 1
-    and a config that ``converge`` cannot use exit 2 too, before any work."""
+    a usage error (argparse's status).  A refused config, ``--jobs`` below 1,
+    a law that ``integrate`` refuses and a config that ``converge`` cannot use
+    exit 2 too, before any work; ``check`` reports such a law and exits 1."""
     parser = argparse.ArgumentParser(
         prog="ftl1d",
         description="Follow-the-leader particle experiments for 1-D conservation laws")
@@ -468,7 +473,9 @@ def main(argv=None) -> int:
         if args.verb != "check" and args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         config = ExperimentConfig.from_json(args.config)
-        if args.verb == "converge":
+        if args.verb == "run":
+            _require_decreasing(config)     # integrate repeats it for library callers
+        elif args.verb == "converge":
             _converge_setup(config)     # convergence_study repeats it for library callers
     except (OSError, ValueError) as exc:   # json.JSONDecodeError included
         print(f"ftl1d: error: {exc}", file=sys.stderr)

@@ -58,17 +58,17 @@ def riemann_solve(model: VelocityModel, rho_l: float, rho_r: float) -> RiemannSo
     if rho_l < rho_r:
         speed = (model.flux(rho_r) - model.flux(rho_l)) / (rho_r - rho_l)
         return RiemannSolution(rho_l, rho_r, "shock", shock_speed=float(speed))
-    fan_l = model.flux_derivative(rho_l)
-    fan_r = model.flux_derivative(rho_r)
-    return RiemannSolution(rho_l, rho_r, "rarefaction",
-                           fan_left=float(fan_l), fan_right=float(fan_r))
+    return RiemannSolution(rho_l, rho_r, "rarefaction", fan_left=model.flux_derivative(rho_l),
+                           fan_right=model.flux_derivative(rho_r))
 
 
 def riemann_eval(sol: RiemannSolution, model: VelocityModel, t: float, x):
-    """Density of the self-similar solution at time t > 0 and positions x."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    xi = np.asarray(x, dtype=float) / t
+    """Density of the self-similar solution at time t >= 0 and positions x;
+    at t = 0 it is the datum, the left state left of 0 and the right one from 0 on."""
+    if not t >= 0.0:
+        raise ValueError("t must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    xi = x / t if t > 0.0 else np.copysign(np.inf, x)
     if sol.kind == "constant":
         out = np.full(xi.shape, sol.left)
     elif sol.kind == "shock":
@@ -78,45 +78,31 @@ def riemann_eval(sol: RiemannSolution, model: VelocityModel, t: float, x):
                                               sol.right, sol.left)
         out = np.where(xi <= sol.fan_left, sol.left,
                        np.where(xi >= sol.fan_right, sol.right, inner))
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out) if x.ndim == 0 else out
 
 
-def _fan_primitive(model: VelocityModel, rho):
-    """Antiderivative of rho with respect to xi inside a fan: rho*f'(rho) - f(rho)."""
-    return rho * model.flux_derivative(rho) - model.flux(rho)
+def _cumulative_mass(sol: RiemannSolution, model: VelocityModel, t: float, x: np.ndarray):
+    """M(x) = x * rho - t * f(rho), with rho the solution at x, up to a constant
+    the mass left of x: M_x = rho and M_t = -f(rho), and Rankine-Hugoniot keeps
+    M continuous across a shock."""
+    rho = riemann_eval(sol, model, t, x)
+    return x * rho - t * model.flux(rho)
 
 
 def riemann_mass(sol: RiemannSolution, model: VelocityModel, t: float, a, b):
-    """Exact integral of the solution density over [a, b] at time t > 0.
-
-    a and b may be scalars or arrays of interval ends (broadcast together);
-    scalars give a float.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Exact integral M(b) - M(a) of the solution density over [a, b] at time
+    t >= 0, for shocks, fans and constant states alike.  a and b may be scalars
+    or arrays of interval ends (broadcast together); scalars give a float."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.any(a > b):
         raise ValueError("need a <= b")
-    if sol.kind == "constant":
-        total = sol.left * (b - a)
-    elif sol.kind == "shock":
-        s = sol.shock_speed * t
-        total = (sol.left * (np.minimum(b, s) - np.minimum(a, s))
-                 + sol.right * (np.maximum(b, s) - np.maximum(a, s)))
-    else:
-        xl, xr = sol.fan_left * t, sol.fan_right * t
-        total = (sol.left * (np.minimum(b, xl) - np.minimum(a, xl))
-                 + sol.right * (np.maximum(b, xr) - np.maximum(a, xr)))
-        fa, fb = np.maximum(a, xl), np.minimum(b, xr)
-        rho_a = riemann_eval(sol, model, t, fa)
-        rho_b = riemann_eval(sol, model, t, fb)
-        fan = t * (_fan_primitive(model, rho_b) - _fan_primitive(model, rho_a))
-        total = total + np.where(fb > fa, fan, 0.0)
+    total = _cumulative_mass(sol, model, t, b) - _cumulative_mass(sol, model, t, a)
     return float(total) if total.ndim == 0 else total
 
 
 def riemann_l1_error(density: PiecewiseConstantDensity, sol: RiemannSolution,
                      model: VelocityModel, t: float, window) -> float:
-    """Exact integral of |density - solution| over a window at time t > 0.
+    """Exact integral of |density - solution| over a window at time t >= 0.
 
     The window must be a region where the two-state solution is valid for
     the data the density approximates.
@@ -139,8 +125,9 @@ def riemann_l1_error(density: PiecewiseConstantDensity, sol: RiemannSolution,
         x_c = np.clip(model.flux_derivative(np.clip(c, sol.right, sol.left)) * t, a, b)
     else:
         x_c = a
-    left = riemann_mass(sol, model, t, a, x_c) - c * (x_c - a)
-    right = c * (b - x_c) - riemann_mass(sol, model, t, x_c, b)
+    mass, mass_c = (_cumulative_mass(sol, model, t, x) for x in (mesh, x_c))
+    left = mass_c - mass[:-1] - c * (x_c - a)
+    right = c * (b - x_c) - (mass[1:] - mass_c)
     return float(np.sum(np.abs(left) + np.abs(right)))
 
 
@@ -149,23 +136,32 @@ def max_wave_speed(model: VelocityModel, rho_hi: float) -> float:
     return float(np.max(np.abs(model.flux_derivative(np.array([0.0, rho_hi])))))
 
 
+# The Courant number of the oracle in ``converge``.  With lam = dt / dx, a cell's
+# update H = u_j - lam * (F(u_j, u_{j+1}) - F(u_{j-1}, u_j)) rises in u_{j-1} and
+# u_{j+1}, and dH/du_j = 1 - lam * (d1F(u_j, u_{j+1}) - d2F(u_{j-1}, u_j)), where
+# d1F = f'(u_j) >= 0 acts only where u_j < star and d2F = f'(u_j) <= 0 only where
+# u_j > star.  So dH/du_j >= 1 - cfl: the scheme is monotone for cfl <= 1 and
+# converges to the entropy solution (Crandall & Majda 1980).  0.9 keeps a margin
+# for averages that round above the sup norm and a sampled concavity verdict.
+CFL = 0.9
+
+
 def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cfl: float,
-            t_end: float, pad: float | None = None) -> PiecewiseConstantDensity:
+            t_end: float) -> PiecewiseConstantDensity:
     """March the monotone finite-volume scheme to t_end and return the profile.
 
     Args:
         datum: initial density (sampled exactly into cell averages).
         model: velocity law with concave flux (``check_assumptions``' verdict).
         dx: uniform cell width.
-        cfl: Courant number in (0, 1); the step is cfl * dx / max|f'|.
+        cfl: Courant number in (0, 1); the step is cfl * dx / max|f'|, and
+            the scheme is monotone on all of it (see ``CFL``).
         t_end: final time.
-        pad: domain margin on each side of the support; defaults to the
-            larger of (|v_max| + |v(R)| + v_max) * t_end + dx and
-            (n_steps + 1) * dx, so neither a wave nor the one-cell-per-step
-            reach of the stencil gets to a boundary.
 
     Returns:
-        Cell-average density at t_end on the padded grid.
+        Cell-average density at t_end on a grid that reaches (n_steps + 1) *
+        dx past the support on each side: the stencil moves mass at most one
+        cell per step, and at cfl <= 1 no wave outruns it.
 
     Each step updates, in place, only the window of positive cells plus one
     cell on each side, from demand-supply interface fluxes in one workspace
@@ -173,16 +169,6 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
     them.  Mass conservation is asserted every step to 1e-12 of the total,
     which also fails on a NaN or infinite state; averages stay within
     [0, sup_norm] up to rounding.
-
-    The scheme is monotone for every cfl <= 1, so on all of (0, 1).  With
-    lam = dt / dx, a cell's update H(u_{j-1}, u_j, u_{j+1}) = u_j - lam *
-    (F(u_j, u_{j+1}) - F(u_{j-1}, u_j)) rises in u_{j-1} and u_{j+1}, and
-    dH/du_j = 1 - lam * (d1F(u_j, u_{j+1}) - d2F(u_{j-1}, u_j)).  Here
-    d1F = f'(u_j) >= 0 is nonzero only where u_j < star, and d2F = f'(u_j)
-    <= 0 only where u_j > star, so at most one of them acts and
-    dH/du_j >= 1 - lam * max|f'| = 1 - cfl.  The harness default 0.9 keeps a
-    margin for cell averages that round above the sup norm and for a max|f'|
-    that rests on a sampled concavity verdict.
     """
     if not 0.0 < dx < math.inf:
         raise ValueError("dx must be positive and finite")
@@ -202,12 +188,8 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
             raise ValueError("time step underflow")
         n_steps = int(math.ceil(t_end / dt_raw))
         dt = t_end / n_steps
-    if pad is None:
-        v_r = model.value(r)
-        pad = max((abs(model.v_max) + abs(v_r) + model.v_max) * t_end + dx,
-                  n_steps * dx + dx)
-    left = datum.support_min - pad
-    n_cells = int(math.ceil((datum.support_max + pad - left) / dx))
+    left = datum.support_min - (n_steps + 1) * dx
+    n_cells = int(math.ceil((datum.support_max - datum.support_min) / dx)) + 2 * (n_steps + 1)
     edges = left + dx * np.arange(n_cells + 1)
     # a vacuum ghost cell on each side takes what leaves the grid; it is zeroed
     # after each step, so it is never read back
@@ -232,7 +214,7 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
         while not u[hi] > 0.0:
             hi -= 1
         w = u[lo - 1:hi + 2]
-        # critical_density may be a search of hundreds of flux calls; it
+        # critical_density may be a bisection of dozens of calls to f'; it
         # depends only on the window maximum, which often holds for many steps
         top = float(w.max())
         if top != peak:

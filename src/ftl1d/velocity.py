@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DERIVATIVE_STEP = 1e-6   # centered-difference step of laws without a closed-form v'
 ADMISSIBILITY_SAMPLES = 256   # check_assumptions' grid: the one grid of every verdict on a law
 
@@ -100,23 +99,14 @@ class VelocityModel:
         return float(out) if np.ndim(rho) == 0 else out
 
     def critical_density(self, hi: float) -> float:
-        """Argmax of the flux on [0, hi], by golden-section search.
+        """Argmax of the flux on [0, hi]: hi where f'(hi) >= 0, else the root
+        of f' by ``inverse_flux_derivative``.
 
-        The flux is assumed unimodal on [0, hi] (as it is when concave); hi
-        itself is returned where its flux is at least that at the search's end.
+        f' is assumed decreasing on [0, hi] (as it is when the flux is concave).
         """
-        a, b = 0.0, hi
-        for _ in range(200):
-            if b - a <= 1e-13 * max(1.0, hi):
-                break
-            c1 = b - _GOLDEN * (b - a)
-            c2 = a + _GOLDEN * (b - a)
-            if self.flux(c1) < self.flux(c2):
-                a = c1
-            else:
-                b = c2
-        mid = 0.5 * (a + b)
-        return float(hi if self.flux(hi) >= self.flux(mid) else mid)
+        if self.flux_derivative(hi) >= 0.0:
+            return float(hi)
+        return float(self.inverse_flux_derivative(0.0, 0.0, hi))
 
     def inverse_flux_derivative(self, xi, lo: float, hi: float):
         """Solve f'(rho) = xi for rho in [lo, hi], bisecting to 1e-13 * max(1, hi).

@@ -5,7 +5,6 @@ import json
 import math
 import operator
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +18,11 @@ from ftl1d import (
     DiagnosticsReport,
     ParticleConfiguration,
     Trajectory,
+    atomize,
     cdf,
     from_piecewise,
     hat_density,
+    l1_distance,
 )
 from ftl1d import harness, velocity
 from ftl1d.dynamics import IntegratorSettings
@@ -46,7 +47,7 @@ BASE_CONFIG = {
     "sample_times": [0.0, 0.25, 0.5],
     "delta": 0.25,
     "integrator": {"method": "rk4_fixed"},
-    "oracle": {"cfl": 0.5},
+    "oracle": {"kind": "auto"},
 }
 
 
@@ -111,7 +112,7 @@ def test_config_validation_errors():
         make_config(velocity={"kind": "mystery"})
     with pytest.raises(ValueError):
         make_config(velocity={"kind": "greenshields", "v_max": 0})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("unknown oracle key(s): cfl")):
         make_config(oracle={"cfl": 2.0})
 
 
@@ -350,7 +351,7 @@ def test_convergence_study_bounds_and_orders():
 def test_convergence_study_godunov_oracle():
     config = make_config(scenario={"name": "double_hump"},
                          particle_counts=[8, 16, 32],
-                         oracle={"cfl": 0.5, "dx": 0.01})
+                         oracle={"dx": 0.01})
     table = convergence_study(config)
     assert table.oracle_kind == "godunov"
     assert table.window is None
@@ -358,16 +359,17 @@ def test_convergence_study_godunov_oracle():
     assert all(np.isfinite(r.wasserstein_vs_godunov) for r in table.rows)
 
 
-def test_oracle_cfl_moves_only_the_godunov_column_of_a_riemann_table():
-    # in Riemann mode the L1 column reads the exact solution, so the Godunov
-    # step moves only the transport distance to the Godunov profile
-    half = convergence_study(make_config(oracle={"cfl": 0.5}))
-    default = convergence_study(make_config(oracle={}))
-    assert half.oracle_kind == default.oracle_kind == "riemann"
-    assert [r.l1_error for r in default.rows] == [r.l1_error for r in half.rows]
-    for a, b in zip(half.rows, default.rows):
-        assert a.wasserstein_vs_godunov != b.wasserstein_vs_godunov
-        assert replace(a, wasserstein_vs_godunov=0.0) == replace(b, wasserstein_vs_godunov=0.0)
+@pytest.mark.parametrize("states", [(0.8, 0.2), (0.2, 0.8)], ids=["rarefaction", "shock"])
+def test_convergence_study_at_time_zero_reads_the_datum(states):
+    # at t_end 0 the Riemann solution is the datum and the window is the
+    # whole support, so the L1 column is the distance of each hat to the datum
+    scenario = {"name": "riemann_like", "left_height": states[0], "right_height": states[1]}
+    config = make_config(scenario=scenario, t_end=0, sample_times=[0.0])
+    table = convergence_study(config)
+    assert table.window == (config.datum.support_min, config.datum.support_max)
+    for row in table.rows:
+        hat = hat_density(atomize(config.datum, row.n_particles))
+        assert row.l1_error == pytest.approx(l1_distance(hat, config.datum), rel=1e-12)
 
 
 def test_convergence_study_needs_three_counts():
@@ -434,6 +436,9 @@ def test_cli_run_exits_1_on_a_failed_check(tmp_path, capsys):
 
 
 _ALL_VERBS = ("run", "converge", "check")
+# v = 1 - rho**2000 rounds to 1 below rho of about 0.7, and its slope to -0
+_FLAT_LAW = dict(BASE_CONFIG, scenario={"name": "box"},
+                 velocity={"kind": "pipes_munjal", "alpha": 2000})
 _WITHOUT_SAMPLES = {k: v for k, v in BASE_CONFIG.items() if k != "sample_times"}
 # (id, config text or None for a missing file, start of the message, the verbs
 # that read the refused part)
@@ -454,6 +459,9 @@ _REFUSED = [
     ("riemann_oracle_on_a_box", json.dumps(dict(BASE_CONFIG, scenario={"name": "box"},
                                                 oracle={"kind": "riemann"})),
      "riemann oracle needs a two-cell datum", ("converge",)),
+    # a law that integrate refuses; check reports it instead (below)
+    ("flat_law", json.dumps(_FLAT_LAW), "velocity law increases, or is flat, on [0, 1.0]",
+     ("run", "converge")),
     ("table_short_of_the_datum", json.dumps(dict(
         BASE_CONFIG, scenario={"name": "box", "height": 1.0},
         velocity={"kind": "tabulated", "rho_table": [0.0, 0.5], "v_table": [1.0, 0.5]})),
@@ -497,7 +505,7 @@ _REFUSED = [
     ("null_delta", json.dumps(dict(BASE_CONFIG, delta=None)),
      "delta must be a number, got None", _ALL_VERBS),
     ("null_cfl", json.dumps(dict(BASE_CONFIG, oracle={"cfl": None})),
-     "oracle.cfl must be a number, got None", _ALL_VERBS),
+     "unknown oracle key(s): cfl", _ALL_VERBS),
     ("list_alpha", json.dumps(dict(BASE_CONFIG, velocity={"kind": "pipes_munjal",
                                                            "alpha": [2.0]})),
      "velocity.alpha must be a number, got [2.0]", _ALL_VERBS),
@@ -544,6 +552,16 @@ def test_cli_exits_2_on_a_refused_config(tmp_path, capsys, verb, text, message, 
         # a library caller of the table gets the same refusal as a ValueError
         with pytest.raises(ValueError, match=re.escape(message)):
             convergence_study(ExperimentConfig.from_json(cfg_path))
+
+
+def test_check_reports_the_law_that_run_and_converge_refuse(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_FLAT_LAW))
+    assert main(["check", "--config", str(cfg_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["v_strictly_decreasing"] is False
+    # the table refuses it before the Godunov oracle marches
+    with pytest.raises(ValueError, match="velocity law increases, or is flat"):
+        convergence_study(ExperimentConfig.from_json(cfg_path))
 
 
 def _paths(node, prefix=()):
