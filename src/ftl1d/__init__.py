@@ -51,6 +51,7 @@ from .diagnostics import (  # noqa: F401
 from .reference import (  # noqa: F401
     RiemannSolution,
     UnsupportedFluxError,
+    entropy_mass,
     godunov,
     riemann_eval,
     riemann_l1_error,

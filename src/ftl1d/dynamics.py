@@ -114,18 +114,17 @@ def default_step(config: ParticleConfiguration, model: VelocityModel, t_end: flo
 
 
 def sample_grid(sample_times, t_end: float) -> tuple:
-    """The sorted, deduplicated samples of a run to a finite t_end >= 0; None
-    gives [0, t_end].  They must be nonempty and in [0, t_end]: a NaN is refused."""
+    """The sorted, deduplicated samples of a run to a finite t_end >= 0, with
+    t_end added: the run's horizon is always its last sample.  None gives
+    [0, t_end].  They must be nonempty and in [0, t_end]: a NaN is refused."""
     if not 0.0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
-    if sample_times is None:
-        sample_times = (0.0, t_end)
-    samples = tuple(sorted({float(t) for t in sample_times}))
+    samples = {0.0} if sample_times is None else {float(t) for t in sample_times}
     if not samples:
         raise ValueError("need at least one sample time")
     if not all(0.0 <= t <= t_end for t in samples):
         raise ValueError("sample times must lie in [0, t_end]")
-    return samples
+    return tuple(sorted(samples | {float(t_end)}))
 
 
 def _nonzero(row):
@@ -260,7 +259,8 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
         t_end: final time, finite and >= 0.
         settings: stepper selection and control; defaults to fixed RK4.
         sample_times: times in [0, t_end] at which states are recorded;
-            defaults to [0, t_end] (see ``sample_grid``).
+            defaults to [0, t_end], and t_end is always recorded (see
+            ``sample_grid``).
 
     Returns:
         Trajectory with one state per (deduplicated, sorted) sample time and

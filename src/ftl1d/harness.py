@@ -5,7 +5,7 @@ law, the particle counts, the time horizon with its sample times, the
 diagnostics window delta, integrator settings, and oracle settings.  The
 ``run`` verb integrates single simulations and writes trajectory/density
 CSVs plus a diagnostics JSON; ``converge`` produces a refinement table
-against the Riemann or Godunov oracle; ``check`` reports the velocity-law
+against the exact entropy solution; ``check`` reports the velocity-law
 assumption checks.  All outputs are deterministic functions of the config.
 """
 
@@ -28,13 +28,10 @@ from . import __version__, diagnostics, dynamics, initial_data, measures, refere
 
 @dataclass(frozen=True)
 class OracleSettings:
-    dx: float | None = None
-    kind: str = "auto"    # auto | riemann | godunov
+    kind: str = "auto"    # auto | riemann | exact
 
     def __post_init__(self):
-        if self.dx is not None and not 0.0 < self.dx < np.inf:
-            raise ValueError("oracle dx must be positive and finite")
-        if self.kind not in ("auto", "riemann", "godunov"):
+        if self.kind not in ("auto", "riemann", "exact"):
             raise ValueError(f"unknown oracle kind {self.kind!r}")
 
 
@@ -104,7 +101,7 @@ class ExperimentConfig:
     sample_times: tuple
     delta: float
     integrator: dynamics.IntegratorSettings
-    oracle: OracleSettings      # kind riemann or godunov; from_dict resolves auto
+    oracle: OracleSettings      # kind riemann or exact; from_dict resolves auto
     raw: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -131,7 +128,7 @@ class ExperimentConfig:
         The datum and the law are built here, once; ``initial_data.count``
         checks each particle count and ``dynamics.sample_grid`` the horizon and
         samples.  An ``auto`` oracle becomes ``riemann`` for the riemann_like
-        scenario, else ``godunov``.
+        scenario, else ``exact``.
         """
         unknown = sorted(set(_read(cfg, "config", "an object")) - {
             "scenario", "velocity", "particle_counts", "t_end", "sample_times", "delta",
@@ -156,7 +153,7 @@ class ExperimentConfig:
         counts = _read(cfg.get("particle_counts", [64]), "particle_counts", "a list of numbers")
         if oracle.kind == "auto":
             riemann_like = scenario.get("name") == "riemann_like"
-            oracle = replace(oracle, kind="riemann" if riemann_like else "godunov")
+            oracle = replace(oracle, kind="riemann" if riemann_like else "exact")
         return cls(datum=datum, model=model, t_end=t_end, sample_times=samples, delta=delta,
                    particle_counts=tuple(initial_data.count(n, "particle count") for n in counts),
                    integrator=integrator, oracle=oracle, raw=cfg)
@@ -321,8 +318,8 @@ class ConvergenceRow:
     cell_mass: float
     initial_distance: float        # transport distance of the t=0 atoms to the datum
     initial_bound: float           # cell_mass * support span
-    wasserstein_vs_godunov: float
-    l1_error: float                # vs riemann (windowed) or godunov oracle
+    wasserstein_vs_exact: float
+    l1_error: float                # vs riemann (windowed) or exact profile
     observed_order: float | None
 
 
@@ -342,7 +339,7 @@ def _require_decreasing(config: ExperimentConfig):
 def _converge_setup(config: ExperimentConfig):
     """Refuse, before any work, a config that a refinement table cannot use;
     return the Riemann comparison window, which outside influence travelling
-    at max |f'| has not reached by t_end, or None for Godunov."""
+    at max |f'| has not reached by t_end, or None for the exact oracle."""
     datum, model = config.datum, config.model
     _require_decreasing(config)
     if len(config.particle_counts) < 3:
@@ -381,39 +378,41 @@ def convergence_study(config: ExperimentConfig, jobs: int = 1) -> ConvergenceTab
 
     Each row records the initial-time transport distance against its exact
     bound (cell mass times support span; checked row by row), the transport
-    distance at t_end against the Godunov oracle, the L1 error against the
-    oracle, and the observed order between consecutive rows.  The oracles
-    are computed once, here; ``jobs`` caps the worker processes that
-    integrate the particle counts, as in ``run_experiment``.  A config the
-    table cannot use raises ValueError before any work.
+    distance at t_end to the exact profile, the L1 error against the Riemann
+    solution in its window or against the exact profile, and the observed
+    order between consecutive rows.  The exact profile is the cell averages
+    diff(M) / dx of ``reference.entropy_mass`` on cells of width span / 4096
+    that reach max |f'| * t_end past the support, beyond which no wave has
+    travelled.  The oracles are computed once, here; ``jobs`` caps the worker
+    processes that integrate the particle counts, as in ``run_experiment``.
+    A config the table cannot use raises ValueError before any work.
     """
     window = _converge_setup(config)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    datum, model = config.datum, config.model
+    datum, model, t_end = config.datum, config.model, config.t_end
     if window is not None:
         sol = reference.riemann_solve(model, float(datum.values[0]), float(datum.values[1]))
-    span = datum.support_max - datum.support_min
-    dx = config.oracle.dx if config.oracle.dx is not None else span / 4096.0
-    godunov_density = reference.godunov(datum, model, dx, reference.CFL, config.t_end)
+    dx = (datum.support_max - datum.support_min) / 4096.0
+    pad = int(np.ceil(reference.max_wave_speed(model, datum.sup_norm) * t_end / dx))
+    edges = datum.support_min + dx * np.arange(-pad, 4096 + pad + 1)
+    mass = np.diff(reference.entropy_mass(datum, model, t_end, edges))
+    exact = initial_data.PiecewiseConstantDensity(edges, np.maximum(mass, 0.0) / dx)
     results = _for_each_count(_converge_single, config, jobs)
 
-    rows = []
-    prev_err = None
-    prev_n = None
+    rows, prev_err, prev_n = [], None, None
     for n, (cell_mass, initial_dist, bound, hat) in zip(config.particle_counts, results):
-        wass = measures.wasserstein(hat, godunov_density)
+        wass = measures.wasserstein(hat, exact)
         if window is not None:
-            err = reference.riemann_l1_error(hat, sol, model, config.t_end, window)
+            err = reference.riemann_l1_error(hat, sol, model, t_end, window)
         else:
-            err = measures.l1_distance(hat, godunov_density)
+            err = measures.l1_distance(hat, exact)
         order = None
         if prev_err is not None and err > 0.0 and prev_err > 0.0:
             order = float(np.log(prev_err / err) / np.log(n / prev_n))
         rows.append(ConvergenceRow(n, cell_mass, float(initial_dist),
                                    float(bound), float(wass), float(err), order))
-        prev_err = err
-        prev_n = n
+        prev_err, prev_n = err, n
     return ConvergenceTable(oracle_kind=config.oracle.kind, window=window, rows=tuple(rows))
 
 

@@ -1,11 +1,12 @@
-"""Independent oracles: exact Riemann solutions and a Godunov scheme.
+"""Independent oracles: the exact entropy solution and a Godunov scheme.
 
-Both oracles validate the particle solver from the outside: the Riemann
-solver gives closed-form self-similar solutions for two-state data, and the
-first-order monotone finite-volume scheme converges to the entropy solution
-for arbitrary compactly supported data.  Both require a concave flux f(rho) =
-rho * v(rho), the ``flux_concave`` verdict of ``velocity.check_assumptions``;
-f' decreases on it, so the largest wave speed on [0, R] is max(|f'(0)|, |f'(R)|).
+They validate the particle solver from the outside: the Lax-Hopf formula
+gives the cumulative mass of the entropy solution exactly for any
+piecewise-constant datum, the Riemann solver its density in closed form for
+two-state data, and the first-order monotone finite-volume scheme converges
+to it.  All require a concave flux f(rho) = rho * v(rho), the
+``flux_concave`` verdict of ``velocity.check_assumptions``; f' decreases on
+it, so the largest wave speed on [0, R] is max(|f'(0)|, |f'(R)|).
 """
 
 from __future__ import annotations
@@ -136,14 +137,36 @@ def max_wave_speed(model: VelocityModel, rho_hi: float) -> float:
     return float(np.max(np.abs(model.flux_derivative(np.array([0.0, rho_hi])))))
 
 
-# The Courant number of the oracle in ``converge``.  With lam = dt / dx, a cell's
-# update H = u_j - lam * (F(u_j, u_{j+1}) - F(u_{j-1}, u_j)) rises in u_{j-1} and
-# u_{j+1}, and dH/du_j = 1 - lam * (d1F(u_j, u_{j+1}) - d2F(u_{j-1}, u_j)), where
-# d1F = f'(u_j) >= 0 acts only where u_j < star and d2F = f'(u_j) <= 0 only where
-# u_j > star.  So dH/du_j >= 1 - cfl: the scheme is monotone for cfl <= 1 and
-# converges to the entropy solution (Crandall & Majda 1980).  0.9 keeps a margin
-# for averages that round above the sup norm and a sampled concavity verdict.
-CFL = 0.9
+def entropy_mass(datum: PiecewiseConstantDensity, model: VelocityModel, t: float, x):
+    """Cumulative mass M(x, t), the mass left of x, of the entropy solution
+    from ``datum`` at time t >= 0, exactly; x may be a scalar or an array.
+
+    M solves M_t + f(M_x) = 0 from the datum's CDF M0, so for a concave flux
+    the Lax-Hopf formula gives M = max over y of M0(y) - t * L((x - y) / t),
+    with L(q) = max over r in [0, sup_norm] of f(r) - r * q, attained at the
+    root r of f'(r) = q (Lax 1957; Newell's cumulative count in traffic flow).
+    On each piece of M0, the left vacuum half-line, a cell or the right one,
+    the maximiser is y = x - t * f'(rho_k) clamped into the piece.  The points
+    go in blocks of about 2**18 (point, piece) pairs, so memory stays bounded
+    for a datum of many cells.
+    """
+    if not t >= 0.0:
+        raise ValueError("t must be nonnegative")
+    r = datum.sup_norm
+    _require_concave(model, r)
+    x = np.asarray(x, dtype=float)
+    bp = datum.breakpoints
+    speed = model.flux_derivative(np.concatenate(([0.0], datum.values, [0.0])))
+    out = datum.cdf_values(x).reshape(-1)     # M at t = 0, where no block runs
+    rows = max(1, 2**18 // speed.size)
+    for i in range(0, out.size if t > 0.0 else 0, rows):
+        z = x.reshape(-1)[i:i + rows, None]
+        y = np.clip(z - t * speed, np.append(-np.inf, bp), np.append(bp, np.inf))
+        with np.errstate(over="ignore"):    # a slope beyond every f' has an end as its root
+            rho = model.inverse_flux_derivative((z - y) / t, 0.0, r)
+        out[i:i + rows] = np.max(datum.cdf_values(y) + rho * (z - y) - t * model.flux(rho),
+                                 axis=1)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cfl: float,
@@ -154,8 +177,13 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
         datum: initial density (sampled exactly into cell averages).
         model: velocity law with concave flux (``check_assumptions``' verdict).
         dx: uniform cell width.
-        cfl: Courant number in (0, 1); the step is cfl * dx / max|f'|, and
-            the scheme is monotone on all of it (see ``CFL``).
+        cfl: Courant number in (0, 1); the step is cfl * dx / max|f'|.  With
+            lam = dt / dx, a cell's update H = u_j - lam * (F(u_j, u_{j+1}) -
+            F(u_{j-1}, u_j)) rises in u_{j-1} and u_{j+1}, and dH/du_j = 1 -
+            lam * (d1F(u_j, u_{j+1}) - d2F(u_{j-1}, u_j)), where d1F = f'(u_j)
+            >= 0 acts only where u_j < star and d2F = f'(u_j) <= 0 only where
+            u_j > star.  So dH/du_j >= 1 - cfl: the scheme is monotone for cfl
+            <= 1 and converges to the entropy solution (Crandall & Majda 1980).
         t_end: final time.
 
     Returns:
@@ -163,12 +191,10 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
         dx past the support on each side: the stencil moves mass at most one
         cell per step, and at cfl <= 1 no wave outruns it.
 
-    Each step updates, in place, only the window of positive cells plus one
-    cell on each side, from demand-supply interface fluxes in one workspace
-    per call; the cells outside are bit for bit as a full-grid step leaves
-    them.  Mass conservation is asserted every step to 1e-12 of the total,
-    which also fails on a NaN or infinite state; averages stay within
-    [0, sup_norm] up to rounding.
+    Each step updates every cell from demand-supply interface fluxes, with a
+    vacuum ghost cell on each side.  Mass conservation is asserted every step
+    to 1e-12 of the total, which also fails on a NaN or infinite state;
+    averages stay within [0, sup_norm] up to rounding.
     """
     if not 0.0 < dx < math.inf:
         raise ValueError("dx must be positive and finite")
@@ -191,50 +217,24 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
     left = datum.support_min - (n_steps + 1) * dx
     n_cells = int(math.ceil((datum.support_max - datum.support_min) / dx)) + 2 * (n_steps + 1)
     edges = left + dx * np.arange(n_cells + 1)
-    # a vacuum ghost cell on each side takes what leaves the grid; it is zeroed
-    # after each step, so it is never read back
-    u = np.zeros(n_cells + 2)
-    u[1:-1] = np.diff(datum.cdf_values(edges)) / dx
-    mass0 = float(u[1:-1].sum() * dx)
-    # the window's demands (then flux differences), supplies and fluxes
-    demand, supply, flux = np.zeros((3, n_cells + 3))
-    occupied = np.flatnonzero(u > 0.0)
-    if occupied.size == 0:
-        n_steps = 0  # every interface carries f(0): nothing moves
-    else:
-        lo, hi = occupied[0], occupied[-1]
+    u = np.diff(datum.cdf_values(edges)) / dx
+    mass0 = float(u.sum() * dx)
     peak = star = None
     for _ in range(n_steps):
-        # [lo, hi] spans the positive cells.  An interface between two
-        # vacuum cells carries min(f(0), f(star)) = 0, so a step changes no
-        # cell outside [lo - 1, hi + 1], and the next window lies inside it
-        lo, hi = lo - 1, hi + 1
-        while not u[lo] > 0.0:
-            lo += 1
-        while not u[hi] > 0.0:
-            hi -= 1
-        w = u[lo - 1:hi + 2]
+        q = np.concatenate(([0.0], u, [0.0]))
         # critical_density may be a bisection of dozens of calls to f'; it
-        # depends only on the window maximum, which often holds for many steps
-        top = float(w.max())
+        # depends only on the maximum, which often holds for many steps
+        top = float(q.max())
         if top != peak:
             peak, star = top, model.critical_density(top)
         # a concave flux rises up to star and falls beyond: the Godunov flux is
         # min(demand f(clip(rl, 0, star)), supply f(max(rr, star))), and the
         # clip lifts rounding's -eps residues in vacuum cells to 0
-        n = w.size - 1
-        d, s, f = demand[:n], supply[:n], flux[1:n + 1]
-        np.minimum(np.maximum(w[:-1], 0.0, out=d), star, out=d)
-        np.multiply(d, model._v(d, f), out=d)
-        np.maximum(w[1:], star, out=s)
-        np.multiply(s, model._v(s, f), out=s)
-        np.minimum(d, s, out=f)
-        flux[0] = flux[n + 1] = 0.0  # vacuum | vacuum at the window's ends
-        change = np.subtract(flux[1:n + 2], flux[:n + 1], out=demand[:n + 1])
-        w -= np.multiply(dt / dx, change, out=change)
-        u[0] = u[-1] = 0.0
+        demand = model.flux(np.clip(q[:-1], 0.0, star))
+        supply = model.flux(np.maximum(q[1:], star))
+        u = u - (dt / dx) * np.diff(np.minimum(demand, supply))
         # the states are not validated: a NaN or infinite one fails this test
-        mass = float(u[1:-1].sum() * dx)
+        mass = float(u.sum() * dx)
         if not abs(mass - mass0) <= 1e-12 * mass0:
             raise RuntimeError(f"mass drift {mass - mass0:.3e} exceeds tolerance")
-    return PiecewiseConstantDensity(breakpoints=edges, values=np.maximum(u[1:-1], 0.0))
+    return PiecewiseConstantDensity(breakpoints=edges, values=np.maximum(u, 0.0))

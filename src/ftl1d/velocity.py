@@ -124,7 +124,9 @@ class VelocityModel:
             b = np.where(high, b, mid)
             if float(np.max(b - a)) <= 1e-13 * max(1.0, hi):
                 break
-        out = 0.5 * (a + b)
+        # an end exactly, not a midpoint near it: f(r) - r * xi moves with it
+        out = np.where(arr >= self.flux_derivative(lo), lo,
+                       np.where(arr <= self.flux_derivative(hi), hi, 0.5 * (a + b)))
         return float(out) if np.ndim(xi) == 0 else out
 
 
@@ -139,9 +141,6 @@ class Greenshields(VelocityModel):
 
     def _dv(self, rho):
         return np.full_like(rho, -self.v_max)
-
-    def critical_density(self, hi: float) -> float:
-        return float(min(0.5, hi))
 
     def inverse_flux_derivative(self, xi, lo: float, hi: float):
         # f'(rho) = v_max * (1 - 2 rho)

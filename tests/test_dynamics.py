@@ -128,6 +128,16 @@ def test_sample_grid_defaults_sorts_and_deduplicates():
     assert all(type(t) is float for t in sample_grid([np.float64(0.5), 1], 1.0))
 
 
+def test_the_run_ends_at_t_end_past_its_last_sample_time():
+    # t_end is the horizon: the default step is capped at t_end / 100, and
+    # the run records t_end even where the samples stop before it
+    assert sample_grid([0.0, 0.25], 1.0) == (0.0, 0.25, 1.0)
+    assert sample_grid([0], 1) == (0.0, 1.0)
+    trajectory = integrate(atomize(scenario("box"), 8), Greenshields(1.0), 1.0, None, [0, 0.25])
+    assert [state.time for state in trajectory.states] == [0.0, 0.25, 1.0]
+    assert trajectory.metadata["steps"] == 100
+
+
 @pytest.mark.parametrize("samples, t_end, message", [
     ([], 1.0, "need at least one sample time"),
     ([0.0, math.nan, 1.0], 1.0, "sample times must lie in"),

@@ -24,7 +24,7 @@ from ftl1d import (
     hat_density,
     l1_distance,
 )
-from ftl1d import harness, velocity
+from ftl1d import harness, reference, velocity
 from ftl1d.dynamics import IntegratorSettings
 from ftl1d.harness import (
     ConvergenceTable,
@@ -71,12 +71,12 @@ def test_settings_take_only_the_keys_given():
     assert config.oracle == OracleSettings(kind="riemann")   # auto, resolved for riemann_like
     # JSON integers read as floats (the manifest echoes them); null is the default step
     config = make_config(integrator={"dt": None, "abs_tol": 1, "gap_floor_safety": 1},
-                         oracle={"dx": 1})
+                         oracle={"kind": "exact"})
     assert config.integrator == IntegratorSettings(abs_tol=1.0, gap_floor_safety=1.0)
     assert config.integrator.dt is None
     assert type(config.integrator.abs_tol) is float
     assert type(config.integrator.gap_floor_safety) is float
-    assert type(config.oracle.dx) is float
+    assert config.oracle == OracleSettings(kind="exact")
 
 
 def _readme_block(heading: str, lang: str) -> str:
@@ -348,15 +348,32 @@ def test_convergence_study_bounds_and_orders():
     assert rows[1].observed_order is not None
 
 
-def test_convergence_study_godunov_oracle():
-    config = make_config(scenario={"name": "double_hump"},
-                         particle_counts=[8, 16, 32],
-                         oracle={"dx": 0.01})
+def test_convergence_study_exact_oracle():
+    config = make_config(scenario={"name": "double_hump"}, particle_counts=[8, 16, 32])
     table = convergence_study(config)
-    assert table.oracle_kind == "godunov"
+    assert table.oracle_kind == "exact"
     assert table.window is None
     assert all(np.isfinite(r.l1_error) for r in table.rows)
-    assert all(np.isfinite(r.wasserstein_vs_godunov) for r in table.rows)
+    assert all(np.isfinite(r.wasserstein_vs_exact) for r in table.rows)
+
+
+@pytest.mark.parametrize("scenario", ["riemann_like", "double_hump"])
+def test_convergence_study_never_marches_godunov(monkeypatch, scenario):
+    # both modes read the exact profile; the march serves criterion 11 only
+    def refuse(*args, **kwargs):
+        raise AssertionError("convergence_study called reference.godunov")
+
+    monkeypatch.setattr(reference, "godunov", refuse)
+    table = convergence_study(make_config(scenario={"name": scenario}))
+    assert table.oracle_kind == ("riemann" if scenario == "riemann_like" else "exact")
+
+
+def test_riemann_l1_error_column_is_pinned():
+    # the Riemann mode reads no Godunov or Lax-Hopf oracle for its L1 column,
+    # so the column keeps its bits
+    table = convergence_study(make_config())
+    assert [r.l1_error for r in table.rows] == [
+        0.0671309197021978, 0.04381873188870215, 0.025190377408846054]
 
 
 @pytest.mark.parametrize("states", [(0.8, 0.2), (0.2, 0.8)], ids=["rarefaction", "shock"])
@@ -478,8 +495,8 @@ _REFUSED = [
         velocity={"kind": "tabulated", "rho_table": [0.0, 1.19], "v_table": [1.0, 0.0]})),
      "density beyond tabulated range [0, 1.19]; the velocity law must be defined on "
      "[0, 1.2 * sup_norm] = [0, 1.2]", _ALL_VERBS),
-    # the run's shape: its samples, its particle counts, its horizon and the
-    # oracle's step; JSON reads 1e400 as an infinity
+    # the run's shape: its samples, its particle counts and its horizon; JSON
+    # reads 1e400 as an infinity
     ("nan_sample", json.dumps(dict(BASE_CONFIG, t_end=1.0, sample_times=[0, math.nan, 1])),
      "sample times must lie in [0, t_end]", _ALL_VERBS),
     ("no_samples", json.dumps(dict(BASE_CONFIG, sample_times=[])),
@@ -492,8 +509,9 @@ _REFUSED = [
      .replace("Infinity", "1e400"), "particle count must be an integer >= 2, got inf", _ALL_VERBS),
     ("infinite_horizon", json.dumps(dict(_WITHOUT_SAMPLES, t_end=math.inf, delta=0.25))
      .replace("Infinity", "1e400"), "t_end must be finite and nonnegative", _ALL_VERBS),
+    # the oracle's step is no key: the exact profile's cells are span / 4096
     ("infinite_oracle_step", json.dumps(dict(BASE_CONFIG, oracle={"dx": math.inf}))
-     .replace("Infinity", "1e400"), "oracle dx must be positive and finite", _ALL_VERBS),
+     .replace("Infinity", "1e400"), "unknown oracle key(s): dx", _ALL_VERBS),
     # every value is read as its JSON type, and null only where the key allows it;
     # a string is not read as a number
     ("scalar_counts", json.dumps(dict(BASE_CONFIG, particle_counts=64)),
@@ -559,7 +577,7 @@ def test_check_reports_the_law_that_run_and_converge_refuse(tmp_path, capsys):
     cfg_path.write_text(json.dumps(_FLAT_LAW))
     assert main(["check", "--config", str(cfg_path)]) == 1
     assert json.loads(capsys.readouterr().out)["v_strictly_decreasing"] is False
-    # the table refuses it before the Godunov oracle marches
+    # the table refuses it before the oracle or any count runs
     with pytest.raises(ValueError, match="velocity law increases, or is flat"):
         convergence_study(ExperimentConfig.from_json(cfg_path))
 
