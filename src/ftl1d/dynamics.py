@@ -25,6 +25,7 @@ from .initial_data import ParticleConfiguration
 from .velocity import VelocityModel
 
 STEP_UNDERFLOW_FRACTION = 1e-12
+GAP_FLOOR_SAFETY = 0.5   # a step taking a gap below this fraction of m/R is rejected, halved
 
 
 class IntegrationError(RuntimeError):
@@ -43,15 +44,12 @@ class IntegratorSettings:
     ``dt`` of None picks ``default_step``: 0.1 * m / (R * (v_max - v(R))),
     capped at t_end / 100, and t_end / 100 itself when R * (v_max - v(R))
     is not positive.
-    ``gap_floor_safety`` is the fraction of m/R below which a step is
-    rejected and halved.
     """
 
     method: str = "rk4_fixed"
     dt: float | None = None
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
-    gap_floor_safety: float = 0.5
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -60,8 +58,6 @@ class IntegratorSettings:
             raise ValueError("dt must be positive")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.gap_floor_safety <= 1.0:
-            raise ValueError("gap_floor_safety must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -272,7 +268,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     stage state tests them all; returned states are copies.  The stepping
     loop runs in one errstate scope that ignores floating-point warnings.
     Steps end on the sample times; an embedded error estimate adapts the
-    step to abs_tol/rel_tol.  A step that drops a gap below gap_floor_safety *
+    step to abs_tol/rel_tol.  A step that drops a gap below GAP_FLOOR_SAFETY *
     particle_mass / R (R from the initial configuration) or meets an invalid
     stage state is retried at half the step; rejection-driven underflow
     below 1e-12 * t_end raises IntegrationError carrying the last valid state.
@@ -290,7 +286,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     r_init = config0.max_density()
     if not velocity.check_assumptions(model, r_init).v_strictly_decreasing:
         raise ValueError("velocity law increases, or is flat, on [0, initial max density]")
-    floor = settings.gap_floor_safety * cell_mass / r_init
+    floor = GAP_FLOOR_SAFETY * cell_mass / r_init
     dt_base = settings.dt if settings.dt is not None else default_step(config0, model, t_end)
     dt_min = STEP_UNDERFLOW_FRACTION * t_end
 
@@ -340,7 +336,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
         "dt": dt_base,
         "abs_tol": settings.abs_tol,
         "rel_tol": settings.rel_tol,
-        "gap_floor_safety": settings.gap_floor_safety,
+        "gap_floor_safety": GAP_FLOOR_SAFETY,
         "gap_floor": floor,
         "initial_max_density": r_init,
         "steps": steps,

@@ -18,7 +18,7 @@ import itertools
 import json
 import numbers
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,10 @@ from . import __version__, diagnostics, dynamics, initial_data, measures, refere
 
 @dataclass(frozen=True)
 class OracleSettings:
-    kind: str = "auto"    # auto | riemann | exact
+    kind: str = "exact"    # exact | riemann
 
     def __post_init__(self):
-        if self.kind not in ("auto", "riemann", "exact"):
+        if self.kind not in ("riemann", "exact"):
             raise ValueError(f"unknown oracle kind {self.kind!r}")
 
 
@@ -101,7 +101,7 @@ class ExperimentConfig:
     sample_times: tuple
     delta: float
     integrator: dynamics.IntegratorSettings
-    oracle: OracleSettings      # kind riemann or exact; from_dict resolves auto
+    oracle: OracleSettings
     raw: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -126,9 +126,7 @@ class ExperimentConfig:
         no level takes raises ValueError.
 
         The datum and the law are built here, once; ``initial_data.count``
-        checks each particle count and ``dynamics.sample_grid`` the horizon and
-        samples.  An ``auto`` oracle becomes ``riemann`` for the riemann_like
-        scenario, else ``exact``.
+        checks the counts and ``dynamics.sample_grid`` the horizon and samples.
         """
         unknown = sorted(set(_read(cfg, "config", "an object")) - {
             "scenario", "velocity", "particle_counts", "t_end", "sample_times", "delta",
@@ -151,9 +149,6 @@ class ExperimentConfig:
         model = _settings(velocity.KINDS[kind], "velocity",
                           {k: v for k, v in law.items() if k != "kind"})
         counts = _read(cfg.get("particle_counts", [64]), "particle_counts", "a list of numbers")
-        if oracle.kind == "auto":
-            riemann_like = scenario.get("name") == "riemann_like"
-            oracle = replace(oracle, kind="riemann" if riemann_like else "exact")
         return cls(datum=datum, model=model, t_end=t_end, sample_times=samples, delta=delta,
                    particle_counts=tuple(initial_data.count(n, "particle count") for n in counts),
                    integrator=integrator, oracle=oracle, raw=cfg)
@@ -319,7 +314,7 @@ class ConvergenceRow:
     initial_distance: float        # transport distance of the t=0 atoms to the datum
     initial_bound: float           # cell_mass * support span
     wasserstein_vs_exact: float
-    l1_error: float                # vs riemann (windowed) or exact profile
+    l1_error: float                # vs riemann (windowed) or the exact solution
     observed_order: float | None
 
 
@@ -359,6 +354,28 @@ def _converge_setup(config: ExperimentConfig):
     return lo, hi
 
 
+def _exact_distances(datum, model, t: float, hats):
+    """Yield (W1, L1) of each cell density of ``hats`` to the entropy solution
+    at t, from gap = F_hat - M.  M of ``reference.entropy_mass`` is evaluated
+    once on the edges of cells of width span / 4096 that reach max |f'| * t
+    past the support, beyond which no wave has travelled, and on the datum's
+    breakpoints, its kinks at t 0; then at each hat's.  W1 is
+    ``measures.segment_l1`` over the gap, M read linearly between the points.
+    A gap step is the integral of c - rho* where the hat is c, so L1 =
+    sum |step| is exact where rho* - c keeps one sign, a lower bound elsewhere."""
+    dx = (datum.support_max - datum.support_min) / 4096.0
+    pad = int(np.ceil(reference.max_wave_speed(model, datum.sup_norm) * t / dx))
+    mesh = np.union1d(datum.support_min + dx * np.arange(-pad, 4096 + pad + 1), datum.breakpoints)
+    mass = reference.entropy_mass(datum, model, t, mesh)
+    for hat in hats:
+        x = np.concatenate((mesh, hat.breakpoints))
+        order = np.argsort(x, kind="stable")
+        exact = np.append(mass, reference.entropy_mass(datum, model, t, hat.breakpoints))
+        x, gap = x[order], (hat.cdf_values(x) - exact)[order]
+        l1 = float(np.sum(np.abs(np.diff(gap))))
+        yield float(measures.segment_l1(gap[:-1], gap[1:], np.diff(x))), l1
+
+
 def _converge_single(config: ExperimentConfig, n: int):
     """Cell mass, initial transport distance with its bound, and the cell
     density at t_end of one particle count."""
@@ -374,44 +391,31 @@ def _converge_single(config: ExperimentConfig, n: int):
 
 
 def convergence_study(config: ExperimentConfig, jobs: int = 1) -> ConvergenceTable:
-    """Refinement table over the configured particle counts.
-
-    Each row records the initial-time transport distance against its exact
-    bound (cell mass times support span; checked row by row), the transport
-    distance at t_end to the exact profile, the L1 error against the Riemann
-    solution in its window or against the exact profile, and the observed
-    order between consecutive rows.  The exact profile is the cell averages
-    diff(M) / dx of ``reference.entropy_mass`` on cells of width span / 4096
-    that reach max |f'| * t_end past the support, beyond which no wave has
-    travelled.  The oracles are computed once, here; ``jobs`` caps the worker
-    processes that integrate the particle counts, as in ``run_experiment``.
-    A config the table cannot use raises ValueError before any work.
-    """
+    """Refinement table over the configured particle counts: per row, the
+    initial transport distance checked against its exact bound, the W1 and L1
+    distances at t_end by ``_exact_distances`` (in the ``riemann`` mode, L1
+    against the Riemann solution in its window), and the observed order.
+    ``jobs`` caps the worker processes that integrate the particle counts, as
+    in ``run_experiment``.  A config the table cannot use raises ValueError
+    before any work."""
     window = _converge_setup(config)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     datum, model, t_end = config.datum, config.model, config.t_end
     if window is not None:
         sol = reference.riemann_solve(model, float(datum.values[0]), float(datum.values[1]))
-    dx = (datum.support_max - datum.support_min) / 4096.0
-    pad = int(np.ceil(reference.max_wave_speed(model, datum.sup_norm) * t_end / dx))
-    edges = datum.support_min + dx * np.arange(-pad, 4096 + pad + 1)
-    mass = np.diff(reference.entropy_mass(datum, model, t_end, edges))
-    exact = initial_data.PiecewiseConstantDensity(edges, np.maximum(mass, 0.0) / dx)
     results = _for_each_count(_converge_single, config, jobs)
+    distances = _exact_distances(datum, model, t_end, [r[-1] for r in results])
 
     rows, prev_err, prev_n = [], None, None
-    for n, (cell_mass, initial_dist, bound, hat) in zip(config.particle_counts, results):
-        wass = measures.wasserstein(hat, exact)
+    for n, (cell_mass, initial_dist, bound, hat), (wass, err) in zip(
+            config.particle_counts, results, distances):
         if window is not None:
             err = reference.riemann_l1_error(hat, sol, model, t_end, window)
-        else:
-            err = measures.l1_distance(hat, exact)
         order = None
         if prev_err is not None and err > 0.0 and prev_err > 0.0:
             order = float(np.log(prev_err / err) / np.log(n / prev_n))
-        rows.append(ConvergenceRow(n, cell_mass, float(initial_dist),
-                                   float(bound), float(wass), float(err), order))
+        rows.append(ConvergenceRow(n, cell_mass, initial_dist, bound, wass, err, order))
         prev_err, prev_n = err, n
     return ConvergenceTable(oracle_kind=config.oracle.kind, window=window, rows=tuple(rows))
 

@@ -220,8 +220,6 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         IntegratorSettings(dt=-0.1)
     with pytest.raises(ValueError):
-        IntegratorSettings(gap_floor_safety=0.0)
-    with pytest.raises(ValueError):
         IntegratorSettings(abs_tol=0.0)
 
 
@@ -232,14 +230,15 @@ class Squeeze(Greenshields):
         return out
 
 
-def test_step_underflow_raises_with_diagnostic_state():
+def test_step_underflow_raises_with_diagnostic_state(monkeypatch):
     # a gap floor of exactly 1 makes every step reject: the initial state is
     # at the floor and any motion of the follower relative to the leader
     # that dips below it by rounding cannot recover at smaller dt.
+    monkeypatch.setattr(dynamics, "GAP_FLOOR_SAFETY", 1.0)
     c0 = ParticleConfiguration(0.0, 0.5, np.array([0.0, 0.25, 0.5]))
     model = Squeeze(v_max=1.0)
     with pytest.raises(IntegrationError) as err:
-        integrate(c0, model, 1.0, IntegratorSettings(gap_floor_safety=1.0), [1.0])
+        integrate(c0, model, 1.0, IntegratorSettings(), [1.0])
     assert err.value.positions is not None
     assert err.value.time is not None
 
@@ -391,16 +390,17 @@ def test_law_that_raises_on_a_valid_stage_still_raises():
         integrate(c0, model, 4.0, IntegratorSettings(dt=4.0), [0.0, 4.0])
 
 
-def test_rk45_adaptive_at_the_gap_floor_is_pinned():
+def test_rk45_adaptive_at_the_gap_floor_is_pinned(monkeypatch):
     # every gap of the jammed box starts at m/R, and a gap floor of 1 at
     # loose tolerances rejects steps at the floor, at an invalid stage and
     # by error control (11, 1 and 7 of the 19)
+    monkeypatch.setattr(dynamics, "GAP_FLOOR_SAFETY", 1.0)
     c0 = atomize(scenario("box"), 32)
-    settings = IntegratorSettings(method="rk45_adaptive", abs_tol=1e-4, rel_tol=1e-4,
-                                  gap_floor_safety=1.0)
+    settings = IntegratorSettings(method="rk45_adaptive", abs_tol=1e-4, rel_tol=1e-4)
     tr = integrate(c0, PipesMunjal(1.0, 2.5), 1.0, settings, [0.0, 0.5, 1.0])
     assert tr.metadata["steps"] == 27
     assert tr.metadata["rejections"] == 19
+    assert tr.metadata["gap_floor_safety"] == 1.0
     assert all(np.min(s.gaps()) >= tr.metadata["gap_floor"] for s in tr.states)
     assert _digest(tr.states[-1].positions) == (
         "54d9e2a35e7655f2998531a7982fd17b1ab33502f57b3f1071192355191a6681")
@@ -428,8 +428,9 @@ def test_returned_states_and_error_positions_are_copies(monkeypatch):
             assert not any(np.shares_memory(x, other) for other in others)
 
     seen.clear()
+    monkeypatch.setattr(dynamics, "GAP_FLOOR_SAFETY", 1.0)
     c0 = ParticleConfiguration(0.0, 0.5, np.array([0.0, 0.25, 0.5]))
     with pytest.raises(IntegrationError) as err:
-        integrate(c0, Squeeze(v_max=1.0), 1.0, IntegratorSettings(gap_floor_safety=1.0), [1.0])
+        integrate(c0, Squeeze(v_max=1.0), 1.0, IntegratorSettings(), [1.0])
     assert seen
     assert not any(np.shares_memory(err.value.positions, other) for other in seen)

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,14 @@ from ftl1d import (
     CustomVelocity,
     DiagnosticsReport,
     ParticleConfiguration,
+    PiecewiseMonotone,
     Trajectory,
     atomize,
     cdf,
     from_piecewise,
     hat_density,
     l1_distance,
+    wasserstein,
 )
 from ftl1d import harness, reference, velocity
 from ftl1d.dynamics import IntegratorSettings
@@ -47,7 +50,7 @@ BASE_CONFIG = {
     "sample_times": [0.0, 0.25, 0.5],
     "delta": 0.25,
     "integrator": {"method": "rk4_fixed"},
-    "oracle": {"kind": "auto"},
+    "oracle": {"kind": "riemann"},
 }
 
 
@@ -65,17 +68,18 @@ def tree_digest(root: Path) -> dict:
 
 
 def test_settings_take_only_the_keys_given():
-    cfg = {k: v for k, v in BASE_CONFIG.items() if k not in ("integrator", "oracle")}
+    cfg = {k: v for k, v in BASE_CONFIG.items() if k != "integrator"}
     config = ExperimentConfig.from_dict(cfg)
     assert config.integrator == IntegratorSettings()
-    assert config.oracle == OracleSettings(kind="riemann")   # auto, resolved for riemann_like
+    assert config.oracle == OracleSettings(kind="riemann")
+    assert ExperimentConfig.from_dict({}).oracle == OracleSettings(kind="exact")
     # JSON integers read as floats (the manifest echoes them); null is the default step
-    config = make_config(integrator={"dt": None, "abs_tol": 1, "gap_floor_safety": 1},
+    config = make_config(integrator={"dt": None, "abs_tol": 1, "rel_tol": 1},
                          oracle={"kind": "exact"})
-    assert config.integrator == IntegratorSettings(abs_tol=1.0, gap_floor_safety=1.0)
+    assert config.integrator == IntegratorSettings(abs_tol=1.0, rel_tol=1.0)
     assert config.integrator.dt is None
     assert type(config.integrator.abs_tol) is float
-    assert type(config.integrator.gap_floor_safety) is float
+    assert type(config.integrator.rel_tol) is float
     assert config.oracle == OracleSettings(kind="exact")
 
 
@@ -349,7 +353,8 @@ def test_convergence_study_bounds_and_orders():
 
 
 def test_convergence_study_exact_oracle():
-    config = make_config(scenario={"name": "double_hump"}, particle_counts=[8, 16, 32])
+    config = make_config(scenario={"name": "double_hump"}, particle_counts=[8, 16, 32],
+                         oracle={"kind": "exact"})
     table = convergence_study(config)
     assert table.oracle_kind == "exact"
     assert table.window is None
@@ -364,8 +369,9 @@ def test_convergence_study_never_marches_godunov(monkeypatch, scenario):
         raise AssertionError("convergence_study called reference.godunov")
 
     monkeypatch.setattr(reference, "godunov", refuse)
-    table = convergence_study(make_config(scenario={"name": scenario}))
-    assert table.oracle_kind == ("riemann" if scenario == "riemann_like" else "exact")
+    kind = "riemann" if scenario == "riemann_like" else "exact"
+    table = convergence_study(make_config(scenario={"name": scenario}, oracle={"kind": kind}))
+    assert table.oracle_kind == kind
 
 
 def test_riemann_l1_error_column_is_pinned():
@@ -387,6 +393,74 @@ def test_convergence_study_at_time_zero_reads_the_datum(states):
     for row in table.rows:
         hat = hat_density(atomize(config.datum, row.n_particles))
         assert row.l1_error == pytest.approx(l1_distance(hat, config.datum), rel=1e-12)
+
+
+def test_exact_table_at_time_zero_is_the_distance_to_an_off_grid_datum():
+    # at t_end 0 the exact solution is the datum, whose breakpoints lie off
+    # the oracle's cells; both columns are the distances of each hat to it
+    config = make_config(scenario={"breakpoints": [-0.37, 0.123, 0.5551, 1.3],
+                                   "values": [0.8, 0.1, 0.6]},
+                         particle_counts=[64, 128, 256], t_end=0, sample_times=[0.0],
+                         oracle={"kind": "exact"})
+    for row in convergence_study(config).rows:
+        hat = hat_density(atomize(config.datum, row.n_particles))
+        assert row.l1_error == pytest.approx(l1_distance(hat, config.datum), rel=1e-10)
+        assert row.wasserstein_vs_exact == pytest.approx(wasserstein(hat, config.datum),
+                                                         rel=1e-10)
+
+
+@pytest.mark.parametrize("scenario, law", [
+    ("riemann_like", {"kind": "pipes_munjal", "alpha": 2.0}),
+    ("box", {"kind": "underwood"}),
+    ("double_hump", {"kind": "greenshields"}),
+])
+def test_exact_columns_agree_with_a_sixteen_times_finer_mesh(monkeypatch, scenario, law):
+    # at N 1024 and t_end 0.5, against M on cells of span / 65536 and at the
+    # hat's breakpoints: the L1 sum over the finer mesh can only grow, and it
+    # reads at most 2e-3 (relative) above the table's; W1 agrees to 1e-4
+    hats = {}
+    single = harness._converge_single
+
+    def recording(config, n):
+        out = single(config, n)
+        hats[n] = out[-1]
+        return out
+
+    monkeypatch.setattr(harness, "_converge_single", recording)
+    config = make_config(scenario={"name": scenario}, velocity=law,
+                         particle_counts=[16, 32, 1024], oracle={"kind": "exact"})
+    row = convergence_study(config).rows[-1]
+    datum, model, hat = config.datum, config.model, hats[1024]
+    dx = (datum.support_max - datum.support_min) / 65536
+    pad = math.ceil(reference.max_wave_speed(model, datum.sup_norm) * 0.5 / dx)
+    x = functools.reduce(np.union1d, (datum.support_min + dx * np.arange(-pad, 65536 + pad + 1),
+                                      datum.breakpoints, hat.breakpoints))
+    mass = reference.entropy_mass(datum, model, 0.5, x)
+    l1_fine = np.sum(np.abs(np.diff(hat.cdf_values(x) - mass)))
+    assert (1.0 - 2e-3) * l1_fine <= row.l1_error <= (1.0 + 1e-12) * l1_fine
+    w1_fine = wasserstein(hat, PiecewiseMonotone(x, mass))
+    assert row.wasserstein_vs_exact == pytest.approx(w1_fine, rel=1e-4)
+
+
+@pytest.mark.parametrize("override", [{"scenario": {"name": "riemann_like", "jump_at": 0.5}},
+                                      {"t_end": 1.5}], ids=["jump_off_zero", "late_t_end"])
+def test_riemann_like_reads_the_exact_oracle_by_default(tmp_path, capsys, override):
+    # no oracle window, so neither a jump off x = 0 nor a late t_end is refused
+    cfg = {k: v for k, v in BASE_CONFIG.items() if k != "oracle"}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(cfg, **override)))
+    assert main(["converge", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    table = json.loads((tmp_path / "out" / "convergence.json").read_text())
+    assert table["oracle_kind"] == "exact"
+    assert table["window"] is None
+    assert all(math.isfinite(row["l1_error"]) for row in table["rows"])
+
+
+def test_riemann_like_and_its_two_cells_give_one_table():
+    named = make_config(oracle={})
+    explicit = make_config(oracle={}, scenario={"breakpoints": list(named.datum.breakpoints),
+                                                "values": list(named.datum.values)})
+    assert asdict(convergence_study(named)) == asdict(convergence_study(explicit))
 
 
 def test_convergence_study_needs_three_counts():
@@ -476,6 +550,12 @@ _REFUSED = [
     ("riemann_oracle_on_a_box", json.dumps(dict(BASE_CONFIG, scenario={"name": "box"},
                                                 oracle={"kind": "riemann"})),
      "riemann oracle needs a two-cell datum", ("converge",)),
+    # a scenario's name picks no oracle: exact is the default, riemann is asked for
+    ("auto_oracle", json.dumps(dict(BASE_CONFIG, oracle={"kind": "auto"})),
+     "unknown oracle kind 'auto'", _ALL_VERBS),
+    # the gap floor's safety fraction is the constant dynamics.GAP_FLOOR_SAFETY
+    ("gap_floor_safety", json.dumps(dict(BASE_CONFIG, integrator={"gap_floor_safety": 0.5})),
+     "unknown integrator key(s): gap_floor_safety", _ALL_VERBS),
     # a law that integrate refuses; check reports it instead (below)
     ("flat_law", json.dumps(_FLAT_LAW), "velocity law increases, or is flat, on [0, 1.0]",
      ("run", "converge")),
