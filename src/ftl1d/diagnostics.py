@@ -1,12 +1,14 @@
 """Certification of the discrete estimates satisfied by the particle flow.
 
-Each check evaluates a quantitative bound that the exact particle dynamics
-provably satisfies: the gap floor (discrete maximum principle), the one-sided
-Oleinik-type residuals, total-variation contractivity, the velocity-profile
-BV bound with its explicit constant, entropy-term nonnegativity, and the two
-time-continuity moduli.  Checks run on integrator output, so each carries a
-small tolerance absorbing integration error.  A check whose bound does not
-apply to a run is skipped, and the report says why.
+A run makes eight checks, each a quantitative bound that the exact particle
+dynamics provably satisfies: the gap floor (discrete maximum principle), the
+two one-sided Oleinik-type residuals, total-variation contractivity and
+monotonicity, the velocity-profile BV bound with its explicit constant, and
+the two time-continuity moduli.  Checks run on integrator output, so each
+carries a small tolerance absorbing integration error.  A check whose bound
+does not apply to a run is skipped, and the report says why.  The sign of
+the entropy terms (``entropy_K_terms``) is a property of the law, so it
+tests the law, not the run.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ GAP_RATIO_TOL = 1e-6
 OLEINIK_REL_TOL = 1e-6
 TV_CONTRACT_TOL = 1e-8
 VELOCITY_TV_TOL = 1e-6
-ENTROPY_TOL = 1e-12
-ENTROPY_LEVEL_REACH = 1.2   # entropy levels span [0, 1.2 * sup_norm]; a config's law must too
 
 
 def min_gap_ratio(config: ParticleConfiguration, rho_max: float) -> float:
@@ -104,7 +104,6 @@ def entropy_K_terms(config: ParticleConfiguration, model: VelocityModel, k) -> n
     (i = 1..N) equals k * (v(k) - v(y_i)) * (sgn(y_i - k) - sgn(y_{i-1} - k));
     every term is nonnegative for a decreasing velocity law.  A scalar level
     gives the N terms, an array of K levels a K x N array, one row per level.
-    ``run_diagnostics`` evaluates only the terms that can be nonzero.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k < 0.0):
@@ -112,35 +111,7 @@ def entropy_K_terms(config: ParticleConfiguration, model: VelocityModel, k) -> n
     y = np.concatenate((config.densities(), [0.0]))
     v_y = model.value(y)
     k = k[..., None] if k.ndim else k
-    return _entropy_terms(k, model.value(k), y[:-1], y[1:], v_y[1:])
-
-
-def _entropy_terms(k, v_k, y_left, y_right, v_right):
-    """k * (v(k) - v(y_right)) * (sgn(y_right - k) - sgn(y_left - k)), elementwise
-    over operands that broadcast or are gathered to one shape."""
-    return k * (v_k - v_right) * (np.sign(y_right - k) - np.sign(y_left - k))
-
-
-def _entropy_min(levels, v_levels, y, v) -> float:
-    """min(-0.0, the smallest entropy term) over the sorted ``levels`` and
-    every jump; ``y`` and ``v`` are the cell densities and their speeds, with
-    the vacuum past the leader appended.
-
-    A term's sign difference is nonzero only for the levels in [lo, hi], the
-    two densities of its jump, both ends included, so only those (level,
-    jump) pairs are evaluated.  Every other term is +0.0 or -0.0, between
-    which the dense minimum chooses by array position; min(-0.0, ...) fixes
-    the sign of a zero minimum.
-    """
-    left, right = y[:-1], y[1:]
-    lo, hi = np.minimum(left, right), np.maximum(left, right)
-    first = np.searchsorted(levels, lo, side="left")
-    counts = np.searchsorted(levels, hi, side="right") - first
-    jump = np.repeat(np.arange(counts.size), counts)
-    level = np.arange(jump.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    terms = _entropy_terms(levels[level], v_levels[level], left[jump], right[jump],
-                           v[1:][jump])
-    return min(-0.0, float(np.min(terms, initial=0.0)))
+    return k * (model.value(k) - v_y[1:]) * (np.sign(y[1:] - k) - np.sign(y[:-1] - k))
 
 
 @dataclass(frozen=True)
@@ -235,7 +206,6 @@ class DiagnosticsReport:
     oleinik_leader: list = field(default_factory=list)
     tv_hat: list = field(default_factory=list)
     tv_velocity: list = field(default_factory=list)
-    entropy_min: list = field(default_factory=list)
     c_delta: float = float("nan")
     delta: float = float("nan")
     tv_initial_datum: float = float("nan")
@@ -262,17 +232,16 @@ class DiagnosticsReport:
 
 def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
                     datum: PiecewiseConstantDensity, delta: float) -> DiagnosticsReport:
-    """Run every check on a trajectory; record its violations and skips.
+    """Run the eight checks on a trajectory; record its violations and skips.
 
     The states are read as one (S, N+1) array of cell densities, the vacuum
     past the leader appended, and one array of their speeds: each check
     reduces their rows, and at most three such arrays are held at once.  The
-    entropy terms are evaluated one state at a time, at 50 levels on
-    [0, ENTROPY_LEVEL_REACH * sup_norm], above the densest state as well,
-    and only inside each jump (``_entropy_min``).
+    entropy-term sign is a property of the law, so it tests the law, not the
+    run: ``integrate`` refuses a law that does not decrease on the run's
+    densities, and acceptance criterion 12 checks ``entropy_K_terms`` on
+    every state of the sweep.
     """
-    levels = np.linspace(0.0, ENTROPY_LEVEL_REACH * datum.sup_norm, 50)
-    v_levels = model.value(levels)
     span = datum.support_max - datum.support_min
     report = DiagnosticsReport(c_delta=bv_constant(model, datum.sup_norm, span, delta),
                                delta=delta, tv_initial_datum=total_variation(datum))
@@ -291,7 +260,6 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
     report.min_gap_ratios = (low / (mass / datum.sup_norm)).tolist()
     report.tv_hat = _tv(y[:, :-1], 0.0).tolist()
     report.tv_velocity = _tv(v[:, :-1], model.v_max).tolist()
-    report.entropy_min = [_entropy_min(levels, v_levels, *row) for row in zip(y, v)]
     # last, as it overwrites the densities
     interior, leader = _oleinik(np.array(report.times), y[:, :-1], v[:, :-1], model.v_max)
     report.oleinik_interior_max = (np.max(interior, axis=1) if interior.shape[1]
@@ -300,9 +268,9 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
 
     bound = mass * (1.0 + OLEINIK_REL_TOL)
     prev_tv = np.inf
-    for t, ratio, inner, lead, tv, tvv, k_min in zip(
+    for t, ratio, inner, lead, tv, tvv in zip(
             report.times, report.min_gap_ratios, report.oleinik_interior_max,
-            report.oleinik_leader, report.tv_hat, report.tv_velocity, report.entropy_min):
+            report.oleinik_leader, report.tv_hat, report.tv_velocity):
         report.record("min_gap_ratio", t, ratio, 1.0 - GAP_RATIO_TOL, lower=True)
         if oleinik_ok:
             report.record("oleinik_interior", t, inner, bound)
@@ -312,7 +280,6 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
         prev_tv = tv
         if t >= delta:
             report.record("tv_velocity", t, tvv, report.c_delta + VELOCITY_TV_TOL)
-        report.record("entropy_terms", t, k_min, -ENTROPY_TOL, lower=True)
     if not any(t >= delta for t in report.times):
         report.skipped["tv_velocity"] = "no sample at or after delta"
 

@@ -25,6 +25,10 @@ import numpy as np
 
 from . import __version__, diagnostics, dynamics, initial_data, measures, reference, velocity
 
+# a config's law must be defined on [0, LAW_REACH * sup_norm]: headroom for
+# the atomized densities, which round a little above the sup norm
+LAW_REACH = 1.2
+
 
 @dataclass(frozen=True)
 class OracleSettings:
@@ -112,13 +116,11 @@ class ExperimentConfig:
         if not (0.0 < self.delta < self.t_end or self.t_end == 0.0 < self.delta < np.inf):
             raise ValueError("delta must lie in (0, t_end), or be positive and finite at t_end 0, "
                              f"got {self.delta!r}")
-        # a run reads the law up to the entropy levels' reach, past every atomized density
-        reach = diagnostics.ENTROPY_LEVEL_REACH
         try:
-            velocity.check_assumptions(self.model, reach * self.datum.sup_norm)
+            velocity.check_assumptions(self.model, LAW_REACH * self.datum.sup_norm)
         except ValueError as exc:
-            raise ValueError(f"{exc}; the velocity law must be defined on [0, {reach} * "
-                             f"sup_norm] = [0, {reach * self.datum.sup_norm}]") from exc
+            raise ValueError(f"{exc}; the velocity law must be defined on [0, {LAW_REACH} * "
+                             f"sup_norm] = [0, {LAW_REACH * self.datum.sup_norm}]") from exc
 
     @classmethod
     def from_dict(cls, cfg) -> "ExperimentConfig":
@@ -205,9 +207,9 @@ def write_quantile_csv(path: Path, hat: initial_data.PiecewiseConstantDensity):
 
 def write_diagnostics_csv(path: Path, report: diagnostics.DiagnosticsReport):
     columns = (report.times, report.min_gap_ratios, report.oleinik_interior_max,
-               report.oleinik_leader, report.tv_hat, report.tv_velocity, report.entropy_min)
-    _write_csv(path, "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,"
-               "tv_hat,tv_velocity,entropy_min", [tuple(map(_column, columns))])
+               report.oleinik_leader, report.tv_hat, report.tv_velocity)
+    _write_csv(path, "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity",
+               [tuple(map(_column, columns))])
 
 
 def _sha256(path: Path) -> str:
@@ -359,18 +361,21 @@ def _exact_distances(datum, model, t: float, hats):
     at t, from gap = F_hat - M.  M of ``reference.entropy_mass`` is evaluated
     once on the edges of cells of width span / 4096 that reach max |f'| * t
     past the support, beyond which no wave has travelled, and on the datum's
-    breakpoints, its kinks at t 0; then at each hat's.  W1 is
-    ``measures.segment_l1`` over the gap, M read linearly between the points.
-    A gap step is the integral of c - rho* where the hat is c, so L1 =
-    sum |step| is exact where rho* - c keeps one sign, a lower bound elsewhere."""
+    breakpoints, its kinks at t 0, and at every hat's, in one call; each hat
+    reads the mesh's part and its own.  W1 is ``measures.segment_l1`` over the
+    gap, M read linearly between the points.  A gap step is the integral of
+    c - rho* where the hat is c, so L1 = sum |step| is exact where rho* - c
+    keeps one sign, a lower bound elsewhere."""
     dx = (datum.support_max - datum.support_min) / 4096.0
     pad = int(np.ceil(reference.max_wave_speed(model, datum.sup_norm) * t / dx))
     mesh = np.union1d(datum.support_min + dx * np.arange(-pad, 4096 + pad + 1), datum.breakpoints)
-    mass = reference.entropy_mass(datum, model, t, mesh)
-    for hat in hats:
+    points = [mesh] + [hat.breakpoints for hat in hats]
+    mass = np.split(reference.entropy_mass(datum, model, t, np.concatenate(points)),
+                    np.cumsum([p.size for p in points[:-1]]))
+    for hat, own in zip(hats, mass[1:]):
         x = np.concatenate((mesh, hat.breakpoints))
         order = np.argsort(x, kind="stable")
-        exact = np.append(mass, reference.entropy_mass(datum, model, t, hat.breakpoints))
+        exact = np.concatenate((mass[0], own))
         x, gap = x[order], (hat.cdf_values(x) - exact)[order]
         l1 = float(np.sum(np.abs(np.diff(gap))))
         yield float(measures.segment_l1(gap[:-1], gap[1:], np.diff(x))), l1

@@ -323,18 +323,20 @@ def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
     v counts as strictly decreasing when its samples never increase and v'
     is negative at every positive sample: near vacuum a law like
     1 - rho**20 rounds to v_max, so samples may tie, and v'(0) = 0 is allowed.
+    v and v' are evaluated once each; f and rho * v'(rho) are formed from them.
     """
     if not rho_max > 0.0:
         raise ValueError("rho_max must be positive")
     grid = np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES)
     v = model.value(grid)
-    decreasing = bool(np.all(np.diff(v) <= 0.0)
-                      and np.all(model.derivative(grid[1:]) < 0.0))
-    at_zero = model.value(0.0) == model.v_max
-    m = model.density_weighted_slope(grid)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        dv = model.derivative(grid)
+        m = np.where(grid == 0.0, 0.0, grid * dv)
+    decreasing = bool(np.all(np.diff(v) <= 0.0) and np.all(dv[1:] < 0.0))
+    at_zero = v[0] == model.v_max
     slack = 1e-12 * (1.0 + float(np.max(np.abs(m))))
     non_increasing = bool(np.all(np.diff(m) <= slack))
-    f = model.flux(grid)
+    f = grid * v
     second = f[2:] - 2.0 * f[1:-1] + f[:-2]
     concave = bool(np.all(second <= 1e-10 * (1.0 + float(np.max(np.abs(f))))))
     return AssumptionReport(grid, decreasing, bool(at_zero), non_increasing, concave)

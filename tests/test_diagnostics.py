@@ -14,9 +14,11 @@ from ftl1d import (
     ModifiedGreenberg,
     ParticleConfiguration,
     PipesMunjal,
+    TabulatedVelocity,
     Underwood,
     atomize,
     bv_constant,
+    check_assumptions,
     entropy_K_terms,
     from_piecewise,
     hat_density,
@@ -37,8 +39,7 @@ from ftl1d.diagnostics import OleinikResidual
 from ftl1d.dynamics import Trajectory
 
 CHECKS = {"min_gap_ratio", "oleinik_interior", "oleinik_leader", "tv_contractivity",
-          "tv_monotone", "tv_velocity", "entropy_terms", "wasserstein_time_continuity",
-          "l1_time_continuity"}
+          "tv_monotone", "tv_velocity", "wasserstein_time_continuity", "l1_time_continuity"}
 
 
 def config(positions, mass=0.5, time=0.0):
@@ -177,13 +178,39 @@ def test_entropy_terms_of_level_array_are_per_level_rows(model):
         entropy_K_terms(state, model, np.array([0.5, -0.5]))
 
 
-def test_entropy_terms_nonnegative_on_levels_grid():
-    datum = scenario("double_hump")
-    model = Greenshields(1.0)
-    tr = integrate(atomize(datum, 64), model, 1.0, None, [0.0, 0.5, 1.0])
-    for state in tr.states:
-        for k in np.linspace(0.0, 1.2 * datum.sup_norm, 50):
-            assert np.min(entropy_K_terms(state, model, k)) >= -1e-12
+# decreasing on [0, 3], past 1.2 times every density R drawn below
+_TABLE = TabulatedVelocity(np.array([0.0, 0.5, 1.0, 3.0]), np.array([1.0, 0.6, 0.3, 0.0]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(state=particle_states(), top=st.floats(0.05, 2.0), fill=st.floats(0.1, 1.0),
+       model=st.sampled_from([Greenshields(1.0), PipesMunjal(1.0, 2.0), Underwood(1.0),
+                              ModifiedGreenberg(1.0, 0.1), _TABLE]),
+       fractions=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=50))
+def test_entropy_terms_nonnegative_on_levels_grid(state, top, fill, model, fractions):
+    # the entropy-term sign is a property of the law: a term compares v at
+    # two densities of one jump, all of them at most R, where integrate
+    # requires the law to decrease; levels reach 1.2 R, as a config's law must
+    state = ParticleConfiguration(0.0, state.particle_mass * fill * top / state.max_density(),
+                                  state.positions)
+    assert check_assumptions(model, top).v_strictly_decreasing
+    levels = top * np.array(fractions)
+    assert np.min(entropy_K_terms(state, model, levels)) >= -1e-12    # criterion 12's bound
+    # a run no longer evaluates the terms: its names are the eight checks
+    report = run_diagnostics(Trajectory((state,), {}), model, from_piecewise([0.0, 1.0], [top]),
+                             0.25)
+    assert {v.check for v in report.violations} | set(report.skipped) <= CHECKS
+    assert len(CHECKS) == 8 and "entropy_min" not in report.to_dict()
+
+
+def test_integrate_refuses_the_law_whose_entropy_terms_go_negative():
+    # _BUMPY increases on (5/6, 1], where one of its entropy terms is
+    # negative; integrate refuses it before the first step
+    state = _trajectory([(0.0, [0.4] * 3 + [0.95] + [0.4] * 4)]).states[0]
+    assert np.min(entropy_K_terms(state, _BUMPY, 0.9)) < -1e-12
+    assert not check_assumptions(_BUMPY, 1.0).v_strictly_decreasing
+    with pytest.raises(ValueError, match="increases, or is flat"):
+        integrate(atomize(_DATUM, 8), _BUMPY, 0.5)
 
 
 def test_time_continuity_trivial_pair():
@@ -315,9 +342,6 @@ PLANTS = {
     "tv_velocity": (Greenshields(1.0), _steady(_LOW),
                     _steady([0.4] + [0.7, 0.2] * 3 + [0.4], (0.0, 0.5)) + [(1.0, _LOW)],
                     (0.5, 3.8, 3.12 + diagnostics.VELOCITY_TV_TOL)),
-    # one cell in the increasing range of the law, at every sample
-    "entropy_terms": (_BUMPY, _steady(_LOW), _steady([0.4] * 3 + [0.95] + [0.4] * 4),
-                      (0.0, -0.0136, -diagnostics.ENTROPY_TOL)),
     # the mass 2 moves by 5 in 0.5 time units; the rate 4 allows a distance 2
     "wasserstein_time_continuity": (Greenshields(1.0), _steady(_LOW),
                                     _steady(_LOW, (0.0, 0.5)) + [(1.0, _LOW, 5.0)],
@@ -344,47 +368,6 @@ def test_run_diagnostics_flags_each_planted_check_alone(check):
     assert first.value == pytest.approx(value, rel=1e-3)
     assert first.bound == pytest.approx(bound, rel=1e-12)
     assert report.skipped == clean_report.skipped
-
-
-@st.composite
-def _state_on_levels(draw, levels):
-    """A state whose densities tie levels: the particle mass is a level and
-    the gaps, exact binary fractions from an integer start, are 1/2, 1 and 2
-    (the density is that level, twice or half of it, and level 2i is exactly
-    twice level i) or 63/64 and 65/64 (a density just above or below it, with
-    no level strictly between)."""
-    mass = levels[draw(st.integers(1, levels.size - 1))]
-    gaps = [1.0] + draw(st.lists(st.sampled_from([0.5, 63 / 64, 1.0, 65 / 64, 2.0]),
-                                 max_size=20))
-    left = float(draw(st.integers(-3, 3)))
-    return ParticleConfiguration(0.0, mass, left + np.concatenate(([0.0], np.cumsum(gaps))))
-
-
-@settings(deadline=None, max_examples=100)
-@given(data=st.data(), height=st.floats(0.1, 2.0),
-       model=st.sampled_from([Greenshields(1.0), PipesMunjal(1.0, 2.0), Underwood(1.0),
-                              ModifiedGreenberg(1.0, 0.1), _BUMPY]))
-def test_run_entropy_min_is_the_dense_minimum(data, height, model):
-    # the run evaluates the levels inside each jump only; its minimum is that
-    # of the dense K x N definition, with a zero minimum read as -0.0
-    datum = from_piecewise([0.0, 1.0], [height])
-    levels = np.linspace(0.0, diagnostics.ENTROPY_LEVEL_REACH * height, 50)
-    state = data.draw(st.one_of(particle_states(), _state_on_levels(levels)))
-    report = run_diagnostics(Trajectory((state,), {}), model, datum, 0.25)
-    dense = min(-0.0, float(np.min(entropy_K_terms(state, model, levels))))
-    assert repr(report.entropy_min[0]) == repr(dense)
-
-
-@pytest.mark.parametrize("gap", [63 / 64, 65 / 64], ids=["low_end", "high_end"])
-def test_run_entropy_min_keeps_a_level_tied_to_an_end_of_a_jump(gap):
-    # the first cell's density is level 20 of the run's grid; the second lies
-    # just above or below it, with no level between, where _BUMPY increases:
-    # the one negative term is the one at the tied level
-    datum = from_piecewise([0.0, 1.0], [2.0])
-    levels = np.linspace(0.0, diagnostics.ENTROPY_LEVEL_REACH * datum.sup_norm, 50)
-    state = ParticleConfiguration(0.0, levels[20], np.array([0.0, 1.0, 1.0 + gap]))
-    report = run_diagnostics(Trajectory((state,), {}), _BUMPY, datum, 0.25)
-    assert report.entropy_min[0] == np.min(entropy_K_terms(state, _BUMPY, levels)) < 0.0
 
 
 def test_oleinik_residual_type():
@@ -443,7 +426,6 @@ def test_run_diagnostics_matches_standalone_helpers(cells, model, n):
     datum = from_piecewise(np.concatenate(([0.0], np.cumsum(widths))), values)
     tr = integrate(atomize(datum, n), model, 0.5, None, [0.0, 0.25, 0.375, 0.5])
     report = run_diagnostics(tr, model, datum, 0.25)
-    levels = np.linspace(0.0, 1.2 * datum.sup_norm, 50)
     for k, state in enumerate(tr.states):
         res = oleinik_residual(state, model)
         assert report.min_gap_ratios[k] == min_gap_ratio(state, datum.sup_norm)
@@ -451,8 +433,6 @@ def test_run_diagnostics_matches_standalone_helpers(cells, model, n):
         assert report.oleinik_leader[k] == res.leader
         assert report.tv_hat[k] == total_variation(hat_density(state))
         assert report.tv_velocity[k] == velocity_total_variation(state, model)
-        assert report.entropy_min[k] == min(
-            float(np.min(entropy_K_terms(state, model, lvl))) for lvl in levels)
     # the moduli are checked on consecutive pairs; compare with all pairs
     cont = time_continuity_moduli(tr, model, 0.25)
     worst_w = worst_l1 = np.inf
@@ -498,7 +478,6 @@ def test_run_diagnostics_keeps_the_bits_of_its_helpers_on_long_odd_rows(model):
     tr = _wobbling_box(11, 300, seed=3)
     datum = scenario("box")
     report = run_diagnostics(tr, model, datum, 0.25)
-    levels = np.linspace(0.0, diagnostics.ENTROPY_LEVEL_REACH * datum.sup_norm, 50)
     for k, state in enumerate(tr.states):
         res = oleinik_residual(state, model)
         assert report.min_gap_ratios[k] == min_gap_ratio(state, datum.sup_norm)
@@ -506,8 +485,6 @@ def test_run_diagnostics_keeps_the_bits_of_its_helpers_on_long_odd_rows(model):
         assert report.oleinik_leader[k] == res.leader
         assert report.tv_hat[k] == total_variation(hat_density(state))
         assert report.tv_velocity[k] == velocity_total_variation(state, model)
-        dense = min(-0.0, float(np.min(entropy_K_terms(state, model, levels))))
-        assert repr(report.entropy_min[k]) == repr(dense)
     cont = time_continuity_moduli(tr, model, 0.25)
     worst_w = worst_l1 = np.inf
     for a, b in itertools.pairwise(tr.states):

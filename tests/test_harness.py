@@ -151,15 +151,16 @@ def test_run_experiment_artifacts(tmp_path):
 def test_diagnostics_artifacts_are_pinned(tmp_path):
     # every bit of both diagnostics files of one small run: Greenshields, the
     # default RK4, N = 64 and 5 samples; the JSON holds no interleaving key
+    # and no entropy_min, and the CSV has six columns
     cfg = dict(BASE_CONFIG, particle_counts=[64], t_end=1.0,
                sample_times=[0.0, 0.25, 0.5, 0.75, 1.0])
     del cfg["integrator"]
     run_experiment(ExperimentConfig.from_dict(cfg), tmp_path)
     digests = tree_digest(tmp_path / "run_N00064")
     assert digests["diagnostics.json"] == (
-        "9cb4ddd1b78b0774d9ac4f5c27c3f33d3e07eb6bcd089d22a775c55c88d90ab2")
+        "f94e5da9e1a3ac8f47bc830b407ccc77a804da0ac5508a0189a1ec099dd0d6b4")
     assert digests["diagnostics.csv"] == (
-        "dbae79bf8b6ab30331aeb5c342c9572808cf111420da83beb527290f27c3586c")
+        "0beb7497df420da7c98685cfbf4352a037d1bd7a138807b5fa74c23137b4b412")
 
 
 def test_trajectory_csv_round_trips(tmp_path):
@@ -206,7 +207,7 @@ def test_quantile_csv_rows_are_the_pseudo_inverse_of_the_hat_cdf(tmp_path, state
 # negative values; an np.float64 too, as the report lists hold both kinds
 _ODD = [-1.5e16, -2.5, -0.0, 1e-05, np.float64(0.1), 1.5e16]
 _COLUMNS = ("times", "min_gap_ratios", "oleinik_interior_max", "oleinik_leader",
-            "tv_hat", "tv_velocity", "entropy_min")
+            "tv_hat", "tv_velocity")
 
 
 def _reference_csv(header, rows) -> str:
@@ -240,11 +241,11 @@ def test_csv_writers_format_each_cell_as_repr_of_float(tmp_path):
     columns = [_ODD[k:] + _ODD[:k] for k in range(len(_COLUMNS))]
     write_diagnostics_csv(path, DiagnosticsReport(**dict(zip(_COLUMNS, columns))))
     assert path.read_text(encoding="utf-8") == _reference_csv(
-        "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity,entropy_min",
+        "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity",
         zip(*columns))
     write_diagnostics_csv(path, DiagnosticsReport())      # no sample: the header alone
     assert path.read_text(encoding="utf-8") == _reference_csv(
-        "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity,entropy_min", [])
+        "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity", [])
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -563,8 +564,8 @@ _REFUSED = [
         BASE_CONFIG, scenario={"name": "box", "height": 1.0},
         velocity={"kind": "tabulated", "rho_table": [0.0, 0.5], "v_table": [1.0, 0.5]})),
      "density beyond tabulated range [0, 0.5]", _ALL_VERBS),
-    # the atomized densities round above the sup norm, and the entropy levels
-    # reach 1.2 times it: the table must reach that far
+    # the atomized densities round above the sup norm, so a run requires the
+    # law up to 1.2 times it: the table must reach that far
     ("table_ending_at_the_sup_norm", json.dumps(dict(
         BASE_CONFIG, scenario={"name": "box", "height": 1.0, "width": 0.7},
         velocity={"kind": "tabulated", "rho_table": [0.0, 1.0], "v_table": [1.0, 0.0]})),

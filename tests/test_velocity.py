@@ -268,3 +268,32 @@ def test_integrate_and_riemann_solve_call_check_assumptions_through_the_module(m
     assert len(calls) == 1
     reference.riemann_solve(Greenshields(1.0), 0.2, 0.8)
     assert len(calls) == 2
+
+
+def _verdicts_by_public_methods(model, rho_max):
+    """The four verdicts of ``check_assumptions`` read through the public
+    methods, each law evaluated afresh for every verdict."""
+    grid = np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES)
+    decreasing = bool(np.all(np.diff(model.value(grid)) <= 0.0)
+                      and np.all(model.derivative(grid[1:]) < 0.0))
+    m = model.density_weighted_slope(grid)
+    f = model.flux(grid)
+    return (decreasing, model.value(0.0) == model.v_max,
+            bool(np.all(np.diff(m) <= 1e-12 * (1.0 + float(np.max(np.abs(m)))))),
+            bool(np.all(f[2:] - 2.0 * f[1:-1] + f[:-2]
+                        <= 1e-10 * (1.0 + float(np.max(np.abs(f)))))))
+
+
+@settings(deadline=None, max_examples=200)
+@given(law=st.sampled_from(LAWS + [
+           PipesMunjal(1.0, 20.0),     # flat by rounding near vacuum
+           CustomVelocity(v_func=lambda r: 1.0 - r + 0.6 * np.asarray(r) ** 2, v_max=1.0)]),
+       rho_max=st.floats(1e-3, 2.0))
+def test_check_assumptions_matches_the_public_methods(law, rho_max):
+    # v and v' are evaluated once each; every verdict is the one the public
+    # flux, slope and weighted-slope methods give
+    report = check_assumptions(law, rho_max)
+    assert (report.v_strictly_decreasing, report.v_at_zero_equals_v_max,
+            report.weighted_slope_non_increasing,
+            report.flux_concave) == _verdicts_by_public_methods(law, rho_max)
+    np.testing.assert_array_equal(report.grid, np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES))
