@@ -111,8 +111,8 @@ def default_step(config: ParticleConfiguration, model: VelocityModel, t_end: flo
 
 def sample_grid(sample_times, t_end: float) -> tuple:
     """The sorted, deduplicated samples of a run to a finite t_end >= 0, with
-    t_end added: the run's horizon is always its last sample.  None gives
-    [0, t_end].  They must be nonempty and in [0, t_end]: a NaN is refused."""
+    0, where the moduli read R, and t_end, the horizon, added.  None gives
+    [0, t_end].  A list must be nonempty and in [0, t_end]: a NaN is refused."""
     if not 0.0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
     samples = {0.0} if sample_times is None else {float(t) for t in sample_times}
@@ -120,7 +120,7 @@ def sample_grid(sample_times, t_end: float) -> tuple:
         raise ValueError("need at least one sample time")
     if not all(0.0 <= t <= t_end for t in samples):
         raise ValueError("sample times must lie in [0, t_end]")
-    return tuple(sorted(samples | {float(t_end)}))
+    return tuple(sorted(samples | {0.0, float(t_end)}))
 
 
 def _nonzero(row):
@@ -131,10 +131,11 @@ class _Tableau:
     """An explicit Runge-Kutta scheme, with its zero coefficients dropped.
 
     ``a`` holds the stage rows after the first (the system is autonomous, so
-    no nodes c_i), ``b`` the weights of x + (dt / divisor) * sum_j b_j k_j,
-    and ``embedded``, if given, those of an order-4 solution whose difference
-    is the error estimate; without it the step is fixed.  Artifacts are
-    checksummed, so the order of operations is kept: each sum adds its
+    no nodes c_i), ``b`` the weights of x + (dt / divisor) * sum_j b_j k_j, of
+    order ``order``, and ``embedded``, if given, those of an order - 1
+    solution whose difference, of size dt**order, is the error estimate (dt
+    scales by its -1/order power); without it the step is fixed.  Artifacts
+    are checksummed, so the order of operations is kept: each sum adds its
     nonzero terms in order, from the first (0 * k can flip a -0.0 or turn an
     inf into NaN, so zero coefficients stay dropped).  The weights and the
     embedded row are each one product and one reduction over its rows from
@@ -146,8 +147,9 @@ class _Tableau:
     accepted state against the gap floor.
     """
 
-    def __init__(self, a, b, divisor=1.0, embedded=None):
+    def __init__(self, a, b, order, divisor=1.0, embedded=None):
         self.stages = tuple(_nonzero(row) for row in a)
+        self.order = order
         self.weights = _nonzero(b)
         self.divisor = divisor
         self.embedded = None if embedded is None else _nonzero(embedded)
@@ -230,7 +232,7 @@ class _Tableau:
 # Dormand-Prince 5(4) pair with step-size control.
 METHODS = {
     "rk4_fixed": _Tableau(a=((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)),
-                          b=(1.0, 2.0, 2.0, 1.0), divisor=6.0),
+                          b=(1.0, 2.0, 2.0, 1.0), order=4, divisor=6.0),
     "rk45_adaptive": _Tableau(
         a=((1 / 5,),
            (3 / 40, 9 / 40),
@@ -239,6 +241,7 @@ METHODS = {
            (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
            (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
         b=(35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
+        order=5,
         embedded=(5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                   187 / 2100, 1 / 40)),
 }
@@ -255,7 +258,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
         t_end: final time, finite and >= 0.
         settings: stepper selection and control; defaults to fixed RK4.
         sample_times: times in [0, t_end] at which states are recorded;
-            defaults to [0, t_end], and t_end is always recorded (see
+            defaults to [0, t_end], and 0 and t_end are always recorded (see
             ``sample_grid``).
 
     Returns:
@@ -297,6 +300,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     if _velocities(x, cell_mass, model, out=k1) is None:
         k1[:] = np.nan   # not left uninitialized: every stage state is then invalid
     adaptive = scheme.embedded is not None
+    exponent = -1.0 / scheme.order
     t = 0.0
     steps = 0
     rejections = 0
@@ -310,7 +314,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
                 while True:
                     err_norm = step(x, dt, x_new)
                     if err_norm is not None and err_norm > 1.0:
-                        retry = max(0.9 * dt * err_norm ** -0.2, 0.1 * dt)
+                        retry = max(0.9 * dt * err_norm ** exponent, 0.1 * dt)
                     elif err_norm is None or _velocities(x_new, cell_mass, model, floor, k1, gaps) is None:
                         retry = 0.5 * dt
                     else:
@@ -326,7 +330,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
                 x, x_new = x_new, x
                 steps += 1
                 if adaptive:
-                    factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+                    factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** exponent))
                     dt_next = min(dt * factor, dt_base * 100.0)
             states.append(ParticleConfiguration(
                 time=target, particle_mass=cell_mass, positions=x.copy()))

@@ -63,6 +63,11 @@ class PiecewiseConstantDensity:
         object.__setattr__(self, "support_min", float(hull[0]))
         object.__setattr__(self, "support_max", float(hull[1]))
 
+    def values_at(self, x) -> np.ndarray:
+        """The value of the cell [b_k, b_k+1) holding each x; 0 outside the cells."""
+        padded = np.concatenate(([0.0], self.values, [0.0]))
+        return padded[np.searchsorted(self.breakpoints, x, side="right")]
+
     def cdf_values(self, x):
         """Cumulative mass F(x) = integral of the density up to x (exact)."""
         return np.interp(x, self.breakpoints, self.cumulative_masses)
@@ -141,10 +146,11 @@ def atomize(datum: PiecewiseConstantDensity, n_particles: int) -> ParticleConfig
     Returns the time-0 configuration whose N+1 positions are the slab edges:
     the first and last coincide with the support hull, interior edges invert
     the cumulative distribution at levels i * mass / N (leftmost solution).
-    Every initial gap is at least particle_mass / sup_norm.  A level equal
-    to a cumulative mass takes that breakpoint; any other lies inside a cell
-    of positive mass and is interpolated in it.  ``n_particles`` is a
-    ``count`` of at least 2.
+    Every exact gap is at least particle_mass / sup_norm; a computed one may
+    be below it by a few ulps of the largest |position| (under 4 on random
+    data), hence ``harness.LAW_REACH``.  A level equal to a cumulative mass
+    takes that breakpoint; any other lies inside a cell of positive mass and
+    is interpolated in it.  ``n_particles`` is a ``count`` of at least 2.
     """
     n = count(n_particles, "particle count")
     cell_mass = datum.total_mass / n

@@ -108,40 +108,26 @@ class PiecewiseMonotone:
 
     def right_limits(self, x) -> np.ndarray:
         """Values f(x+), i.e. right-continuous evaluation."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        bp, vals = self.breakpoints, self.values
-        n = bp.size
-        idx = np.searchsorted(bp, x, side="right") - 1  # last node <= x
-        out = np.empty(x.shape)
-        lo = idx < 0
-        hi = idx >= n - 1
-        mid = ~(lo | hi)
-        out[lo] = vals[0]
-        out[hi] = vals[-1]
-        ii = idx[mid]
-        x0, x1 = bp[ii], bp[ii + 1]   # x1 > x >= x0, never degenerate
-        w = (x[mid] - x0) / (x1 - x0)
-        out[mid] = vals[ii] + w * (vals[ii + 1] - vals[ii])
-        return out
+        return self._one_sided(x, "right")
 
     def left_limits(self, x) -> np.ndarray:
         """Values f(x-), the limit from the left."""
+        return self._one_sided(x, "left")
+
+    def _one_sided(self, x, side: str) -> np.ndarray:
+        """f(x+) for side "right", f(x-) for "left": at a node the value of the
+        last node at x from the right, of the first from the left; outside the
+        nodes the end value; between nodes x0 < x < x1 the interpolation."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         bp, vals = self.breakpoints, self.values
-        n = bp.size
-        idx = np.searchsorted(bp, x, side="left")  # first node >= x
-        out = np.empty(x.shape)
-        lo = idx <= 0
-        hi = idx >= n
-        hit = ~lo & ~hi & (bp[np.minimum(idx, n - 1)] == x)
-        mid = ~(lo | hi | hit)
-        out[lo] = vals[0]
-        out[hi] = vals[-1]
-        out[hit] = vals[idx[hit]]     # first node at x: value before the jump
-        ii = idx[mid]
-        x0, x1 = bp[ii - 1], bp[ii]   # x0 < x < x1
+        i = np.searchsorted(bp, x, side=side)   # x0 = bp[i - 1] and x1 = bp[i] around x
+        node = np.clip(i - 1 if side == "right" else i, 0, bp.size - 1)
+        out = vals[node]
+        mid = (i > 0) & (i < bp.size) & (bp[node] != x)
+        i = i[mid]
+        x0, x1 = bp[i - 1], bp[i]
         w = (x[mid] - x0) / (x1 - x0)
-        out[mid] = vals[ii - 1] + w * (vals[ii] - vals[ii - 1])
+        out[mid] = vals[i - 1] + w * (vals[i] - vals[i - 1])
         return out
 
 
@@ -209,12 +195,5 @@ def l1_distance(d1: PiecewiseConstantDensity, d2: PiecewiseConstantDensity) -> f
     """Exact integral of |d1 - d2| over the union of supports."""
     mesh = np.unique(np.concatenate((d1.breakpoints, d2.breakpoints)))
     mids = 0.5 * (mesh[:-1] + mesh[1:])
-
-    def cell_values(d):
-        vals = d.values
-        idx = np.searchsorted(d.breakpoints, mids, side="right") - 1
-        inside = (idx >= 0) & (idx < vals.size)
-        return np.where(inside, vals[np.clip(idx, 0, vals.size - 1)], 0.0)
-
-    diff = np.abs(cell_values(d1) - cell_values(d2))
+    diff = np.abs(d1.values_at(mids) - d2.values_at(mids))
     return float(np.sum(diff * np.diff(mesh)))

@@ -117,9 +117,7 @@ def riemann_l1_error(density: PiecewiseConstantDensity, sol: RiemannSolution,
     mesh = np.unique(np.concatenate(([lo, hi], bp[(bp > lo) & (bp < hi)],
                                      waves[(waves > lo) & (waves < hi)])))
     a, b = mesh[:-1], mesh[1:]
-    # the density is zero outside its breakpoints
-    padded = np.concatenate(([0.0], density.values, [0.0]))
-    c = padded[np.searchsorted(bp, 0.5 * (a + b), side="right")]
+    c = density.values_at(0.5 * (a + b))
     # each piece is cut where the (monotone) solution crosses c: in a fan it
     # is >= c left of x_c and <= c right of it; elsewhere it is constant
     if sol.kind == "rarefaction":

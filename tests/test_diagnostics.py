@@ -217,7 +217,8 @@ def test_time_continuity_trivial_pair():
     model = Greenshields(1.0)
     tr = integrate(atomize(scenario("box"), 16), model, 1.0, None, [0.1, 1.0])
     report = time_continuity_moduli(tr, model, 0.1)
-    assert report.wasserstein_pairs == 1
+    # the run records t = 0 too: pairs (0, 0.1) and (0.1, 1), the second after delta
+    assert report.wasserstein_pairs == 2
     assert report.l1_pairs == 1
     assert report.wasserstein_worst_slack >= 0.0
     assert report.l1_worst_slack >= 0.0
@@ -234,13 +235,28 @@ def test_time_continuity_two_particle_closed_form():
             integrate(config([0.0, 1.0]), model, 0.0), model, 0.1)
 
 
+@pytest.mark.parametrize("name, model, rate", [
+    ("box", Greenshields(1.0), 12.0),
+    ("double_hump", PipesMunjal(1.0, 2.0), 20.0),
+])
+def test_time_continuity_rates_do_not_depend_on_the_samples(name, model, rate):
+    # the rates read R and the span from t = 0, which every run records:
+    # samples from 0.5 on give the rates of the same run sampled from 0
+    c0 = atomize(scenario(name), 256)
+    late, full = (time_continuity_moduli(integrate(c0, model, 1.0, None, samples), model, 0.25)
+                  for samples in ([0.5, 0.75, 1.0], [0.0, 0.5, 0.75, 1.0]))
+    assert late.wasserstein_rate == full.wasserstein_rate
+    assert late.l1_rate == full.l1_rate == rate
+
+
 def test_oleinik_velocity_jump_form():
     # equivalent restatement of the residual bound through the gap:
     # v(y_{i+1}) - v(y_i) <= gap_i / t once t > 0
     model = Greenshields(1.0)
     tr = integrate(atomize(scenario("riemann_like"), 128), model, 1.0,
                    None, [0.25, 1.0])
-    for state in tr.states:
+    assert tr.states[0].time == 0.0
+    for state in tr.states[1:]:
         y = state.densities()
         v = model.value(y)
         gaps = state.gaps()
@@ -398,13 +414,16 @@ def test_tv_velocity_skipped_without_samples_after_delta():
 
 
 def test_time_continuity_skipped_with_one_sample():
+    # every run records t = 0, so only a run to t_end 0 has one sample
     datum = scenario("box")
     model = Greenshields(1.0)
-    tr = integrate(atomize(datum, 16), model, 0.5, None, [0.5])
+    tr = integrate(atomize(datum, 16), model, 0.0, None, [0.0])
+    assert len(tr.states) == 1
     report = run_diagnostics(tr, model, datum, 0.25)
     assert report.passed
-    assert report.skipped == dict.fromkeys(
-        ("wasserstein_time_continuity", "l1_time_continuity"), "fewer than two samples")
+    assert report.skipped == dict(dict.fromkeys(
+        ("wasserstein_time_continuity", "l1_time_continuity"), "fewer than two samples"),
+        tv_velocity="no sample at or after delta")
     assert report.wasserstein_worst_slack is None
     assert report.l1_worst_slack is None
     assert json.loads(report.to_json())["wasserstein_worst_slack"] is None

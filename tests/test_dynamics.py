@@ -128,6 +128,17 @@ def test_sample_grid_defaults_sorts_and_deduplicates():
     assert all(type(t) is float for t in sample_grid([np.float64(0.5), 1], 1.0))
 
 
+def test_the_run_starts_at_zero_before_its_first_sample_time():
+    # every run records its initial state: the time-continuity moduli read
+    # R and the span from it
+    assert sample_grid([0.5], 1.0) == (0.0, 0.5, 1.0)
+    assert sample_grid([0.5, 0.75, 1.0], 1.0) == sample_grid([0.0, 0.5, 0.75, 1.0], 1.0)
+    c0 = atomize(scenario("box"), 8)
+    trajectory = integrate(c0, Greenshields(1.0), 1.0, None, [0.5])
+    assert [state.time for state in trajectory.states] == [0.0, 0.5, 1.0]
+    assert trajectory.states[0].positions.tobytes() == c0.positions.tobytes()
+
+
 def test_the_run_ends_at_t_end_past_its_last_sample_time():
     # t_end is the horizon: the default step is capped at t_end / 100, and
     # the run records t_end even where the samples stop before it

@@ -152,6 +152,19 @@ def test_equal_mass_partition_on_random_data(cells, n):
     np.testing.assert_allclose(masses, c.particle_mass, rtol=0.0, atol=1e-12 * d.total_mass)
 
 
+@settings(deadline=None, max_examples=200)
+@given(cells=piecewise_cells(positive_mass=True), shift=st.floats(-1e3, 1e3),
+       n=st.integers(2, 4096))
+def test_atomized_gaps_reach_the_floor_up_to_rounding(cells, shift, n):
+    # the positions are rounded, so a gap may fall short of mass / sup_norm
+    # by a few ulps of the largest |position|: under 4 in 4,000 random draws
+    breakpoints, values = cells
+    d = from_piecewise(breakpoints + shift, values)
+    c = atomize(d, n)
+    slack = 8.0 * np.spacing(np.max(np.abs(c.positions)))
+    assert np.min(c.gaps()) >= c.particle_mass / d.sup_norm - slack
+
+
 def quantile_loop(datum, n):
     """atomize's positions by one inversion of the CDF per interior edge,
     the scalar form that the vectorised ``atomize`` replaced."""

@@ -129,6 +129,59 @@ def test_pseudo_inverse_requires_monotone():
         PiecewiseMonotone(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
+@st.composite
+def polylines(draw):
+    """A non-decreasing polyline on 1-8 distinct nodes, each repeated 1-3
+    times: a repeated node is a jump."""
+    nodes = sorted(set(draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))))
+    repeats = draw(st.lists(st.integers(1, 3), min_size=len(nodes), max_size=len(nodes)))
+    rises = draw(st.lists(st.floats(0.0, 2.0), min_size=sum(repeats), max_size=sum(repeats)))
+    return PiecewiseMonotone(np.repeat(nodes, repeats), np.cumsum(rises))
+
+
+@settings(deadline=None, max_examples=300)
+@given(F=polylines(), u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_one_sided_limits_at_between_and_outside_the_nodes(F, u):
+    bp, vals = F.breakpoints, F.values
+    nodes = np.unique(bp)
+    first = np.searchsorted(bp, nodes, side="left")
+    last = np.searchsorted(bp, nodes, side="right") - 1
+    # at a node: the last node's value from the right, the first's from the left
+    np.testing.assert_array_equal(F.right_limits(nodes), vals[last])
+    np.testing.assert_array_equal(F.left_limits(nodes), vals[first])
+    # strictly between two nodes: both interpolate between the nodes around x
+    x0, x1 = nodes[:-1], nodes[1:]
+    x = x0 + u * (x1 - x0)
+    inside = (x0 < x) & (x < x1)
+    x0, x1, x = x0[inside], x1[inside], x[inside]
+    a, b = last[:-1][inside], first[1:][inside]
+    w = (x - x0) / (x1 - x0)
+    between = vals[a] + w * (vals[b] - vals[a])
+    np.testing.assert_array_equal(F.right_limits(x), between)
+    np.testing.assert_array_equal(F.left_limits(x), between)
+    # outside the nodes: the end values
+    outside = [-np.inf, bp[0] - 1.0, np.nextafter(bp[0], -np.inf),
+               np.nextafter(bp[-1], np.inf), bp[-1] + 1.0, np.inf]
+    ends = [vals[0]] * 3 + [vals[-1]] * 3
+    np.testing.assert_array_equal(F.right_limits(outside), ends)
+    np.testing.assert_array_equal(F.left_limits(outside), ends)
+
+
+@settings(deadline=None, max_examples=200)
+@given(cells=piecewise_cells(), u=st.floats(0.0, 1.0, exclude_max=True))
+def test_values_at_reads_the_cell_holding_x_and_zero_outside(cells, u):
+    d = PiecewiseConstantDensity(*cells)
+    bp = d.breakpoints
+    # a cell [b_k, b_k+1) holds its left end
+    np.testing.assert_array_equal(d.values_at(bp[:-1]), d.values)
+    x = bp[:-1] + u * np.diff(bp)
+    inside = (bp[:-1] <= x) & (x < bp[1:])
+    np.testing.assert_array_equal(d.values_at(x[inside]), d.values[inside])
+    outside = [-np.inf, bp[0] - 1.0, np.nextafter(bp[0], -np.inf), bp[-1], bp[-1] + 1.0,
+               np.inf]
+    np.testing.assert_array_equal(d.values_at(outside), np.zeros(6))
+
+
 def test_quantile_round_trip_step():
     # repeated nodes at z = 0.25 and 0.5: jumps from -1 to 0 and from 0 to 2
     X = PiecewiseMonotone(np.array([0.0, 0.25, 0.25, 0.5, 0.5, 1.0]),
