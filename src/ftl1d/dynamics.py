@@ -10,7 +10,9 @@ One step controller runs every scheme from its Runge-Kutta coefficient table
 allocates one workspace that holds the stages, one reduction over the gaps
 of all stage states tests them, and the weighted sum of the update (and of
 the error estimate) is one product and one reduction.  A run's stepping loop
-is one errstate scope.
+is one errstate scope.  An operand that is constant for the run (the cell
+mass, the tolerances, and the law's own, bound when it is built) is a 0-d
+float64 array, on which a ufunc dispatches faster than on a Python float.
 """
 
 from __future__ import annotations
@@ -68,18 +70,11 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
-def _rhs(gaps, cell_mass, model, out):
-    """The right-hand side without a check: v(cell_mass / gap) of every
-    follower into ``out``.  Every evaluation of a run, each stage included,
-    calls this function through the module's globals.
-    """
-    return model._v(np.divide(cell_mass, gaps, out=out), out)
-
-
 def _velocities(positions, cell_mass, model, floor=0.0, out=None, gaps=None):
-    """Particle velocities, or None when a gap is not above 0 and ``floor``
-    or a density overflows.  ``out`` and ``gaps``, if given, receive the
-    velocities and the gaps.
+    """Particle velocities v(cell_mass / gap), the leader's v_max, or None
+    when a gap is not above 0 and ``floor`` or a density overflows.  ``out``
+    and ``gaps``, if given, receive the velocities and the gaps;
+    ``cell_mass`` may be a float or, as ``integrate`` binds it, a 0-d array.
 
     Correctly rounded division is monotone, so the largest density is
     exactly cell_mass / (smallest gap): one scalar test covers every cell,
@@ -88,11 +83,12 @@ def _velocities(positions, cell_mass, model, floor=0.0, out=None, gaps=None):
     """
     gaps = np.subtract(positions[1:], positions[:-1], out=gaps)
     low = np.minimum.reduce(gaps)
-    if not (low > 0.0 and low >= floor and cell_mass / float(low) < math.inf):
+    if not (low > 0.0 and low >= floor and float(cell_mass) / float(low) < math.inf):
         return None
     out = np.empty(positions.size) if out is None else out
     out[-1] = model.v_max
-    _rhs(gaps, cell_mass, model, out[:-1])
+    densities = np.divide(cell_mass, gaps, out=out[:-1])
+    model._v(densities, densities)
     return out
 
 
@@ -162,12 +158,14 @@ class _Tableau:
         x_new into ``out`` and returns the error estimate's norm (0.0 without
         one), or None if a stage state is invalid.  One reduction tests the
         gaps of all stage states; stages after an invalid one see garbage,
-        so ``step`` runs inside the errstate scope of ``integrate``.
+        so ``step`` runs inside the errstate scope of ``integrate``.  The
+        stages call the law's ``_v`` directly; the cell mass and the
+        tolerances are bound as 0-d arrays; the per-step scalars (dt * a_ij,
+        h) stay Python floats, as binding them costs a call more than it saves.
         """
         k = np.empty((len(self.stages) + 1, n))
         k[:, -1] = model.v_max
         gaps = np.empty((len(self.stages), n - 1))
-        all_gaps = gaps.reshape(-1)
         xi, term, acc = np.empty(n), np.empty(n), np.empty(n)
         xi_hi, xi_lo = xi[1:], xi[:-1]
 
@@ -188,10 +186,8 @@ class _Tableau:
         weights = bound_sum(self.weights)
         embedded = None if self.embedded is None else bound_sum(self.embedded)
         divisor = self.divisor
-
-        def valid(g):
-            low = np.minimum.reduce(g)
-            return low > 0.0 and cell_mass / float(low) < math.inf
+        law = model._v
+        mass, abs_tol, rel_tol = np.array(cell_mass), np.array(abs_tol), np.array(rel_tol)
 
         def weighted_sum(bound, out):
             rows, coefficients, work = bound
@@ -199,22 +195,26 @@ class _Tableau:
             return np.add.reduce(work, axis=0, out=out, initial=-0.0)
 
         def step(x, dt, out):
+            error = None
             try:
                 for k0, a0, rest, row_gaps, head, filled in plans:
                     np.add(x, np.multiply(dt * a0, k0, out=xi), out=xi)
                     for kj, a in rest:
                         np.add(xi, np.multiply(dt * a, kj, out=term), out=xi)
                     np.subtract(xi_hi, xi_lo, out=row_gaps)
-                    _rhs(row_gaps, cell_mass, model, head)
-            except Exception:
+                    law(np.divide(mass, row_gaps, out=head), head)
+            except Exception as exc:
                 # a law may raise on an invalid stage state (a tabulated law
                 # on a density beyond its table): that rejects the step, as
                 # testing each stage before its evaluation would have
-                if valid(filled):
-                    raise
+                error = exc
+            # the gaps of every stage state filled, all of them after the
+            # last stage
+            low = np.minimum.reduce(filled)
+            if not (low > 0.0 and cell_mass / float(low) < math.inf):
                 return None
-            if not valid(all_gaps):
-                return None
+            if error is not None:
+                raise error
             h = dt / divisor
             np.add(x, np.multiply(h, weighted_sum(weights, acc), out=acc), out=out)
             if embedded is None:
@@ -297,7 +297,8 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     x_new = np.empty_like(x)
     gaps = np.empty(x.size - 1)
     k1, step = scheme.bind(x.size, cell_mass, model, settings.abs_tol, settings.rel_tol)
-    if _velocities(x, cell_mass, model, out=k1) is None:
+    mass = np.array(cell_mass)   # bound once: a ufunc dispatches faster on a 0-d array
+    if _velocities(x, mass, model, out=k1) is None:
         k1[:] = np.nan   # not left uninitialized: every stage state is then invalid
     adaptive = scheme.embedded is not None
     exponent = -1.0 / scheme.order
@@ -315,7 +316,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
                     err_norm = step(x, dt, x_new)
                     if err_norm is not None and err_norm > 1.0:
                         retry = max(0.9 * dt * err_norm ** exponent, 0.1 * dt)
-                    elif err_norm is None or _velocities(x_new, cell_mass, model, floor, k1, gaps) is None:
+                    elif err_norm is None or _velocities(x_new, mass, model, floor, k1, gaps) is None:
                         retry = 0.5 * dt
                     else:
                         break

@@ -39,7 +39,11 @@ class VelocityModel:
     """Base class for velocity laws; subclasses implement _v and _dv.
 
     ``_v(rho, out)`` writes v(rho) into ``out`` and returns it; ``out`` may
-    be ``rho`` itself, as in the integrator's right-hand side.
+    be ``rho`` itself, as in the integrator's right-hand side.  A built-in
+    law binds the constant operands of its ``_v`` once, when it is
+    constructed, as 0-d float64 arrays beside its fields (``_bind``; this
+    class binds v_max and 1.0): at the integrator's sizes a ufunc call
+    costs its dispatch, which is lower with a 0-d array than a Python float.
 
     Methods: value, derivative, flux, flux_derivative, density_weighted_slope,
     critical_density and inverse_flux_derivative (the last two overridden
@@ -53,6 +57,13 @@ class VelocityModel:
     def __post_init__(self):
         if not 0.0 < self.v_max < math.inf:
             raise ValueError("v_max must be positive and finite")
+        self._bind(_v_max=self.v_max, _one=1.0)   # the 1 of 1 - rho and 1 - rho**alpha
+
+    def _bind(self, **operands):
+        # private attributes, not fields: ==, hash and repr ignore them, a
+        # pickle carries them and dataclasses.replace binds them anew
+        for name, value in operands.items():
+            object.__setattr__(self, name, np.array(value, dtype=float))
 
     def _v(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -137,7 +148,7 @@ class Greenshields(VelocityModel):
     v_max: float = 1.0
 
     def _v(self, rho, out):
-        return np.multiply(self.v_max, np.subtract(1.0, rho, out=out), out=out)
+        return np.multiply(self._v_max, np.subtract(self._one, rho, out=out), out=out)
 
     def _dv(self, rho):
         return np.full_like(rho, -self.v_max)
@@ -159,10 +170,11 @@ class PipesMunjal(VelocityModel):
         super().__post_init__()
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
+        self._bind(_alpha=self.alpha)
 
     def _v(self, rho, out):
-        np.subtract(1.0, np.power(rho, self.alpha, out=out), out=out)
-        return np.multiply(self.v_max, out, out=out)
+        np.subtract(self._one, np.power(rho, self._alpha, out=out), out=out)
+        return np.multiply(self._v_max, out, out=out)
 
     def _dv(self, rho):
         # alpha < 1 has an unbounded slope at vacuum; the -inf is deliberate.
@@ -180,7 +192,7 @@ class Underwood(VelocityModel):
     v_max: float = 1.0
 
     def _v(self, rho, out):
-        return np.multiply(self.v_max, np.exp(np.negative(rho, out=out), out=out), out=out)
+        return np.multiply(self._v_max, np.exp(np.negative(rho, out=out), out=out), out=out)
 
     def _dv(self, rho):
         return -self.v_max * np.exp(-rho)
@@ -204,10 +216,11 @@ class ModifiedGreenberg(VelocityModel):
         super().__post_init__()
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1) for a decreasing law")
+        self._bind(_alpha=self.alpha, _log_alpha=np.log(self.alpha))
 
     def _v(self, rho, out):
-        np.log(np.add(rho, self.alpha, out=out), out=out)
-        return np.multiply(self.v_max, np.divide(out, np.log(self.alpha), out=out), out=out)
+        np.log(np.add(rho, self._alpha, out=out), out=out)
+        return np.multiply(self._v_max, np.divide(out, self._log_alpha, out=out), out=out)
 
     def _dv(self, rho):
         return self.v_max / (np.log(self.alpha) * (rho + self.alpha))

@@ -9,6 +9,7 @@ from ftl1d import (
     Greenshields,
     IntegrationError,
     IntegratorSettings,
+    ModifiedGreenberg,
     ParticleConfiguration,
     PipesMunjal,
     TabulatedVelocity,
@@ -389,6 +390,44 @@ def test_step_whose_middle_stage_crosses_is_halved(model, digest):
     tr = integrate(c0, model, dt, IntegratorSettings(dt=dt), [0.0, dt])
     assert tr.metadata["steps"] == 2
     assert tr.metadata["rejections"] == 2
+    assert _digest(tr.states[-1].positions) == digest
+
+
+OFF_ONE = {   # each law at vacuum speed 1.17
+    "greenshields": Greenshields(1.17),
+    "pipes_munjal": PipesMunjal(1.17, 2.5),
+    "underwood": Underwood(1.17),
+    "modified_greenberg": ModifiedGreenberg(1.17, 0.1),
+}
+
+
+@pytest.mark.parametrize(("law", "method", "steps", "rejections", "digest"), [
+    pytest.param(law, method, steps, rejections, digest, id=f"{law}-{method}")
+    for law, method, steps, rejections, digest in [
+        ("greenshields", "rk4_fixed", 480, 0,
+         "b857ae742d2aafc1db4935004e85943c85fad8665717816c12b50d2c09422156"),
+        ("greenshields", "rk45_adaptive", 44, 0,
+         "7b514b0e4cd412086c898cdba6b3fa59071a598140d53cab2618574ab9ab682e"),
+        ("pipes_munjal", "rk4_fixed", 344, 0,
+         "99285a76bd09d1b30126327bddf2e35726978519e0658dc69f2d322a827c1288"),
+        ("pipes_munjal", "rk45_adaptive", 48, 2,
+         "21e81ed93ac16b2e0d04c5b6cc28c20867086f2d11fe09f2c0277d4e81e63c8a"),
+        ("underwood", "rk4_fixed", 330, 0,
+         "a14b9a5c3b72a9b3fd7b880339746b67162d99a999d114d34ea5ba759b130e4f"),
+        ("underwood", "rk45_adaptive", 33, 0,
+         "a8db62d51c355ed177f17f2edad05c6ebbc8fde3670c4eaa18c6f345fa083452"),
+        ("modified_greenberg", "rk4_fixed", 572, 0,
+         "8988849976c1daf2e499c9a2db956f8bdfeaae7b3ec874cd913b8963d267f30b"),
+        ("modified_greenberg", "rk45_adaptive", 34, 0,
+         "168140323db3107b5a09bf97066a1dd8a83a8f48eb3fc7ec75f3e76ff4364b2b"),
+    ]])
+def test_final_positions_at_a_vacuum_speed_off_one_are_pinned(law, method, steps,
+                                                              rejections, digest):
+    # multiplying by 1.0 is exact, so a law whose v_max operand is wrong
+    # passes every pin taken at v_max 1; these are taken at 1.17
+    c0 = atomize(scenario("riemann_like"), 64)
+    tr = integrate(c0, OFF_ONE[law], 1.0, IntegratorSettings(method=method), [0.0, 0.5, 1.0])
+    assert (tr.metadata["steps"], tr.metadata["rejections"]) == (steps, rejections)
     assert _digest(tr.states[-1].positions) == digest
 
 

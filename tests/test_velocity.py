@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +256,43 @@ def test_v_writes_into_out_and_equals_value(law, rho):
     assert np.all(alias == expected)
     if type(law) in FORMULAS:
         assert np.all(buf == FORMULAS[type(law)](law, rho))
+
+
+@pytest.mark.parametrize(("law", "changes"), [
+    (Greenshields(1.0), {"v_max": 1.17}),
+    (PipesMunjal(1.0, 2.0), {"v_max": 1.17, "alpha": 2.5}),
+    (Underwood(1.0), {"v_max": 1.17}),
+    (ModifiedGreenberg(1.0, 0.1), {"v_max": 1.17, "alpha": 0.3}),
+], ids=["greenshields", "pipes_munjal", "underwood", "modified_greenberg"])
+def test_bound_operands_follow_the_fields(law, changes):
+    # each law binds the constant operands of _v when it is constructed;
+    # replace builds a new law, and a pickle, which ships a law to the
+    # workers of --jobs > 1, carries them
+    changed = dataclasses.replace(law, **changes)
+    restored = pickle.loads(pickle.dumps(changed))
+    rho = np.linspace(0.0, 0.65, 27)
+    for model in (law, changed, restored):
+        assert np.all(model._v(rho, np.empty(rho.shape)) == FORMULAS[type(law)](model, rho))
+    assert not np.all(changed.value(rho) == law.value(rho))
+    # the bound operands are no fields: laws with equal fields compare and
+    # hash equal, repr shows the fields only, and nothing public is added
+    names = [f.name for f in dataclasses.fields(law)]
+    for twin in (type(law)(**{name: getattr(changed, name) for name in names}), restored):
+        assert twin == changed and hash(twin) == hash(changed)
+    shown = ", ".join(f"{name}={getattr(changed, name)!r}" for name in names)
+    assert repr(changed) == f"{type(law).__name__}({shown})"
+    assert [name for name in vars(changed) if not name.startswith("_")] == names
+
+
+def test_laws_that_bind_no_operands_evaluate_after_replace():
+    # the custom and tabulated laws do not run the base class's
+    # __post_init__, and their _v reads no bound operand
+    custom = dataclasses.replace(CustomVelocity(v_func=lambda r: 1.0 - r, v_max=1.0),
+                                 v_func=lambda r: 1.17 * (1.0 - r), v_max=1.17)
+    assert custom.value(0.5) == 1.17 * 0.5
+    table = TabulatedVelocity(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    table = pickle.loads(pickle.dumps(dataclasses.replace(table, v_table=np.array([1.17, 0.0]))))
+    assert table.v_max == 1.17 and table.value(0.5) == 0.585
 
 
 def test_integrate_and_riemann_solve_call_check_assumptions_through_the_module(monkeypatch):
