@@ -7,12 +7,15 @@ integrator enforces a safety fraction of that floor by step rejection, which
 for the smooth right-hand side only ever fires as a numerical safeguard.
 One step controller runs every scheme from its Runge-Kutta coefficient table
 (``METHODS``); a new scheme is a new table, not a new setting.  Each run
-allocates one workspace that holds the stages, one reduction over the gaps
-of all stage states tests them, and the weighted sum of the update (and of
-the error estimate) is one product and one reduction.  A run's stepping loop
-is one errstate scope.  An operand that is constant for the run (the cell
-mass, the tolerances, and the law's own, bound when it is built) is a 0-d
-float64 array, on which a ufunc dispatches faster than on a Python float.
+allocates one workspace that holds the stages and the gaps of every stage
+state and of the candidate, so one reduction over them decides an attempt:
+the stage states are valid and the candidate clears the floor.  The step
+that accepts a candidate also evaluates its velocities, the next step's
+first stage.  The weighted sum of the update (and of the error estimate) is
+one product and one reduction.  A run's stepping loop is one errstate
+scope.  An operand that is constant for the run (the cell mass, the
+tolerances, and the law's own, bound when it is built) is a 0-d float64
+array, on which a ufunc dispatches faster than on a Python float.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .velocity import VelocityModel
 
 STEP_UNDERFLOW_FRACTION = 1e-12
 GAP_FLOOR_SAFETY = 0.5   # a step taking a gap below this fraction of m/R is rejected, halved
+REJECTION_CAUSES = ("error", "gap_floor", "invalid_stage")
 
 
 class IntegrationError(RuntimeError):
@@ -70,20 +74,19 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
-def _velocities(positions, cell_mass, model, floor=0.0, out=None, gaps=None):
-    """Particle velocities v(cell_mass / gap), the leader's v_max, or None
-    when a gap is not above 0 and ``floor`` or a density overflows.  ``out``
-    and ``gaps``, if given, receive the velocities and the gaps;
-    ``cell_mass`` may be a float or, as ``integrate`` binds it, a 0-d array.
+def _velocities(positions, cell_mass, model, out=None):
+    """Particle velocities v(cell_mass / gap) and the leader's v_max, into
+    ``out`` if given, or None when a gap is not positive or a density
+    overflows.
 
     Correctly rounded division is monotone, so the largest density is
     exactly cell_mass / (smallest gap): one scalar test covers every cell,
     and a NaN gap fails it through the minimum.  The test divides Python
     floats, which overflow to inf without a numpy scalar's warning.
     """
-    gaps = np.subtract(positions[1:], positions[:-1], out=gaps)
+    gaps = np.subtract(positions[1:], positions[:-1])
     low = np.minimum.reduce(gaps)
-    if not (low > 0.0 and low >= floor and float(cell_mass) / float(low) < math.inf):
+    if not (low > 0.0 and float(cell_mass) / float(low) < math.inf):
         return None
     out = np.empty(positions.size) if out is None else out
     out[-1] = model.v_max
@@ -139,8 +142,8 @@ class _Tableau:
     into +0.0); a stage state is a running sum from x, which measured faster
     than a product with dt-scaled coefficients.  A combined error row or
     reuse of the last stage would change the last bit.
-    The first stage is the controller's: it evaluated it when it tested the
-    accepted state against the gap floor.
+    The first stage is the step's own: the step that accepts a candidate
+    evaluates it from the candidate's gaps, which the accept test holds.
     """
 
     def __init__(self, a, b, order, divisor=1.0, embedded=None):
@@ -150,14 +153,22 @@ class _Tableau:
         self.divisor = divisor
         self.embedded = None if embedded is None else _nonzero(embedded)
 
-    def bind(self, n, cell_mass, model, abs_tol, rel_tol):
+    def bind(self, n, cell_mass, model, floor, abs_tol, rel_tol):
         """Allocate one run's workspace for n particles and bind every row to it.
 
-        Returns the first stage, which the controller fills with the checked
-        velocities of each accepted state, and ``step(x, dt, out)``: it writes
-        x_new into ``out`` and returns the error estimate's norm (0.0 without
-        one), or None if a stage state is invalid.  One reduction tests the
-        gaps of all stage states; stages after an invalid one see garbage,
+        Returns the first stage, which the controller fills with the
+        velocities of the initial state, and ``step(x, dt, out)``: it writes
+        the candidate x_new into ``out`` and returns the verdict ``(cause,
+        err_norm)``.  A cause of None accepts the candidate, whose velocities
+        then fill the first stage; otherwise it is one of REJECTION_CAUSES,
+        and the first stage still holds the velocities of x.  ``err_norm``
+        is the error estimate's norm (0.0 without one, None at an invalid
+        stage state).  One reduction over the gaps of every stage state and
+        of the candidate decides the common case; only when it fails are
+        they told apart, in this order: an invalid stage state, a law that
+        raised on valid ones (re-raised), error control, the candidate below
+        ``floor``.  A stage gap in (0, floor) is no rejection: the floor
+        holds the accepted states.  Stages after an invalid one see garbage,
         so ``step`` runs inside the errstate scope of ``integrate``.  The
         stages call the law's ``_v`` directly; the cell mass and the
         tolerances are bound as 0-d arrays; the per-step scalars (dt * a_ij,
@@ -165,9 +176,15 @@ class _Tableau:
         """
         k = np.empty((len(self.stages) + 1, n))
         k[:, -1] = model.v_max
-        gaps = np.empty((len(self.stages), n - 1))
+        first = k[0, :-1]
+        # the gaps of each stage state after the first, then the candidate's
+        gaps = np.empty((len(self.stages) + 1, n - 1))
+        every_gap, stage_gaps, candidate = gaps.reshape(-1), gaps[:-1].reshape(-1), gaps[-1]
         xi, term, acc = np.empty(n), np.empty(n), np.empty(n)
         xi_hi, xi_lo = xi[1:], xi[:-1]
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        add_reduce, minimum_reduce = np.add.reduce, np.minimum.reduce
+        absolute, maximum, maximum_reduce = np.absolute, np.maximum, np.maximum.reduce
 
         def bound_sum(terms):
             # k's rows of the terms (a view when contiguous), their
@@ -191,39 +208,54 @@ class _Tableau:
 
         def weighted_sum(bound, out):
             rows, coefficients, work = bound
-            np.multiply(coefficients, k[rows], out=work)
-            return np.add.reduce(work, axis=0, out=out, initial=-0.0)
+            multiply(coefficients, k[rows], work)
+            return add_reduce(work, 0, None, out, False, -0.0)
+
+        def clears(rows, floor):
+            # the scalar test of ``_velocities``, with a floor
+            low = minimum_reduce(rows)
+            return low > 0.0 and low >= floor and cell_mass / float(low) < math.inf
 
         def step(x, dt, out):
-            error = None
             try:
                 for k0, a0, rest, row_gaps, head, filled in plans:
-                    np.add(x, np.multiply(dt * a0, k0, out=xi), out=xi)
+                    add(x, multiply(dt * a0, k0, xi), xi)
                     for kj, a in rest:
-                        np.add(xi, np.multiply(dt * a, kj, out=term), out=xi)
-                    np.subtract(xi_hi, xi_lo, out=row_gaps)
-                    law(np.divide(mass, row_gaps, out=head), head)
-            except Exception as exc:
+                        add(xi, multiply(dt * a, kj, term), xi)
+                    subtract(xi_hi, xi_lo, row_gaps)
+                    law(divide(mass, row_gaps, head), head)
+            except Exception:
                 # a law may raise on an invalid stage state (a tabulated law
                 # on a density beyond its table): that rejects the step, as
-                # testing each stage before its evaluation would have
-                error = exc
-            # the gaps of every stage state filled, all of them after the
-            # last stage
-            low = np.minimum.reduce(filled)
-            if not (low > 0.0 and cell_mass / float(low) < math.inf):
-                return None
-            if error is not None:
-                raise error
+                # testing each stage before its evaluation would have.  The
+                # gaps of every stage state it saw are filled
+                if not clears(filled, 0.0):
+                    return "invalid_stage", None
+                raise
             h = dt / divisor
-            np.add(x, np.multiply(h, weighted_sum(weights, acc), out=acc), out=out)
-            if embedded is None:
-                return 0.0
-            err = np.multiply(h, weighted_sum(embedded, xi), out=xi)
-            np.subtract(out, np.add(x, err, out=err), out=err)
-            scale = np.maximum(np.abs(x, out=acc), np.abs(out, out=term), out=acc)
-            np.add(abs_tol, np.multiply(rel_tol, scale, out=scale), out=scale)
-            return float(np.maximum.reduce(np.divide(np.abs(err, out=err), scale, out=err)))
+            add(x, multiply(h, weighted_sum(weights, acc), acc), out)
+            subtract(out[1:], out[:-1], candidate)
+            # one reduction decides the common case: every stage state is
+            # valid and the candidate clears the floor.  Only when it fails
+            # are they told apart, as a stage gap in (0, floor) is allowed
+            clear = clears(every_gap, floor)
+            if not clear:
+                if not clears(stage_gaps, 0.0):
+                    return "invalid_stage", None
+                clear = clears(candidate, floor)
+            err_norm = 0.0
+            if embedded is not None:
+                err = multiply(h, weighted_sum(embedded, xi), xi)
+                subtract(out, add(x, err, err), err)
+                scale = maximum(absolute(x, acc), absolute(out, term), out=acc)
+                add(abs_tol, multiply(rel_tol, scale, scale), scale)
+                err_norm = float(maximum_reduce(divide(absolute(err, err), scale, err)))
+                if err_norm > 1.0:
+                    return "error", err_norm
+            if not clear:
+                return "gap_floor", err_norm
+            law(divide(mass, candidate, first), first)
+            return None, err_norm
 
         return k[0], step
 
@@ -263,17 +295,22 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
 
     Returns:
         Trajectory with one state per (deduplicated, sorted) sample time and
-        integrator metadata (step size, step/rejection counts, gap floor).
+        integrator metadata (step size, step and rejection counts, the
+        rejections by cause, gap floor).
 
     One controller runs the coefficient table of ``settings.method`` (see
     ``METHODS``); a new scheme is a new table, not a new setting.  The run's
-    one workspace holds the stages, and one reduction over the gaps of every
-    stage state tests them all; returned states are copies.  The stepping
-    loop runs in one errstate scope that ignores floating-point warnings.
-    Steps end on the sample times; an embedded error estimate adapts the
-    step to abs_tol/rel_tol.  A step that drops a gap below GAP_FLOOR_SAFETY *
-    particle_mass / R (R from the initial configuration) or meets an invalid
-    stage state is retried at half the step; rejection-driven underflow
+    one workspace holds the stages and the gaps of every stage state and of
+    the candidate, and the bound step returns each attempt's verdict, so
+    the controller only sizes the steps; returned states are copies.  The
+    stepping loop runs in one errstate scope that ignores floating-point
+    warnings.  Steps end on the sample times; an embedded error estimate
+    adapts the step to abs_tol/rel_tol, and a candidate it rejects
+    (``error``) is retried at the step it sizes.  A candidate that drops a
+    gap below GAP_FLOOR_SAFETY * particle_mass / R (R from the initial
+    configuration; ``gap_floor``) or an attempt that meets an invalid stage
+    state (``invalid_stage``) is retried at half the step; a stage state
+    with a gap in (0, floor) is no rejection.  Rejection-driven underflow
     below 1e-12 * t_end raises IntegrationError carrying the last valid state.
     A law that ``check_assumptions`` does not find strictly decreasing on
     [0, R] raises ValueError before the first step (a law flat by rounding,
@@ -295,16 +332,14 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
 
     x = config0.positions.copy()
     x_new = np.empty_like(x)
-    gaps = np.empty(x.size - 1)
-    k1, step = scheme.bind(x.size, cell_mass, model, settings.abs_tol, settings.rel_tol)
-    mass = np.array(cell_mass)   # bound once: a ufunc dispatches faster on a 0-d array
-    if _velocities(x, mass, model, out=k1) is None:
+    k1, step = scheme.bind(x.size, cell_mass, model, floor, settings.abs_tol, settings.rel_tol)
+    if _velocities(x, cell_mass, model, out=k1) is None:
         k1[:] = np.nan   # not left uninitialized: every stage state is then invalid
     adaptive = scheme.embedded is not None
     exponent = -1.0 / scheme.order
     t = 0.0
     steps = 0
-    rejections = 0
+    rejections = dict.fromkeys(REJECTION_CAUSES, 0)
     states = []
     dt_next = dt_base
     with np.errstate(all="ignore"):
@@ -313,14 +348,14 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
                 remaining = target - t
                 dt = min(dt_next, remaining)
                 while True:
-                    err_norm = step(x, dt, x_new)
-                    if err_norm is not None and err_norm > 1.0:
-                        retry = max(0.9 * dt * err_norm ** exponent, 0.1 * dt)
-                    elif err_norm is None or _velocities(x_new, mass, model, floor, k1, gaps) is None:
-                        retry = 0.5 * dt
-                    else:
+                    cause, err_norm = step(x, dt, x_new)
+                    if cause is None:
                         break
-                    rejections += 1
+                    rejections[cause] += 1
+                    if cause == "error":
+                        retry = max(0.9 * dt * err_norm ** exponent, 0.1 * dt)
+                    else:
+                        retry = 0.5 * dt
                     if retry < dt_min:
                         raise IntegrationError(
                             f"step size underflow at t={t:.6g} (dt={retry:.3g})",
@@ -345,6 +380,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
         "gap_floor": floor,
         "initial_max_density": r_init,
         "steps": steps,
-        "rejections": rejections,
+        "rejections": sum(rejections.values()),
+        "rejections_by_cause": rejections,
     }
     return Trajectory(states=tuple(states), metadata=metadata)

@@ -339,11 +339,23 @@ def test_rk45_adaptive_step_sequence_is_pinned():
     assert tr.metadata["steps"] == 55
     # both rejections come from error control, none from the gap floor
     assert tr.metadata["rejections"] == 2
+    assert tr.metadata["rejections_by_cause"] == {"error": 2, "gap_floor": 0, "invalid_stage": 0}
     final = tr.states[-1].positions
     assert final[0] == 1.0277869609280503
     # every bit of all 65 final positions, as little-endian float64
     assert hashlib.sha256(final.astype("<f8").tobytes()).hexdigest() == (
         "667562883dc6c4635b8826ab4d63cf6ae35b1f934c8c9699e7fe299aa3e04b7a")
+
+
+def _step_in_place(method, x, cell_mass, model, floor):
+    # one attempt of dt 0 from x, after first-stage velocities of 0 behind
+    # the leader's bound v_max: every stage state and the candidate are x
+    # itself, bit for bit
+    k1, step = METHODS[method].bind(x.size, cell_mass, model, floor, 1e-8, 1e-8)
+    k1[:-1] = 0.0
+    out = np.empty_like(x)
+    verdict = step(x, 0.0, out)
+    return verdict, out, k1
 
 
 def test_velocities_reject_invalid_gaps():
@@ -355,13 +367,32 @@ def test_velocities_reject_invalid_gaps():
     assert _velocities(np.array([0.0, np.nan, 1.5]), 0.25, model) is None
     # a subnormal gap: the density overflows, without a warning
     assert _velocities(np.array([0.0, 1e-310]), 1.0, model) is None
+    # the bound step rejects the same states as invalid stage states
+    for method in METHODS:
+        for x, cell_mass in [(np.array([0.0, 1.0, 1.0]), 0.25),
+                             (np.array([0.0, np.nan, 1.5]), 0.25),
+                             (np.array([0.0, 1e-310]), 1.0)]:
+            with np.errstate(all="ignore"):
+                verdict, _, k1 = _step_in_place(method, x, cell_mass, model, 0.0)
+            assert verdict == ("invalid_stage", None)
+            assert not k1[:-1].any()
 
 
 def test_velocities_reject_gap_below_floor():
+    # the floor is the bound step's: a candidate whose smallest gap, 0.5,
+    # is at the floor is accepted and its velocities fill the first stage;
+    # above the floor it is rejected, and the first stage is left alone
     model = Greenshields(1.0)
     x = np.array([0.0, 0.5, 1.5])
-    np.testing.assert_array_equal(_velocities(x, 0.25, model, floor=0.5), [0.5, 0.75, 1.0])
-    assert _velocities(x, 0.25, model, floor=0.6) is None
+    for method in METHODS:
+        verdict, out, k1 = _step_in_place(method, x, 0.25, model, floor=0.5)
+        assert verdict == (None, 0.0)
+        np.testing.assert_array_equal(out, x)
+        np.testing.assert_array_equal(k1, [0.5, 0.75, 1.0])
+        verdict, out, k1 = _step_in_place(method, x, 0.25, model, floor=0.6)
+        assert verdict == ("gap_floor", 0.0)
+        np.testing.assert_array_equal(out, x)
+        assert not k1[:-1].any()
 
 
 def _digest(positions):
@@ -450,23 +481,64 @@ def test_rk45_adaptive_at_the_gap_floor_is_pinned(monkeypatch):
     tr = integrate(c0, PipesMunjal(1.0, 2.5), 1.0, settings, [0.0, 0.5, 1.0])
     assert tr.metadata["steps"] == 27
     assert tr.metadata["rejections"] == 19
+    assert tr.metadata["rejections_by_cause"] == {"error": 7, "gap_floor": 11, "invalid_stage": 1}
     assert tr.metadata["gap_floor_safety"] == 1.0
     assert all(np.min(s.gaps()) >= tr.metadata["gap_floor"] for s in tr.states)
     assert _digest(tr.states[-1].positions) == (
         "54d9e2a35e7655f2998531a7982fd17b1ab33502f57b3f1071192355191a6681")
 
 
+def test_stage_gap_below_the_floor_with_a_clear_candidate_is_accepted():
+    # the floor is half of m/R = 0.1; the last stage state of this one step
+    # has a gap of about 0.017, below it, but the update's smallest gap is
+    # about 0.35: the floor holds the accepted states, not the stages, so
+    # the step is taken, not halved
+    c0 = ParticleConfiguration(0.0, 0.05, np.array([0.0, 0.2, 0.3]))
+    model, dt = Greenshields(1.0), 1.0
+    x, m = c0.positions, c0.particle_mass
+    k1 = _velocities(x, m, model)
+    k2 = _velocities(x + (0.5 * dt) * k1, m, model)
+    k3 = _velocities(x + (0.5 * dt) * k2, m, model)
+    stages = [x + (0.5 * dt) * k1, x + (0.5 * dt) * k2, x + dt * k3]
+    tr = integrate(c0, model, dt, IntegratorSettings(dt=dt), [0.0, dt])
+    floor = tr.metadata["gap_floor"]
+    assert 0.0 < min(np.min(np.diff(s)) for s in stages) < floor
+    assert (tr.metadata["steps"], tr.metadata["rejections"]) == (1, 0)
+    assert np.min(tr.states[-1].gaps()) >= floor
+    assert _digest(tr.states[-1].positions) == (
+        "3cc5fc4d190dbb5e7831bbbb60a715eb7c848b613842d11abd6a17349a92ef77")
+
+
+def test_error_control_retries_an_attempt_whose_candidate_is_below_the_floor(monkeypatch):
+    # a gap floor of 1 on the jammed box: the first attempt of dt 0.1 has an
+    # error norm above 1 and a candidate whose smallest gap (about 0.1875) is
+    # below the floor 0.2.  Error control decides it: the retry is the
+    # error-controlled step, not half the step
+    monkeypatch.setattr(dynamics, "GAP_FLOOR_SAFETY", 1.0)
+    c0 = atomize(scenario("box"), 5)
+    settings = IntegratorSettings(method="rk45_adaptive", dt=0.1, abs_tol=1e-4, rel_tol=1e-4)
+    tr = integrate(c0, PipesMunjal(1.0, 2.5), 0.1, settings, [0.0, 0.1])
+    assert (tr.metadata["steps"], tr.metadata["rejections"]) == (2, 1)
+    assert tr.metadata["rejections_by_cause"] == {"error": 1, "gap_floor": 0, "invalid_stage": 0}
+    assert _digest(tr.states[-1].positions) == (
+        "bbda32219c715d960cee759fa858d1fc438af6c3ec9f06ac583fda4eb274a39e")
+
+
 def test_returned_states_and_error_positions_are_copies(monkeypatch):
-    # every state the controller checks passes through _velocities, so the
-    # arrays it sees include the run's position buffers
+    # every attempt passes its start x and its candidate through the bound
+    # step, so the arrays it sees include the run's position buffers
     seen = []
-    velocities = dynamics._velocities
+    bind = dynamics._Tableau.bind
 
-    def recording(positions, *args, **kwargs):
-        seen.append(positions)
-        return velocities(positions, *args, **kwargs)
+    def recording_bind(self, *args):
+        first, step = bind(self, *args)
 
-    monkeypatch.setattr(dynamics, "_velocities", recording)
+        def recording(x, dt, out):
+            seen.extend((x, out))
+            return step(x, dt, out)
+        return first, recording
+
+    monkeypatch.setattr(dynamics._Tableau, "bind", recording_bind)
     c0 = atomize(scenario("double_hump"), 16)
     for method in METHODS:
         seen.clear()
