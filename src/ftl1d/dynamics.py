@@ -9,11 +9,11 @@ One step controller runs every scheme from its Runge-Kutta coefficient table
 (``METHODS``); a new scheme is a new table, not a new setting.  Each run
 allocates one workspace that holds the stages and the gaps of every stage
 state and of the candidate, so one reduction over them decides an attempt:
-the stage states are valid and the candidate clears the floor.  The step
-that accepts a candidate also evaluates its velocities, the next step's
-first stage.  The weighted sum of the update (and of the error estimate) is
-one product and one reduction.  A run's stepping loop is one errstate
-scope.  An operand that is constant for the run (the cell mass, the
+the stage states are valid and the candidate clears the floor.  It alone
+evaluates the right-hand side, every first stage included: the initial
+state's when it is bound.  The weighted sum of the update (and of the error
+estimate) is one product and one reduction.  A run's stepping loop is one
+errstate scope.  An operand that is constant for the run (the cell mass, the
 tolerances, and the law's own, bound when it is built) is a 0-d float64
 array, on which a ufunc dispatches faster than on a Python float.
 """
@@ -74,27 +74,6 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
-def _velocities(positions, cell_mass, model, out=None):
-    """Particle velocities v(cell_mass / gap) and the leader's v_max, into
-    ``out`` if given, or None when a gap is not positive or a density
-    overflows.
-
-    Correctly rounded division is monotone, so the largest density is
-    exactly cell_mass / (smallest gap): one scalar test covers every cell,
-    and a NaN gap fails it through the minimum.  The test divides Python
-    floats, which overflow to inf without a numpy scalar's warning.
-    """
-    gaps = np.subtract(positions[1:], positions[:-1])
-    low = np.minimum.reduce(gaps)
-    if not (low > 0.0 and float(cell_mass) / float(low) < math.inf):
-        return None
-    out = np.empty(positions.size) if out is None else out
-    out[-1] = model.v_max
-    densities = np.divide(cell_mass, gaps, out=out[:-1])
-    model._v(densities, densities)
-    return out
-
-
 def default_step(config: ParticleConfiguration, model: VelocityModel, t_end: float) -> float:
     """Default fixed step from the initial density scale, at most t_end / 100.
 
@@ -141,9 +120,8 @@ class _Tableau:
     -0.0, the identity of IEEE addition (+0.0 would turn a sum of -0.0 terms
     into +0.0); a stage state is a running sum from x, which measured faster
     than a product with dt-scaled coefficients.  A combined error row or
-    reuse of the last stage would change the last bit.
-    The first stage is the step's own: the step that accepts a candidate
-    evaluates it from the candidate's gaps, which the accept test holds.
+    reuse of the last stage would change the last bit.  The first stage is
+    the workspace's own: ``bind`` fills x0's, an accepting step the candidate's.
     """
 
     def __init__(self, a, b, order, divisor=1.0, embedded=None):
@@ -153,13 +131,12 @@ class _Tableau:
         self.divisor = divisor
         self.embedded = None if embedded is None else _nonzero(embedded)
 
-    def bind(self, n, cell_mass, model, floor, abs_tol, rel_tol):
-        """Allocate one run's workspace for n particles and bind every row to it.
+    def bind(self, x0, cell_mass, model, floor, abs_tol, rel_tol):
+        """Allocate one run's workspace for x0 and bind every row to it.
 
-        Returns the first stage, which the controller fills with the
-        velocities of the initial state, and ``step(x, dt, out)``: it writes
-        the candidate x_new into ``out`` and returns the verdict ``(cause,
-        err_norm)``.  A cause of None accepts the candidate, whose velocities
+        Returns the first stage, filled with the velocities of x0, and
+        ``step(x, dt, out)``: it writes the candidate x_new into ``out`` and
+        returns the verdict ``(cause, err_norm)``.  A cause of None accepts the candidate, whose velocities
         then fill the first stage; otherwise it is one of REJECTION_CAUSES,
         and the first stage still holds the velocities of x.  ``err_norm``
         is the error estimate's norm (0.0 without one, None at an invalid
@@ -174,6 +151,7 @@ class _Tableau:
         tolerances are bound as 0-d arrays; the per-step scalars (dt * a_ij,
         h) stay Python floats, as binding them costs a call more than it saves.
         """
+        n = x0.size
         k = np.empty((len(self.stages) + 1, n))
         k[:, -1] = model.v_max
         first = k[0, :-1]
@@ -205,6 +183,7 @@ class _Tableau:
         divisor = self.divisor
         law = model._v
         mass, abs_tol, rel_tol = np.array(cell_mass), np.array(abs_tol), np.array(rel_tol)
+        law(divide(mass, subtract(x0[1:], x0[:-1], candidate), first), first)
 
         def weighted_sum(bound, out):
             rows, coefficients, work = bound
@@ -212,7 +191,8 @@ class _Tableau:
             return add_reduce(work, 0, None, out, False, -0.0)
 
         def clears(rows, floor):
-            # the scalar test of ``_velocities``, with a floor
+            # one test covers every cell, as division is monotone; a NaN gap fails
+            # it, and a Python float overflows to inf without a warning
             low = minimum_reduce(rows)
             return low > 0.0 and low >= floor and cell_mass / float(low) < math.inf
 
@@ -301,20 +281,21 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
     One controller runs the coefficient table of ``settings.method`` (see
     ``METHODS``); a new scheme is a new table, not a new setting.  The run's
     one workspace holds the stages and the gaps of every stage state and of
-    the candidate, and the bound step returns each attempt's verdict, so
-    the controller only sizes the steps; returned states are copies.  The
-    stepping loop runs in one errstate scope that ignores floating-point
-    warnings.  Steps end on the sample times; an embedded error estimate
-    adapts the step to abs_tol/rel_tol, and a candidate it rejects
-    (``error``) is retried at the step it sizes.  A candidate that drops a
-    gap below GAP_FLOOR_SAFETY * particle_mass / R (R from the initial
-    configuration; ``gap_floor``) or an attempt that meets an invalid stage
-    state (``invalid_stage``) is retried at half the step; a stage state
-    with a gap in (0, floor) is no rejection.  Rejection-driven underflow
-    below 1e-12 * t_end raises IntegrationError carrying the last valid state.
-    A law that ``check_assumptions`` does not find strictly decreasing on
-    [0, R] raises ValueError before the first step (a law flat by rounding,
-    as near vacuum, is run).
+    the candidate, evaluates every first stage (the initial state's when it
+    is bound) and returns each attempt's verdict, so the controller only
+    sizes the steps; returned states are copies.  The stepping loop runs in
+    one errstate scope that ignores floating-point warnings.  Steps end on
+    the sample times; an embedded error estimate adapts the step to
+    abs_tol/rel_tol, and a candidate it rejects (``error``) is retried at
+    the step it sizes.  A candidate that drops a gap below GAP_FLOOR_SAFETY
+    * particle_mass / R (R from the initial configuration; ``gap_floor``) or
+    an attempt that meets an invalid stage state (``invalid_stage``) is
+    retried at half the step; a stage state with a gap in (0, floor) is no
+    rejection.  Rejection-driven underflow below 1e-12 * t_end raises
+    IntegrationError carrying the last valid state.  A law that
+    ``check_assumptions`` does not find strictly decreasing on [0, R] raises
+    ValueError before the first step (a law flat by rounding, as near
+    vacuum, is run).
     """
     if config0.time != 0.0:
         raise ValueError("initial configuration must be at time 0")
@@ -332,9 +313,7 @@ def integrate(config0: ParticleConfiguration, model: VelocityModel, t_end: float
 
     x = config0.positions.copy()
     x_new = np.empty_like(x)
-    k1, step = scheme.bind(x.size, cell_mass, model, floor, settings.abs_tol, settings.rel_tol)
-    if _velocities(x, cell_mass, model, out=k1) is None:
-        k1[:] = np.nan   # not left uninitialized: every stage state is then invalid
+    _, step = scheme.bind(x, cell_mass, model, floor, settings.abs_tol, settings.rel_tol)
     adaptive = scheme.embedded is not None
     exponent = -1.0 / scheme.order
     t = 0.0

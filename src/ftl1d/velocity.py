@@ -257,10 +257,10 @@ class CustomVelocity(VelocityModel):
 class TabulatedVelocity(VelocityModel):
     """Law interpolated linearly between strictly decreasing table values.
 
-    The table must start at rho = 0 (so v_max = v(0) is defined) and
-    evaluation outside the tabulated range is rejected rather than
-    extrapolated.  Derivatives use centered differences with step
-    ``DERIVATIVE_STEP``, clipped into the table.
+    Both tables must be finite, and the table must start at rho = 0 (so
+    v_max = v(0) is defined); evaluation outside the tabulated range is
+    rejected rather than extrapolated.  Derivatives use centered
+    differences with step ``DERIVATIVE_STEP``, clipped into the table.
     """
 
     rho_table: np.ndarray
@@ -272,6 +272,8 @@ class TabulatedVelocity(VelocityModel):
         vel = np.asarray(self.v_table, dtype=float)
         if rho.ndim != 1 or rho.shape != vel.shape or rho.size < 2:
             raise ValueError("tables must be 1-d, equal length, size >= 2")
+        if not (np.isfinite(rho).all() and np.isfinite(vel).all()):
+            raise ValueError("rho_table and v_table must be finite")
         if rho[0] != 0.0:
             raise ValueError("rho_table must start at 0")
         if np.any(np.diff(rho) <= 0.0):

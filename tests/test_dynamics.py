@@ -20,7 +20,7 @@ from ftl1d import (
     scenario,
 )
 from ftl1d import dynamics
-from ftl1d.dynamics import METHODS, _velocities, default_step, sample_grid
+from ftl1d.dynamics import METHODS, default_step, sample_grid
 
 
 def lagrangian_rhs(y, model, cell_mass):
@@ -39,6 +39,11 @@ def lagrangian_rhs(y, model, cell_mass):
     return -(y * y / cell_mass) * (v_next - v)
 
 
+def rhs(x, m, model):
+    # written out here rather than taken from the package
+    return np.append(model.value(m / np.diff(x)), model.v_max)
+
+
 def two_particle_config():
     return ParticleConfiguration(0.0, 0.5, np.array([0.0, 1.0]))
 
@@ -48,22 +53,53 @@ def closed_form_follower(t):
     return 1.0 + t - np.sqrt(1.0 + t)
 
 
+def first_stages(c, model):
+    # the first stage that each method's workspace evaluates when bound to c
+    return [METHODS[m].bind(c.positions, c.particle_mass, model, 0.0, 1e-8, 1e-8)[0]
+            for m in METHODS]
+
+
 def test_ftl_rhs_pair():
-    c = two_particle_config()
-    v = _velocities(c.positions, c.particle_mass, Greenshields(1.0))
-    np.testing.assert_allclose(v, [0.5, 1.0], atol=0)
+    for v in first_stages(two_particle_config(), Greenshields(1.0)):
+        np.testing.assert_allclose(v, [0.5, 1.0], atol=0)
 
 
 def test_ftl_rhs_three_particles():
     c = ParticleConfiguration(0.0, 0.5, np.array([0.0, 0.5, 2.0]))
-    v = _velocities(c.positions, c.particle_mass, Greenshields(1.0))
-    np.testing.assert_allclose(v, [0.0, 2.0 / 3.0, 1.0], atol=1e-15)
+    for v in first_stages(c, Greenshields(1.0)):
+        np.testing.assert_allclose(v, [0.0, 2.0 / 3.0, 1.0], atol=1e-15)
 
 
 def test_leader_component_is_vacuum_speed():
     for model in (Greenshields(2.0), Underwood(1.5), PipesMunjal(1.0, 2.0)):
         c = atomize(scenario("box"), 8)
-        assert _velocities(c.positions, c.particle_mass, model)[-1] == model.v_max
+        assert all(v[-1] == model.v_max for v in first_stages(c, model))
+
+
+@pytest.mark.parametrize("model", [
+    Greenshields(1.17), PipesMunjal(1.17, 2.5), Underwood(1.17), ModifiedGreenberg(1.17, 0.1),
+    TabulatedVelocity(np.array([0.0, 0.15, 1.5]), np.array([1.17, 0.7, 0.0])),
+], ids=["greenshields", "pipes_munjal", "underwood", "modified_greenberg", "tabulated"])
+def test_initial_first_stage_is_the_written_out_rhs_bit_for_bit(model, monkeypatch):
+    # the first stage that the run's first attempt reads
+    seen = []
+    bind = dynamics._Tableau.bind
+
+    def recording_bind(self, *args):
+        first, step = bind(self, *args)
+
+        def recording(x, dt, out):
+            if not seen:
+                seen.append(first.copy())
+            return step(x, dt, out)
+        return first, recording
+
+    monkeypatch.setattr(dynamics._Tableau, "bind", recording_bind)
+    c0 = atomize(scenario("double_hump"), 64)
+    for method in METHODS:
+        seen.clear()
+        integrate(c0, model, 0.01, IntegratorSettings(method=method))
+        np.testing.assert_array_equal(seen[0], rhs(c0.positions, c0.particle_mass, model))
 
 
 def test_lagrangian_rhs_examples():
@@ -306,16 +342,12 @@ def test_rk4_fixed_matches_classical_rk4_bit_for_bit(model):
     assert tr.metadata["steps"] == 32
     assert tr.metadata["rejections"] == 0
 
-    def rhs(x):
-        # written out here rather than taken from the package
-        return np.append(model.value(m / np.diff(x)), model.v_max)
-
     x = c0.positions.copy()
     for _ in range(32):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
+        k1 = rhs(x, m, model)
+        k2 = rhs(x + 0.5 * dt * k1, m, model)
+        k3 = rhs(x + 0.5 * dt * k2, m, model)
+        k4 = rhs(x + dt * k3, m, model)
         x = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     np.testing.assert_array_equal(tr.states[-1].positions, x)
 
@@ -351,7 +383,7 @@ def _step_in_place(method, x, cell_mass, model, floor):
     # one attempt of dt 0 from x, after first-stage velocities of 0 behind
     # the leader's bound v_max: every stage state and the candidate are x
     # itself, bit for bit
-    k1, step = METHODS[method].bind(x.size, cell_mass, model, floor, 1e-8, 1e-8)
+    k1, step = METHODS[method].bind(x, cell_mass, model, floor, 1e-8, 1e-8)
     k1[:-1] = 0.0
     out = np.empty_like(x)
     verdict = step(x, 0.0, out)
@@ -360,14 +392,8 @@ def _step_in_place(method, x, cell_mass, model, floor):
 
 def test_velocities_reject_invalid_gaps():
     model = Greenshields(1.0)
-    # densities 0.5 and 0.25
-    np.testing.assert_array_equal(
-        _velocities(np.array([0.0, 0.5, 1.5]), 0.25, model), [0.5, 0.75, 1.0])
-    assert _velocities(np.array([0.0, 1.0, 1.0]), 0.25, model) is None
-    assert _velocities(np.array([0.0, np.nan, 1.5]), 0.25, model) is None
-    # a subnormal gap: the density overflows, without a warning
-    assert _velocities(np.array([0.0, 1e-310]), 1.0, model) is None
-    # the bound step rejects the same states as invalid stage states
+    # the bound step rejects a zero gap, a NaN gap and a subnormal gap, whose
+    # density overflows, as invalid stage states
     for method in METHODS:
         for x, cell_mass in [(np.array([0.0, 1.0, 1.0]), 0.25),
                              (np.array([0.0, np.nan, 1.5]), 0.25),
@@ -416,7 +442,7 @@ def test_step_whose_middle_stage_crosses_is_halved(model, digest):
     # crossed one reaches: that too rejects the step.
     c0 = ParticleConfiguration(0.0, 0.05, np.array([0.0, 0.2, 0.3]))
     dt = 4.0
-    k1 = _velocities(c0.positions, c0.particle_mass, model)
+    k1 = rhs(c0.positions, c0.particle_mass, model)
     assert np.min(np.diff(c0.positions + (0.5 * dt) * k1)) < 0.0
     tr = integrate(c0, model, dt, IntegratorSettings(dt=dt), [0.0, dt])
     assert tr.metadata["steps"] == 2
@@ -496,9 +522,9 @@ def test_stage_gap_below_the_floor_with_a_clear_candidate_is_accepted():
     c0 = ParticleConfiguration(0.0, 0.05, np.array([0.0, 0.2, 0.3]))
     model, dt = Greenshields(1.0), 1.0
     x, m = c0.positions, c0.particle_mass
-    k1 = _velocities(x, m, model)
-    k2 = _velocities(x + (0.5 * dt) * k1, m, model)
-    k3 = _velocities(x + (0.5 * dt) * k2, m, model)
+    k1 = rhs(x, m, model)
+    k2 = rhs(x + (0.5 * dt) * k1, m, model)
+    k3 = rhs(x + (0.5 * dt) * k2, m, model)
     stages = [x + (0.5 * dt) * k1, x + (0.5 * dt) * k2, x + dt * k3]
     tr = integrate(c0, model, dt, IntegratorSettings(dt=dt), [0.0, dt])
     floor = tr.metadata["gap_floor"]

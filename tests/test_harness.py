@@ -576,6 +576,11 @@ _REFUSED = [
         velocity={"kind": "tabulated", "rho_table": [0.0, 1.19], "v_table": [1.0, 0.0]})),
      "density beyond tabulated range [0, 1.19]; the velocity law must be defined on "
      "[0, 1.2 * sup_norm] = [0, 1.2]", _ALL_VERBS),
+    # JSON reads NaN; a NaN node passes both monotonicity tests of a table
+    ("nan_in_a_table", json.dumps(dict(
+        BASE_CONFIG, velocity={"kind": "tabulated", "rho_table": [0.0, math.nan, 2.0],
+                               "v_table": [1.0, 0.5, 0.0]})),
+     "rho_table and v_table must be finite", _ALL_VERBS),
     # the run's shape: its samples, its particle counts and its horizon; JSON
     # reads 1e400 as an infinity
     ("nan_sample", json.dumps(dict(BASE_CONFIG, t_end=1.0, sample_times=[0, math.nan, 1])),

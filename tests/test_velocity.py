@@ -204,6 +204,17 @@ def test_tabulated_rejects_non_decreasing_values():
                           v_table=np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize(("rho_table", "v_table"), [
+    ([0.0, np.nan, 2.0], [1.0, 0.5, 0.0]),
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 0.0]),
+    ([0.0, 1.0, np.inf], [1.0, 0.5, 0.0]),
+], ids=["nan_density", "nan_speed", "infinite_last_density"])
+def test_tabulated_rejects_non_finite_tables(rho_table, v_table):
+    # every comparison with a NaN is false, so neither monotonicity test sees it
+    with pytest.raises(ValueError, match="^rho_table and v_table must be finite$"):
+        TabulatedVelocity(rho_table=np.array(rho_table), v_table=np.array(v_table))
+
+
 def test_from_config():
     model = _law({"kind": "pipes_munjal", "v_max": 2.0, "alpha": 3.0})
     assert isinstance(model, PipesMunjal)
