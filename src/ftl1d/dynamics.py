@@ -10,11 +10,12 @@ One step controller runs every scheme from its Runge-Kutta coefficient table
 allocates one workspace that holds the stages and the gaps of every stage
 state and of the candidate, so one reduction over them decides an attempt:
 the stage states are valid and the candidate clears the floor.  It alone
-evaluates the right-hand side, every first stage included: the initial
-state's when it is bound.  The weighted sum of the update (and of the error
-estimate) is one product and one reduction.  A run's stepping loop is one
-errstate scope.  An operand that is constant for the run (the cell mass, the
-tolerances, and the law's own, bound when it is built) is a 0-d float64
+evaluates the right-hand side, every first stage included (the initial
+state's when it is bound), through the law's kernel (``_velocities``), built
+once per run from the cell mass.  The weighted sum of the update (and of the
+error estimate) is one product and one reduction.  A run's stepping loop is
+one errstate scope.  An operand that is constant for the run (the cell mass,
+the tolerances, and the law's own, bound when it is built) is a 0-d float64
 array, on which a ufunc dispatches faster than on a Python float.
 """
 
@@ -147,9 +148,11 @@ class _Tableau:
         ``floor``.  A stage gap in (0, floor) is no rejection: the floor
         holds the accepted states.  Stages after an invalid one see garbage,
         so ``step`` runs inside the errstate scope of ``integrate``.  The
-        stages call the law's ``_v`` directly; the cell mass and the
-        tolerances are bound as 0-d arrays; the per-step scalars (dt * a_ij,
-        h) stay Python floats, as binding them costs a call more than it saves.
+        stages, x0 and an accepted candidate are evaluated by one kernel of
+        the law, bound to the cell mass as a 0-d array; the tolerances are
+        bound as 0-d arrays too; the per-step scalars (dt * a_ij, h) stay
+        Python floats, as binding them costs a call more than it saves.  The
+        accepted path runs the update's weighted sum and the gap test inline.
         """
         n = x0.size
         k = np.empty((len(self.stages) + 1, n))
@@ -178,12 +181,12 @@ class _Tableau:
         for i, ((j0, a0), *rest) in enumerate(self.stages):
             plans.append((k[j0], a0, tuple((k[j], a) for j, a in rest), gaps[i], k[i + 1, :-1],
                           gaps[:i + 1].reshape(-1)))
-        weights = bound_sum(self.weights)
+        weight_rows, weight_coefficients, weight_work = bound_sum(self.weights)
         embedded = None if self.embedded is None else bound_sum(self.embedded)
         divisor = self.divisor
-        law = model._v
-        mass, abs_tol, rel_tol = np.array(cell_mass), np.array(abs_tol), np.array(rel_tol)
-        law(divide(mass, subtract(x0[1:], x0[:-1], candidate), first), first)
+        abs_tol, rel_tol = np.array(abs_tol), np.array(rel_tol)
+        velocities = model._velocities(np.array(cell_mass))
+        velocities(subtract(x0[1:], x0[:-1], candidate), first)
 
         def weighted_sum(bound, out):
             rows, coefficients, work = bound
@@ -203,7 +206,7 @@ class _Tableau:
                     for kj, a in rest:
                         add(xi, multiply(dt * a, kj, term), xi)
                     subtract(xi_hi, xi_lo, row_gaps)
-                    law(divide(mass, row_gaps, head), head)
+                    velocities(row_gaps, head)
             except Exception:
                 # a law may raise on an invalid stage state (a tabulated law
                 # on a density beyond its table): that rejects the step, as
@@ -213,12 +216,15 @@ class _Tableau:
                     return "invalid_stage", None
                 raise
             h = dt / divisor
-            add(x, multiply(h, weighted_sum(weights, acc), acc), out)
+            multiply(weight_coefficients, k[weight_rows], weight_work)
+            add(x, multiply(h, add_reduce(weight_work, 0, None, acc, False, -0.0), acc), out)
             subtract(out[1:], out[:-1], candidate)
             # one reduction decides the common case: every stage state is
-            # valid and the candidate clears the floor.  Only when it fails
-            # are they told apart, as a stage gap in (0, floor) is allowed
-            clear = clears(every_gap, floor)
+            # valid and the candidate clears the floor (the test of clears).
+            # Only when it fails are they told apart, as a stage gap in (0,
+            # floor) is allowed
+            low = float(minimum_reduce(every_gap))
+            clear = low > 0.0 and low >= floor and cell_mass / low < math.inf
             if not clear:
                 if not clears(stage_gaps, 0.0):
                     return "invalid_stage", None
@@ -234,7 +240,7 @@ class _Tableau:
                     return "error", err_norm
             if not clear:
                 return "gap_floor", err_norm
-            law(divide(mass, candidate, first), first)
+            velocities(candidate, first)
             return None, err_norm
 
         return k[0], step

@@ -115,8 +115,10 @@ class ParticleConfiguration:
         return np.diff(self.positions)
 
     def densities(self) -> np.ndarray:
-        """Per-cell discrete densities: particle mass over gap."""
-        return self.particle_mass / self.gaps()
+        """Per-cell discrete densities: particle mass over gap.  A subnormal
+        gap gives an infinite density, which the checks of a law refuse."""
+        with np.errstate(over="ignore"):
+            return self.particle_mass / self.gaps()
 
     def max_density(self) -> float:
         return float(np.max(self.densities()))

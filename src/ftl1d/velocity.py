@@ -1,11 +1,13 @@
 """Velocity laws v(rho) and their admissibility checks.
 
-Every model maps a nonnegative density to a speed.  The particle scheme and
-the entropy-solution oracles both rely on v being strictly decreasing with a
-finite vacuum speed v(0) = v_max; some estimates additionally need the map
-rho -> rho * v'(rho) to be non-increasing, and the oracles a concave flux
-rho * v(rho).  ``check_assumptions`` samples those four conditions on a grid
-of ``ADMISSIBILITY_SAMPLES`` points; no other code samples a law.
+Every model maps a nonnegative density to a speed, through one kernel of a
+cell mass m that maps gaps to the speeds v(m / gap), read at the gaps 1.0 by
+``value``.  The particle scheme and the entropy-solution oracles both rely
+on v being strictly decreasing with a finite vacuum speed v(0) = v_max;
+some estimates additionally need the map rho -> rho * v'(rho) to be
+non-increasing, and the oracles a concave flux rho * v(rho).
+``check_assumptions`` samples those four conditions on a grid of
+``ADMISSIBILITY_SAMPLES`` points; no other code samples a law.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 DERIVATIVE_STEP = 1e-6   # centered-difference step of laws without a closed-form v'
 ADMISSIBILITY_SAMPLES = 256   # check_assumptions' grid: the one grid of every verdict on a law
+_ONE = np.array(1.0)   # the gaps of _v: rho / 1.0 is rho, with ±0, inf and NaN
 
 
 def _centered_difference(v, rho, top):
@@ -36,14 +39,16 @@ def _as_density(rho):
 
 
 class VelocityModel:
-    """Base class for velocity laws; subclasses implement _v and _dv.
+    """Base class for velocity laws; subclasses implement _velocities or _v, and _dv.
 
-    ``_v(rho, out)`` writes v(rho) into ``out`` and returns it; ``out`` may
-    be ``rho`` itself, as in the integrator's right-hand side.  A built-in
-    law binds the constant operands of its ``_v`` once, when it is
-    constructed, as 0-d float64 arrays beside its fields (``_bind``; this
-    class binds v_max and 1.0): at the integrator's sizes a ufunc call
-    costs its dispatch, which is lower with a 0-d array than a Python float.
+    ``_velocities(mass)`` returns the kernel ``velocities(gaps, out)``, which
+    writes v(mass / gaps) into ``out`` (which may be ``gaps``) and returns it;
+    ``_v(rho, out)`` does the same for v(rho).  Each defaults to the other.  A
+    built-in law writes its formula once, as a kernel whose ufuncs and operands
+    are closure locals, and binds those operands when it is constructed, as
+    0-d float64 arrays beside its fields (``_bind``; this class binds v_max and
+    1.0), on which a ufunc dispatches faster than on a Python float.  A law
+    that writes its own ``_v`` and no kernel is run by that ``_v``.
 
     Methods: value, derivative, flux, flux_derivative, density_weighted_slope,
     critical_density and inverse_flux_derivative (the last two overridden
@@ -65,8 +70,21 @@ class VelocityModel:
         for name, value in operands.items():
             object.__setattr__(self, name, np.array(value, dtype=float))
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the kernel a subclass inherits would bypass the _v it writes
+        if "_v" in vars(cls) and "_velocities" not in vars(cls):
+            cls._velocities = VelocityModel._velocities
+
+    def _velocities(self, mass):
+        v, divide = self._v, np.divide
+
+        def velocities(gaps, out):
+            return v(divide(mass, gaps, out), out)
+        return velocities
+
     def _v(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._velocities(rho)(_ONE, out)
 
     def _dv(self, rho: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -147,8 +165,13 @@ class Greenshields(VelocityModel):
 
     v_max: float = 1.0
 
-    def _v(self, rho, out):
-        return np.multiply(self._v_max, np.subtract(self._one, rho, out=out), out=out)
+    def _velocities(self, mass):
+        divide, subtract, multiply = np.divide, np.subtract, np.multiply
+        one, v_max = self._one, self._v_max
+
+        def velocities(gaps, out):
+            return multiply(v_max, subtract(one, divide(mass, gaps, out), out), out)
+        return velocities
 
     def _dv(self, rho):
         return np.full_like(rho, -self.v_max)
@@ -172,9 +195,14 @@ class PipesMunjal(VelocityModel):
             raise ValueError("alpha must be positive")
         self._bind(_alpha=self.alpha)
 
-    def _v(self, rho, out):
-        np.subtract(self._one, np.power(rho, self._alpha, out=out), out=out)
-        return np.multiply(self._v_max, out, out=out)
+    def _velocities(self, mass):
+        divide, power, subtract, multiply = np.divide, np.power, np.subtract, np.multiply
+        one, v_max, alpha = self._one, self._v_max, self._alpha
+
+        def velocities(gaps, out):
+            subtract(one, power(divide(mass, gaps, out), alpha, out), out)
+            return multiply(v_max, out, out)
+        return velocities
 
     def _dv(self, rho):
         # alpha < 1 has an unbounded slope at vacuum; the -inf is deliberate.
@@ -191,8 +219,15 @@ class Underwood(VelocityModel):
 
     v_max: float = 1.0
 
-    def _v(self, rho, out):
-        return np.multiply(self._v_max, np.exp(np.negative(rho, out=out), out=out), out=out)
+    def _velocities(self, mass):
+        # -mass / gaps is -(mass / gaps) bit for bit: IEEE division is
+        # sign-symmetric, so the kernel needs no negative call
+        divide, exp, multiply = np.divide, np.exp, np.multiply
+        minus_mass, v_max = np.negative(mass, np.empty(np.shape(mass))), self._v_max
+
+        def velocities(gaps, out):
+            return multiply(v_max, exp(divide(minus_mass, gaps, out), out), out)
+        return velocities
 
     def _dv(self, rho):
         return -self.v_max * np.exp(-rho)
@@ -218,9 +253,14 @@ class ModifiedGreenberg(VelocityModel):
             raise ValueError("alpha must lie in (0, 1) for a decreasing law")
         self._bind(_alpha=self.alpha, _log_alpha=np.log(self.alpha))
 
-    def _v(self, rho, out):
-        np.log(np.add(rho, self._alpha, out=out), out=out)
-        return np.multiply(self._v_max, np.divide(out, self._log_alpha, out=out), out=out)
+    def _velocities(self, mass):
+        divide, add, log, multiply = np.divide, np.add, np.log, np.multiply
+        v_max, alpha, log_alpha = self._v_max, self._alpha, self._log_alpha
+
+        def velocities(gaps, out):
+            log(add(divide(mass, gaps, out), alpha, out), out)
+            return multiply(v_max, divide(out, log_alpha, out), out)
+        return velocities
 
     def _dv(self, rho):
         return self.v_max / (np.log(self.alpha) * (rho + self.alpha))
@@ -335,13 +375,17 @@ def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
     Checks, in order: v strictly decreasing, v(0) = v_max exactly,
     rho * v'(rho) non-increasing, and f = rho * v concave (second differences
     at most 1e-10 * (1 + max|f|)).  Report-only; never raises on failure.
-    v counts as strictly decreasing when its samples never increase and v'
-    is negative at every positive sample: near vacuum a law like
-    1 - rho**20 rounds to v_max, so samples may tie, and v'(0) = 0 is allowed.
+    A rho_max that is not positive, or infinite (a subnormal gap's density),
+    raises ValueError before anything is sampled.  v counts as strictly
+    decreasing when its samples never increase and v' is negative at every
+    positive sample: near vacuum a law like 1 - rho**20 rounds to v_max, so
+    samples may tie, and v'(0) = 0 is allowed.
     v and v' are evaluated once each; f and rho * v'(rho) are formed from them.
     """
     if not rho_max > 0.0:
         raise ValueError("rho_max must be positive")
+    if rho_max == math.inf:
+        raise ValueError("density must be finite and nonnegative")
     grid = np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES)
     v = model.value(grid)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
