@@ -13,7 +13,9 @@ the stage states are valid and the candidate clears the floor.  It alone
 evaluates the right-hand side, every first stage included (the initial
 state's when it is bound), through the law's kernel (``_velocities``), built
 once per run from the cell mass.  The weighted sum of the update (and of the
-error estimate) is one product and one reduction.  A run's stepping loop is
+error estimate) is one product and one reduction over one slice of the stage
+block, whose rows each table orders once so that no sum gathers rows (DP45
+puts its second stage, which no sum reads, last).  A run's stepping loop is
 one errstate scope.  An operand that is constant for the run (the cell mass,
 the tolerances, and the law's own, bound when it is built) is a 0-d float64
 array, on which a ufunc dispatches faster than on a Python float.
@@ -61,10 +63,10 @@ class IntegratorSettings:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,13 @@ class _Tableau:
     than a product with dt-scaled coefficients.  A combined error row or
     reuse of the last stage would change the last bit.  The first stage is
     the workspace's own: ``bind`` fills x0's, an accepting step the candidate's.
+
+    ``layout`` is the stage held by each row of the stage block: stage 0,
+    then the stages some weighted sum reads, in index order, then the rest.
+    So each sum reads consecutive rows in its term order, one slice of the
+    block bound once per run, and gathers none; a table whose sums cannot
+    all be read so raises ValueError.  RK4's layout is the identity, DP45's
+    (0, 2, 3, 4, 5, 6, 1), as no sum reads its second stage (b_2 = e_2 = 0).
     """
 
     def __init__(self, a, b, order, divisor=1.0, embedded=None):
@@ -131,6 +140,14 @@ class _Tableau:
         self.weights = _nonzero(b)
         self.divisor = divisor
         self.embedded = None if embedded is None else _nonzero(embedded)
+        sums = (self.weights,) if embedded is None else (self.weights, self.embedded)
+        read = sorted({j for terms in sums for j, _ in terms} - {0})
+        self.layout = (0, *read, *(j for j in range(1, len(a) + 1) if j not in read))
+        self.row = {j: r for r, j in enumerate(self.layout)}
+        for terms in sums:
+            rows = [self.row[j] for j, _ in terms]
+            if rows != list(range(rows[0], rows[-1] + 1)):
+                raise ValueError("a weighted sum must read consecutive rows of the stage block")
 
     def bind(self, x0, cell_mass, model, floor, abs_tol, rel_tol):
         """Allocate one run's workspace for x0 and bind every row to it.
@@ -153,8 +170,10 @@ class _Tableau:
         bound as 0-d arrays too; the per-step scalars (dt * a_ij, h) stay
         Python floats, as binding them costs a call more than it saves.  The
         accepted path runs the update's weighted sum and the gap test inline.
+        Stage j lives in row ``row[j]`` of the stage block (see ``layout``).
         """
         n = x0.size
+        row = self.row
         k = np.empty((len(self.stages) + 1, n))
         k[:, -1] = model.v_max
         first = k[0, :-1]
@@ -168,19 +187,17 @@ class _Tableau:
         absolute, maximum, maximum_reduce = np.absolute, np.maximum, np.maximum.reduce
 
         def bound_sum(terms):
-            # k's rows of the terms (a view when contiguous), their
-            # coefficients repeated along the rows (a broadcast column
-            # multiplies slower), and the product's workspace
-            rows = [j for j, _ in terms]
-            if rows == list(range(rows[0], rows[-1] + 1)):
-                rows = slice(rows[0], rows[-1] + 1)
+            # k's rows of the terms (one view, as the layout keeps them
+            # consecutive), their coefficients repeated along the rows (a
+            # broadcast column multiplies slower), and the product's workspace
+            rows = k[row[terms[0][0]]:row[terms[-1][0]] + 1]
             coefficients = np.repeat(np.array([c for _, c in terms])[:, None], n, axis=1)
             return rows, coefficients, np.empty_like(coefficients)
 
         plans = []
         for i, ((j0, a0), *rest) in enumerate(self.stages):
-            plans.append((k[j0], a0, tuple((k[j], a) for j, a in rest), gaps[i], k[i + 1, :-1],
-                          gaps[:i + 1].reshape(-1)))
+            plans.append((k[row[j0]], a0, tuple((k[row[j]], a) for j, a in rest), gaps[i],
+                          k[row[i + 1], :-1], gaps[:i + 1].reshape(-1)))
         weight_rows, weight_coefficients, weight_work = bound_sum(self.weights)
         embedded = None if self.embedded is None else bound_sum(self.embedded)
         divisor = self.divisor
@@ -190,7 +207,7 @@ class _Tableau:
 
         def weighted_sum(bound, out):
             rows, coefficients, work = bound
-            multiply(coefficients, k[rows], work)
+            multiply(coefficients, rows, work)
             return add_reduce(work, 0, None, out, False, -0.0)
 
         def clears(rows, floor):
@@ -216,7 +233,7 @@ class _Tableau:
                     return "invalid_stage", None
                 raise
             h = dt / divisor
-            multiply(weight_coefficients, k[weight_rows], weight_work)
+            multiply(weight_coefficients, weight_rows, weight_work)
             add(x, multiply(h, add_reduce(weight_work, 0, None, acc, False, -0.0), acc), out)
             subtract(out[1:], out[:-1], candidate)
             # one reduction decides the common case: every stage state is

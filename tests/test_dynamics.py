@@ -269,6 +269,12 @@ def test_settings_validation():
         IntegratorSettings(dt=-0.1)
     with pytest.raises(ValueError):
         IntegratorSettings(abs_tol=0.0)
+    # an infinite step or tolerance would be written into the manifest as
+    # Infinity, not strict JSON
+    for setting in ("dt", "abs_tol", "rel_tol"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                IntegratorSettings(method="rk45_adaptive", **{setting: value})
 
 
 class Squeeze(Greenshields):
@@ -350,6 +356,91 @@ def test_rk4_fixed_matches_classical_rk4_bit_for_bit(model):
         k4 = rhs(x + dt * k3, m, model)
         x = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     np.testing.assert_array_equal(tr.states[-1].positions, x)
+
+
+# Dormand & Prince (1980): the stage rows, the 5th-order weights and the
+# embedded 4th-order weights
+DP45_A = ((1 / 5,),
+          (3 / 40, 9 / 40),
+          (44 / 45, -56 / 15, 32 / 9),
+          (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+          (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+          (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+DP45_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+DP45_E = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def textbook_dp45_step(x, dt, m, model, abs_tol, rel_tol):
+    # each stage state is a running sum from x in term order, each weighted
+    # sum runs from -0.0 in index order; zero coefficients are skipped
+    k = [rhs(x, m, model)]
+    for row in DP45_A:
+        xi = x
+        for j, a in enumerate(row):
+            if a != 0.0:
+                xi = xi + (dt * a) * k[j]
+        k.append(rhs(xi, m, model))
+
+    def weighted(coefficients):
+        total = np.full_like(x, -0.0)
+        for j, c in enumerate(coefficients):
+            if c != 0.0:
+                total = total + c * k[j]
+        return total
+
+    out = x + dt * weighted(DP45_B)
+    err = out - (x + dt * weighted(DP45_E))
+    scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(out))
+    return out, float(np.max(np.abs(err) / scale))
+
+
+@pytest.mark.parametrize("model", [
+    Greenshields(1.17), PipesMunjal(1.17, 2.5), Underwood(1.17), ModifiedGreenberg(1.17, 0.3),
+], ids=["greenshields", "pipes_munjal", "underwood", "modified_greenberg"])
+@pytest.mark.parametrize("tol, verdict", [(1e-8, None), (1e-14, "error")],
+                         ids=["accepted", "rejected"])
+def test_rk45_adaptive_step_matches_a_textbook_dormand_prince_step_bit_for_bit(model, tol,
+                                                                                 verdict):
+    # a step that is no power of 2, so dt * a_ij rounds; accepted steps go
+    # on from their candidate, whose velocities the accepting step filled
+    c0 = atomize(scenario("double_hump"), 64)
+    x, m, dt = c0.positions.copy(), c0.particle_mass, 1e-3
+    _, step = METHODS["rk45_adaptive"].bind(x, m, model, 0.0, tol, tol)
+    out = np.empty_like(x)
+    for _ in range(1 if verdict else 20):
+        with np.errstate(all="ignore"):
+            cause, err_norm = step(x, dt, out)
+        assert cause == verdict
+        expected, expected_norm = textbook_dp45_step(x, dt, m, model, tol, tol)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+        assert err_norm == expected_norm
+        x, out = out, x
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_each_weighted_sum_reads_consecutive_rows_of_the_stage_block(method):
+    table = METHODS[method]
+    assert sorted(table.layout) == list(range(len(table.stages) + 1))
+    assert table.layout[0] == 0
+    for terms in (table.weights, table.embedded):
+        if terms is not None:
+            rows = [table.layout.index(j) for j, _ in terms]
+            assert rows == list(range(rows[0], rows[0] + len(rows)))
+
+
+def test_stage_layouts_of_the_built_in_tables():
+    # no weighted sum of DP45 reads its second stage (b_2 = e_2 = 0), so it goes last
+    assert METHODS["rk4_fixed"].layout == (0, 1, 2, 3)
+    assert METHODS["rk45_adaptive"].layout == (0, 2, 3, 4, 5, 6, 1)
+
+
+def test_a_table_whose_sums_cannot_all_be_slices_is_refused():
+    # weights on stages {0, 2} and the embedded row on {1, 2}: whichever row
+    # holds stage 1, one of the two sums skips it
+    with pytest.raises(ValueError, match="consecutive rows"):
+        dynamics._Tableau(a=((0.5,), (0.0, 0.5)), b=(1.0, 0.0, 1.0), order=2,
+                          embedded=(0.0, 1.0, 1.0))
 
 
 def test_update_of_a_jammed_particle_at_negative_zero_keeps_its_sign():

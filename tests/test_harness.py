@@ -631,6 +631,15 @@ _REFUSED = [
                                                    "delta": math.inf, "particle_counts": [8]})
      .replace("Infinity", "1e400"),
      "delta must lie in (0, t_end), or be positive and finite at t_end 0, got inf", _ALL_VERBS),
+    # so would an infinite step or tolerance
+    ("infinite_step", json.dumps(dict(BASE_CONFIG, integrator={"dt": math.inf}))
+     .replace("Infinity", "1e400"), "dt must be positive and finite", _ALL_VERBS),
+    ("infinite_abs_tol", json.dumps(dict(BASE_CONFIG, integrator={
+        "method": "rk45_adaptive", "abs_tol": math.inf})).replace("Infinity", "1e400"),
+     "tolerances must be positive and finite", _ALL_VERBS),
+    ("infinite_rel_tol", json.dumps(dict(BASE_CONFIG, integrator={
+        "method": "rk45_adaptive", "rel_tol": math.inf})).replace("Infinity", "1e400"),
+     "tolerances must be positive and finite", _ALL_VERBS),
     # refused before the smaller count's run is integrated or written
     ("count_above_the_ceiling", json.dumps(dict(BASE_CONFIG, particle_counts=[8, 1e30])),
      "particle count must be at most 1048576, got 1e+30", _ALL_VERBS),
