@@ -441,9 +441,7 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
 
 def _cmd_converge(config: ExperimentConfig, args) -> int:
     table = convergence_study(config, jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "convergence.json").write_text(
+    (Path(args.out) / "convergence.json").write_text(
         json.dumps(asdict(table), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     header = f"{'N':>6} {'initial_dist':>14} {'bound':>12} {'l1_error':>12} {'order':>7}"
     print(header)
@@ -463,8 +461,9 @@ def _cmd_check(config: ExperimentConfig, args) -> int:
 def main(argv=None) -> int:
     """Run one verb; exit status 0 on a pass, 1 on a failed check and 2 on
     a usage error (argparse's status).  A refused config, ``--jobs`` below 1,
-    a law that ``integrate`` refuses and a config that ``converge`` cannot use
-    exit 2 too, before any work; ``check`` reports such a law and exits 1."""
+    a law that ``integrate`` refuses, a config that ``converge`` cannot use
+    and an ``--out`` that cannot be made a directory exit 2 too, before any
+    work; ``check`` reports such a law and exits 1."""
     parser = argparse.ArgumentParser(
         prog="ftl1d",
         description="Follow-the-leader particle experiments for 1-D conservation laws")
@@ -485,6 +484,8 @@ def main(argv=None) -> int:
             _require_decreasing(config)     # integrate repeats it for library callers
         elif args.verb == "converge":
             _converge_setup(config)     # convergence_study repeats it for library callers
+        if args.verb != "check":
+            Path(args.out).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:   # json.JSONDecodeError included
         print(f"ftl1d: error: {exc}", file=sys.stderr)
         return 2

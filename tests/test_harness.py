@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import operator
+import random
 import re
+import shlex
 from dataclasses import asdict
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from ftl1d import (
     l1_distance,
     wasserstein,
 )
-from ftl1d import harness, reference, velocity
+from ftl1d import dynamics, harness, reference, velocity
 from ftl1d.dynamics import IntegratorSettings
 from ftl1d.harness import (
     ConvergenceTable,
@@ -67,6 +69,14 @@ def tree_digest(root: Path) -> dict:
     }
 
 
+def strict_json(path):
+    """The JSON document at ``path``; a NaN or an Infinity in it, which
+    Python's json reads but JSON does not allow, raises ValueError."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}")
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 def test_settings_take_only_the_keys_given():
     cfg = {k: v for k, v in BASE_CONFIG.items() if k != "integrator"}
     config = ExperimentConfig.from_dict(cfg)
@@ -91,10 +101,18 @@ def _readme_block(heading: str, lang: str) -> str:
     return section[start:section.index("```", start)]
 
 
-def test_readme_examples_run():
+def test_readme_examples_run(tmp_path, monkeypatch):
     exec(_readme_block("## Library quick start", "python"), {})
-    cfg = json.loads(_readme_block("Example config:", "json"))
+    config_text = _readme_block("Example config:", "json")
+    cfg = json.loads(config_text)
     assert ExperimentConfig.from_dict(cfg).particle_counts == (16, 64, 256, 1024)
+    # each line of the CLI block reads that config saved as examples.json
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "examples.json").write_text(config_text, encoding="utf-8")
+    for line in _readme_block("## CLI", "sh").splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "ftl1d"
+        assert main(argv[1:]) == 0
 
 
 def test_config_validation_errors():
@@ -451,7 +469,7 @@ def test_riemann_like_reads_the_exact_oracle_by_default(tmp_path, capsys, overri
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(dict(cfg, **override)))
     assert main(["converge", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    table = json.loads((tmp_path / "out" / "convergence.json").read_text())
+    table = strict_json(tmp_path / "out" / "convergence.json")
     assert table["oracle_kind"] == "exact"
     assert table["window"] is None
     assert all(math.isfinite(row["l1_error"]) for row in table["rows"])
@@ -737,6 +755,120 @@ def test_check_takes_only_config(tmp_path, capsys, flag):
         main(["check", "--config", str(cfg_path), flag, "2"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "converge"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_any_work(tmp_path, capsys,
+                                                                    monkeypatch, verb):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate ran")
+
+    monkeypatch.setattr(dynamics, "integrate", refuse)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(BASE_CONFIG))
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ftl1d: error: [Errno 17]")
+    assert captured.err.count("\n") == 1
+    assert out.read_text() == "kept\n"
+
+
+def _explicit_cells() -> dict:
+    """An explicit datum of 64 seeded cells on [0, 1], vacuum among them."""
+    rng = random.Random(64)
+    values = [0.0 if rng.random() < 0.1 else rng.random() for _ in range(64)]
+    assert 0.0 in values
+    return {"breakpoints": [k / 64 for k in range(65)], "values": values}
+
+
+# BASE_CONFIG with the default integrator and oracle, and its variants
+_CLI = {k: v for k, v in BASE_CONFIG.items() if k not in ("integrator", "oracle")}
+_DP45 = {"integrator": {"method": "rk45_adaptive"}}
+_PIPES_MUNJAL = {"velocity": {"kind": "pipes_munjal", "alpha": 2.5, "v_max": 1.17}}
+_MODIFIED_GREENBERG = {"velocity": {"kind": "modified_greenberg", "alpha": 0.1, "v_max": 1.17}}
+_EXPLICIT = dict(_CLI, scenario=_explicit_cells(), velocity={"kind": "greenshields"},
+                 particle_counts=[64, 128, 256])
+# (verb, config, the --jobs values whose trees must agree); a pool ships the
+# law with its bound operands, and each worker builds the law's kernel from
+# its own cell mass
+_END_TO_END = [
+    pytest.param("run", _CLI, (1,), id="run"),
+    pytest.param("run", dict(_CLI, **_DP45), (1, 2), id="run-dp45"),
+    pytest.param("run", dict(_CLI, **_PIPES_MUNJAL), (1, 2), id="run-pipes_munjal"),
+    pytest.param("run", dict(_CLI, **_PIPES_MUNJAL, **_DP45), (1,), id="run-pipes_munjal-dp45"),
+    pytest.param("run", dict(_CLI, **_MODIFIED_GREENBERG), (1,), id="run-modified_greenberg"),
+    pytest.param("run", dict(_CLI, **_MODIFIED_GREENBERG, **_DP45), (1,),
+                 id="run-modified_greenberg-dp45"),
+    pytest.param("run", dict(_CLI, velocity={"kind": "underwood", "v_max": 1.17}), (1, 2),
+                 id="run-underwood"),
+    # one sample, so both time-continuity moduli are skipped
+    pytest.param("run", dict(_CLI, t_end=0, sample_times=[0.0]), (1,), id="run-one_sample"),
+    # sampled from 0.5 on, and still recording t = 0
+    pytest.param("run", dict(_CLI, sample_times=[0.5]), (1,), id="run-late_sample"),
+    pytest.param("run", _EXPLICIT, (1,), id="run-explicit"),
+    pytest.param("converge", _CLI, (1, 2), id="converge"),
+    # the converge_riemann workload's shape
+    pytest.param("converge", {
+        "scenario": {"name": "riemann_like", "left_height": 0.8, "right_height": 0.2},
+        "velocity": {"kind": "greenshields"}, "particle_counts": [16, 32, 64], "t_end": 0.5,
+        "sample_times": [0.0, 0.5], "integrator": {"method": "rk45_adaptive"},
+        "oracle": {"kind": "riemann"}}, (1, 2), id="converge-riemann-dp45"),
+    pytest.param("converge", dict(_CLI, scenario={"name": "double_hump"}), (1, 2),
+                 id="converge-double_hump"),
+    # a law without a closed-form inverse of f' bisects inside Lax-Hopf
+    pytest.param("converge", dict(_CLI, scenario={"name": "double_hump"},
+                                  velocity={"kind": "underwood", "v_max": 1.0}), (1,),
+                 id="converge-double_hump-underwood"),
+    # at t_end 0 the exact solution is the datum itself
+    pytest.param("converge", {"scenario": {"name": "riemann_like"},
+                              "particle_counts": [16, 32, 64], "t_end": 0, "delta": 0.25},
+                 (1,), id="converge-zero_horizon"),
+    pytest.param("converge", _EXPLICIT, (1,), id="converge-explicit"),
+]
+
+
+@pytest.mark.parametrize("verb, cfg, jobs", _END_TO_END)
+def test_cli_end_to_end(tmp_path, verb, cfg, jobs):
+    # exit 0 with every check passed and no warning (the suite's filter turns
+    # one into an error, in the forked workers of a pool too), strict JSON in
+    # every artifact, and a pool writes the tree of one process byte for byte
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    config = ExperimentConfig.from_dict(cfg)
+    trees = []
+    for j in jobs:
+        out = tmp_path / f"jobs{j}"
+        assert main([verb, "--config", str(cfg_path), "--out", str(out), "--jobs", str(j)]) == 0
+        trees.append(tree_digest(out))
+    assert all(tree == trees[0] for tree in trees)
+    if verb == "converge":
+        table = strict_json(out / "convergence.json")
+        # no oracle key: every scenario reads the exact solution
+        assert table["oracle_kind"] == cfg.get("oracle", {"kind": "exact"})["kind"]
+        assert [row["n_particles"] for row in table["rows"]] == list(config.particle_counts)
+        return
+    runs = strict_json(out / "manifest.json")["runs"]
+    assert [run["n_particles"] for run in runs] == list(config.particle_counts)
+    for run in runs:
+        assert run["passed"]
+        meta = run["integrator_metadata"]
+        assert meta["method"] == config.integrator.method
+        by_cause = meta["rejections_by_cause"]
+        assert sorted(by_cause) == ["error", "gap_floor", "invalid_stage"]
+        assert sum(by_cause.values()) == meta["rejections"]
+        run_dir = out / f"run_N{run['n_particles']:05d}"
+        report = strict_json(run_dir / "diagnostics.json")
+        assert report["times"][0] == 0.0
+        assert "entropy_min" not in report
+        # a skipped slack is null, never NaN
+        one_sample = len(report["times"]) == 1
+        assert (report["wasserstein_worst_slack"] is None) is one_sample
+        assert (report["l1_worst_slack"] is None) is one_sample
+        header = (run_dir / "diagnostics.csv").read_text().splitlines()[0]
+        assert header == "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity"
 
 
 def test_run_builds_the_datum_and_the_law_once(tmp_path, monkeypatch):
