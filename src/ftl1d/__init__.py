@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .velocity import (  # noqa: F401
     AssumptionReport,
-    CustomVelocity,
     Greenshields,
     ModifiedGreenberg,
     PipesMunjal,
@@ -32,21 +31,15 @@ from .measures import (  # noqa: F401
     empirical,
     hat_density,
     l1_distance,
-    lagrangian_l1,
-    lagrangian_wasserstein,
     wasserstein,
 )
 from .diagnostics import (  # noqa: F401
     DiagnosticsReport,
-    OleinikResidual,
     bv_constant,
     entropy_K_terms,
-    min_gap_ratio,
-    oleinik_residual,
     run_diagnostics,
     time_continuity_moduli,
     total_variation,
-    velocity_total_variation,
 )
 from .reference import (  # noqa: F401
     RiemannSolution,

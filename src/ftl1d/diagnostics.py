@@ -29,42 +29,6 @@ TV_CONTRACT_TOL = 1e-8
 VELOCITY_TV_TOL = 1e-6
 
 
-def min_gap_ratio(config: ParticleConfiguration, rho_max: float) -> float:
-    """Smallest gap divided by the guaranteed floor particle_mass/rho_max."""
-    if not rho_max > 0.0:
-        raise ValueError("rho_max must be positive")
-    floor = config.particle_mass / rho_max
-    return float(np.min(config.gaps()) / floor)
-
-
-@dataclass(frozen=True)
-class OleinikResidual:
-    """One-sided residuals z_i = t * y_i * (v(y_right) - v(y_i)).
-
-    ``interior`` holds the residuals between neighbouring cells; ``leader``
-    is the residual of the last cell against the vacuum speed.  The exact
-    flow keeps every residual at or below the particle mass.
-    """
-
-    interior: np.ndarray
-    leader: float
-
-    @property
-    def max_interior(self) -> float:
-        return float(np.max(self.interior)) if self.interior.size else 0.0
-
-
-def oleinik_residual(config: ParticleConfiguration, model: VelocityModel) -> OleinikResidual:
-    """Evaluate the Oleinik-type residuals on one state.
-
-    The bound on them holds only when rho * v'(rho) is non-increasing on the
-    density range; ``run_diagnostics`` decides whether it applies.
-    """
-    y = config.densities()
-    interior, leader = _oleinik(config.time, y, model.value(y), model.v_max)
-    return OleinikResidual(interior=interior, leader=float(leader))
-
-
 def _oleinik(t, y, v, v_max):
     """Interior and leader residuals along the last axis, one time ``t`` per
     row, of densities ``y`` (overwritten by t * y) with speeds ``v``."""
@@ -77,11 +41,6 @@ def _oleinik(t, y, v, v_max):
 def total_variation(density: PiecewiseConstantDensity) -> float:
     """TV of a piecewise-constant density, edge jumps to vacuum included."""
     return float(_tv(density.values, 0.0))
-
-
-def velocity_total_variation(config: ParticleConfiguration, model: VelocityModel) -> float:
-    """TV of the velocity profile v(density), with jumps to v_max outside."""
-    return float(_tv(model.value(config.densities()), model.v_max))
 
 
 def _tv(w, outside: float):
@@ -141,8 +100,8 @@ def time_continuity_moduli(trajectory: Trajectory, model: VelocityModel,
 
     Every state of one trajectory is a cell density on the same mass grid,
     so each consecutive distance is read in closed form on the mass cells,
-    as ``measures.lagrangian_wasserstein`` and ``measures.lagrangian_l1``
-    read it, for all pairs at once.
+    for all pairs at once; ``lagrangian_wasserstein`` and ``lagrangian_l1``
+    in ``tests/oracles.py`` read it for one pair.
     """
     states = trajectory.states
     if len(states) < 2:

@@ -11,7 +11,10 @@ CDFs) and L1 distances are all computed in closed form, with no quadrature
 anywhere.  Two arbitrary measures go through merged-breakpoint arithmetic.
 Two particle cell densities of one mass grid (one cell mass, one number of
 cells) need no merge: both their quantiles and their mass-coordinate
-densities are read cell by cell on the shared mass cells.
+densities are read cell by cell on the shared mass cells, as
+``diagnostics.time_continuity_moduli`` reads every consecutive pair of a
+run through ``segment_l1`` (the references for one pair, which the tests
+compare it with, are in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -46,34 +49,6 @@ def empirical(config: ParticleConfiguration) -> PiecewiseMonotone:
     x = config.positions
     cum = np.concatenate(([0.0], np.cumsum(np.full(x.size - 1, config.particle_mass))))
     return PiecewiseMonotone(np.repeat(x[:-1], 2), np.repeat(cum, 2)[1:-1])
-
-
-def _check_one_mass_grid(a: PiecewiseConstantDensity, b: PiecewiseConstantDensity):
-    """Both must carry a ``cell_mass``, the same one, on the same number of
-    cells: their values then live on the same mass cells [i*m, (i+1)*m)."""
-    if a.cell_mass is None or a.cell_mass != b.cell_mass or a.values.size != b.values.size:
-        raise ValueError("densities need one cell_mass on one number of cells")
-
-
-def lagrangian_l1(a: PiecewiseConstantDensity, b: PiecewiseConstantDensity) -> float:
-    """L1 distance in the mass coordinate between two particle cell densities
-    of one mass grid."""
-    _check_one_mass_grid(a, b)
-    return float(a.cell_mass * np.sum(np.abs(a.values - b.values)))
-
-
-def lagrangian_wasserstein(a: PiecewiseConstantDensity, b: PiecewiseConstantDensity) -> float:
-    """Scaled 1-Wasserstein distance between two particle cell densities of
-    one mass grid, in closed form on the mass cells.
-
-    On the line W1 is the L1 distance of the quantile functions.  Each
-    quantile is linear on every mass cell [i*m, (i+1)*m], from the cell's
-    left to its right breakpoint, so the integral of |X_a - X_b| is exact
-    cell by cell: one array pass, with no breakpoint merge.
-    """
-    _check_one_mass_grid(a, b)
-    d = a.breakpoints - b.breakpoints
-    return float(segment_l1(d[:-1], d[1:], a.cell_mass))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .velocity import VelocityModel
 
 
 class UnsupportedFluxError(ValueError):
-    """The flux failed the sampled concavity test."""
+    """The flux failed the ``flux_concave`` verdict of ``check_assumptions``."""
 
 
 def _require_concave(model: VelocityModel, rho_hi: float):

@@ -7,7 +7,9 @@ on v being strictly decreasing with a finite vacuum speed v(0) = v_max;
 some estimates additionally need the map rho -> rho * v'(rho) to be
 non-increasing, and the oracles a concave flux rho * v(rho).
 ``check_assumptions`` samples those four conditions on a grid of
-``ADMISSIBILITY_SAMPLES`` points; no other code samples a law.
+``ADMISSIBILITY_SAMPLES`` points, except the last two where the law decides
+them exactly (``structural_verdicts``: the tabulated law reads its slopes);
+no other code samples a law.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 DERIVATIVE_STEP = 1e-6   # centered-difference step of laws without a closed-form v'
-ADMISSIBILITY_SAMPLES = 256   # check_assumptions' grid: the one grid of every verdict on a law
+ADMISSIBILITY_SAMPLES = 256   # check_assumptions' grid: the one grid of every sampled verdict
 _ONE = np.array(1.0)   # the gaps of _v: rho / 1.0 is rho, with ±0, inf and NaN
 
 
@@ -52,9 +54,10 @@ class VelocityModel:
 
     Methods: value, derivative, flux, flux_derivative, density_weighted_slope,
     critical_density and inverse_flux_derivative (the last two overridden
-    where a closed form exists).  The built-in laws refuse a v_max that is
-    not positive and finite; custom and tabulated laws validate their own
-    fields.
+    where a closed form exists), and structural_verdicts (overridden where
+    the law decides them exactly).  The built-in laws refuse a v_max that is
+    not positive and finite; the tabulated law, and a law a caller writes,
+    validate their own fields.
     """
 
     v_max: float
@@ -157,6 +160,12 @@ class VelocityModel:
         out = np.where(arr >= self.flux_derivative(lo), lo,
                        np.where(arr <= self.flux_derivative(hi), hi, 0.5 * (a + b)))
         return float(out) if np.ndim(xi) == 0 else out
+
+    def structural_verdicts(self, hi: float):
+        """(rho * v'(rho) non-increasing, flux concave) on [0, hi], where the
+        law decides them exactly; None, as here, leaves both to the samples
+        of ``check_assumptions``."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -267,33 +276,6 @@ class ModifiedGreenberg(VelocityModel):
 
 
 @dataclass(frozen=True)
-class CustomVelocity(VelocityModel):
-    """Closed-form law given by callables.
-
-    ``v_func`` (and optionally ``v_prime_func``) must accept numpy arrays.
-    When no derivative is supplied a centered difference with step
-    ``DERIVATIVE_STEP`` is used.
-    """
-
-    v_func: object
-    v_max: float
-    v_prime_func: object = None
-
-    def __post_init__(self):
-        if float(self.v_func(0.0)) != self.v_max:
-            raise ValueError("v_func(0) must equal v_max")
-
-    def _v(self, rho, out):
-        out[...] = self.v_func(rho)
-        return out
-
-    def _dv(self, rho):
-        if self.v_prime_func is not None:
-            return np.asarray(self.v_prime_func(rho), dtype=float)
-        return _centered_difference(self.value, rho, np.inf)
-
-
-@dataclass(frozen=True)
 class TabulatedVelocity(VelocityModel):
     """Law interpolated linearly between strictly decreasing table values.
 
@@ -339,11 +321,34 @@ class TabulatedVelocity(VelocityModel):
         self._check_range(rho)
         return _centered_difference(self.value, rho, self.rho_table[-1])
 
+    def structural_verdicts(self, hi: float):
+        """Both hold on [0, hi] exactly when no slope rises at a node inside
+        (0, hi).  On segment k, v' is the slope s_k < 0, so rho * v' = rho * s_k
+        and f' = v + rho * s_k both fall; at the node rho_k both jump by
+        rho_k * (s_k - s_{k-1}).
+
+        The tie rule: a rise s_k - s_{k-1} counts only if it exceeds
+        e_{k-1} + e_k, where e_k = 2 eps (|v_k| + |v_{k+1}| + |s_k| (rho_k +
+        rho_{k+1})) / (rho_{k+1} - rho_k) bounds how far rounding each entry
+        to a double, and the slope's own arithmetic, move s_k.  So the
+        collinear table (0, 0.3, 0.45), (1, 0.7, 0.55), whose computed slopes
+        are -1.0000000000000002 and -0.9999999999999992, is concave.
+        """
+        rho, vel = self.rho_table, self.v_table
+        width = np.diff(rho)
+        slope = np.diff(vel) / width
+        err = (2.0 * np.finfo(float).eps
+               * (np.abs(vel[:-1]) + np.abs(vel[1:]) - slope * (rho[:-1] + rho[1:])) / width)
+        rises = np.diff(slope) > err[1:] + err[:-1]
+        ok = not np.any(rises[rho[1:-1] < hi])
+        return ok, ok
+
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Sampled admissibility checks for a velocity law on [0, rho_max]; every
-    field after ``grid`` is one verdict."""
+    """Admissibility checks for a velocity law on [0, rho_max], sampled on
+    ``grid`` unless the law decides them; every field after ``grid`` is one
+    verdict."""
 
     grid: np.ndarray
     v_strictly_decreasing: bool
@@ -374,7 +379,10 @@ def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
 
     Checks, in order: v strictly decreasing, v(0) = v_max exactly,
     rho * v'(rho) non-increasing, and f = rho * v concave (second differences
-    at most 1e-10 * (1 + max|f|)).  Report-only; never raises on failure.
+    at most 1e-10 * (1 + max|f|)); the last two are the law's
+    ``structural_verdicts`` where it decides them exactly, as the tabulated
+    law does, so a kink samples cannot see still counts.  Report-only;
+    never raises on failure.
     A rho_max that is not positive, or infinite (a subnormal gap's density),
     raises ValueError before anything is sampled.  v counts as strictly
     decreasing when its samples never increase and v' is negative at every
@@ -393,12 +401,14 @@ def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
         m = np.where(grid == 0.0, 0.0, grid * dv)
     decreasing = bool(np.all(np.diff(v) <= 0.0) and np.all(dv[1:] < 0.0))
     at_zero = v[0] == model.v_max
-    slack = 1e-12 * (1.0 + float(np.max(np.abs(m))))
-    non_increasing = bool(np.all(np.diff(m) <= slack))
-    f = grid * v
-    second = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    concave = bool(np.all(second <= 1e-10 * (1.0 + float(np.max(np.abs(f))))))
-    return AssumptionReport(grid, decreasing, bool(at_zero), non_increasing, concave)
+    structure = model.structural_verdicts(rho_max)
+    if structure is None:
+        slack = 1e-12 * (1.0 + float(np.max(np.abs(m))))
+        f = grid * v
+        second = f[2:] - 2.0 * f[1:-1] + f[:-2]
+        structure = (bool(np.all(np.diff(m) <= slack)),
+                     bool(np.all(second <= 1e-10 * (1.0 + float(np.max(np.abs(f)))))))
+    return AssumptionReport(grid, decreasing, bool(at_zero), *structure)
 
 
 KINDS = {   # the laws a config names by its velocity ``kind``

@@ -26,19 +26,16 @@ from ftl1d import (
     hat_density,
     integrate,
     l1_distance,
-    lagrangian_l1,
-    min_gap_ratio,
-    oleinik_residual,
     riemann_l1_error,
     riemann_solve,
     run_diagnostics,
     scenario,
-    velocity_total_variation,
     total_variation,
     wasserstein,
 )
 from ftl1d.harness import _exact_distances
 from ftl1d.reference import godunov
+from oracles import lagrangian_l1, min_gap_ratio, oleinik_residual, velocity_total_variation
 
 SCENARIOS = ("box", "double_hump", "riemann_like", "sawtooth_bv")
 MODELS = (

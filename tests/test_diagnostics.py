@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import particle_states
 from ftl1d import (
-    CustomVelocity,
     Greenshields,
     ModifiedGreenberg,
     ParticleConfiguration,
@@ -23,20 +22,23 @@ from ftl1d import (
     from_piecewise,
     hat_density,
     integrate,
-    lagrangian_l1,
-    lagrangian_wasserstein,
-    min_gap_ratio,
-    oleinik_residual,
     run_diagnostics,
     scenario,
     time_continuity_moduli,
     total_variation,
-    velocity_total_variation,
     wasserstein,
 )
 from ftl1d import diagnostics
-from ftl1d.diagnostics import OleinikResidual
 from ftl1d.dynamics import Trajectory
+from oracles import (
+    CustomVelocity,
+    OleinikResidual,
+    lagrangian_l1,
+    lagrangian_wasserstein,
+    min_gap_ratio,
+    oleinik_residual,
+    velocity_total_variation,
+)
 
 CHECKS = {"min_gap_ratio", "oleinik_interior", "oleinik_leader", "tv_contractivity",
           "tv_monotone", "tv_velocity", "wasserstein_time_continuity", "l1_time_continuity"}

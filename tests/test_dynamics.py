@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ftl1d import (
-    CustomVelocity,
     Greenshields,
     IntegrationError,
     IntegratorSettings,
@@ -21,6 +20,7 @@ from ftl1d import (
 )
 from ftl1d import dynamics
 from ftl1d.dynamics import METHODS, default_step, sample_grid
+from oracles import CustomVelocity
 
 
 def lagrangian_rhs(y, model, cell_mass):

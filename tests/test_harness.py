@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from conftest import particle_states, pseudo_inverse
 from ftl1d import (
-    CustomVelocity,
     DiagnosticsReport,
     ParticleConfiguration,
     PiecewiseMonotone,
@@ -43,6 +42,7 @@ from ftl1d.harness import (
     write_quantile_csv,
     write_trajectory_csv,
 )
+from oracles import CustomVelocity
 
 BASE_CONFIG = {
     "scenario": {"name": "riemann_like"},
@@ -550,6 +550,13 @@ _ALL_VERBS = ("run", "converge", "check")
 _FLAT_LAW = dict(BASE_CONFIG, scenario={"name": "box"},
                  velocity={"kind": "pipes_munjal", "alpha": 2000})
 _WITHOUT_SAMPLES = {k: v for k, v in BASE_CONFIG.items() if k != "sample_times"}
+# v has slope -1 below rho 0.5 and -0.98 above it, so the flux's slope jumps up
+# by 0.01 at that node: the flux is not concave on [0, 1], though 256 samples
+# of it read concave; the exact oracle's Lax-Hopf formula needs it concave
+_KINKED_TABLE = {k: v for k, v in BASE_CONFIG.items() if k != "oracle"} | {
+    "scenario": {"name": "double_hump"}, "particle_counts": [64, 256, 1024],
+    "velocity": {"kind": "tabulated", "rho_table": [0.0, 0.5, 1.2],
+                 "v_table": [1.0, 0.5, 0.5 + 0.7 * -0.98]}}
 # (id, config text or None for a missing file, start of the message, the verbs
 # that read the refused part)
 _REFUSED = [
@@ -578,6 +585,9 @@ _REFUSED = [
     # a law that integrate refuses; check reports it instead (below)
     ("flat_law", json.dumps(_FLAT_LAW), "velocity law increases, or is flat, on [0, 1.0]",
      ("run", "converge")),
+    # refused before any run is integrated; check reports it (below)
+    ("kinked_table", json.dumps(_KINKED_TABLE),
+     "flux is not concave on [0, 1.0]; oracle unavailable", ("converge",)),
     ("table_short_of_the_datum", json.dumps(dict(
         BASE_CONFIG, scenario={"name": "box", "height": 1.0},
         velocity={"kind": "tabulated", "rho_table": [0.0, 0.5], "v_table": [1.0, 0.5]})),
@@ -693,6 +703,14 @@ def test_check_reports_the_law_that_run_and_converge_refuse(tmp_path, capsys):
     # the table refuses it before the oracle or any count runs
     with pytest.raises(ValueError, match="velocity law increases, or is flat"):
         convergence_study(ExperimentConfig.from_json(cfg_path))
+
+
+def test_check_reports_the_kinked_table_that_converge_refuses(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_KINKED_TABLE))
+    assert main(["check", "--config", str(cfg_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["weighted_slope_non_increasing"], report["flux_concave"]) == (False, False)
 
 
 def _paths(node, prefix=()):

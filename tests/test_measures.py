@@ -27,12 +27,11 @@ from ftl1d import (
     hat_density,
     integrate,
     l1_distance,
-    lagrangian_l1,
-    lagrangian_wasserstein,
     run_diagnostics,
     scenario,
     wasserstein,
 )
+from oracles import lagrangian_l1, lagrangian_wasserstein
 
 
 def config(positions, mass=0.5, time=0.0):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import piecewise_cells
 from ftl1d import (
-    CustomVelocity,
     Greenshields,
     ModifiedGreenberg,
     PiecewiseConstantDensity,
@@ -30,6 +29,7 @@ from ftl1d import (
 )
 from ftl1d.reference import max_wave_speed
 from ftl1d.velocity import VelocityModel, check_assumptions
+from oracles import CustomVelocity
 
 
 def test_shock_classification_and_speed():

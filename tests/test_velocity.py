@@ -4,14 +4,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ftl1d import atomize, integrate, reference, scenario, velocity
 from ftl1d.harness import ExperimentConfig
 from ftl1d.velocity import (
     ADMISSIBILITY_SAMPLES,
-    CustomVelocity,
     Greenshields,
     ModifiedGreenberg,
     PipesMunjal,
@@ -19,6 +18,7 @@ from ftl1d.velocity import (
     Underwood,
     check_assumptions,
 )
+from oracles import CustomVelocity
 
 BUILTINS = [
     Greenshields(1.0),
@@ -368,14 +368,23 @@ def test_integrate_and_riemann_solve_call_check_assumptions_through_the_module(m
 
 def _verdicts_by_public_methods(model, rho_max):
     """The four verdicts of ``check_assumptions`` read through the public
-    methods, each law evaluated afresh for every verdict."""
+    methods, each law evaluated afresh for every verdict; a tabulated law's
+    last two read from its tables: no slope rises at a node inside (0, rho_max)."""
     grid = np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES)
     decreasing = bool(np.all(np.diff(model.value(grid)) <= 0.0)
                       and np.all(model.derivative(grid[1:]) < 0.0))
+    if isinstance(model, TabulatedVelocity):
+        slopes = np.diff(model.v_table) / np.diff(model.rho_table)
+        kinked = bool(np.any((np.diff(slopes) > 0.0)[model.rho_table[1:-1] < rho_max]))
+        return decreasing, model.value(0.0) == model.v_max, not kinked, not kinked
+    return (decreasing, model.value(0.0) == model.v_max, *_sampled_structure(model, grid))
+
+
+def _sampled_structure(model, grid):
+    """The weighted-slope and concavity verdicts of the samples on ``grid``."""
     m = model.density_weighted_slope(grid)
     f = model.flux(grid)
-    return (decreasing, model.value(0.0) == model.v_max,
-            bool(np.all(np.diff(m) <= 1e-12 * (1.0 + float(np.max(np.abs(m)))))),
+    return (bool(np.all(np.diff(m) <= 1e-12 * (1.0 + float(np.max(np.abs(m)))))),
             bool(np.all(f[2:] - 2.0 * f[1:-1] + f[:-2]
                         <= 1e-10 * (1.0 + float(np.max(np.abs(f)))))))
 
@@ -385,6 +394,10 @@ def _verdicts_by_public_methods(model, rho_max):
            PipesMunjal(1.0, 20.0),     # flat by rounding near vacuum
            CustomVelocity(v_func=lambda r: 1.0 - r + 0.6 * np.asarray(r) ** 2, v_max=1.0)]),
        rho_max=st.floats(1e-3, 2.0))
+# the table's first node is 0.15: its samples fail the weighted slope on
+# [0, 0.15], where the law is linear, and pass the concavity of [0, 0.1500001]
+@example(law=LAWS[-2], rho_max=0.15)
+@example(law=LAWS[-2], rho_max=0.1500001)
 def test_check_assumptions_matches_the_public_methods(law, rho_max):
     # v and v' are evaluated once each; every verdict is the one the public
     # flux, slope and weighted-slope methods give
@@ -393,3 +406,38 @@ def test_check_assumptions_matches_the_public_methods(law, rho_max):
             report.weighted_slope_non_increasing,
             report.flux_concave) == _verdicts_by_public_methods(law, rho_max)
     np.testing.assert_array_equal(report.grid, np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES))
+
+
+def test_a_tabulated_law_reads_its_verdicts_from_the_slopes_at_nodes_inside_the_range():
+    # slope -1 below the node 0.5 and -0.98 above it: f' jumps up by 0.01
+    # there, which 256 samples of [0, 1] miss
+    kinked = TabulatedVelocity(rho_table=np.array([0.0, 0.5, 1.2]),
+                               v_table=np.array([1.0, 0.5, 0.5 + 0.7 * -0.98]))
+    for rho_max, ok in ((0.5, True), (np.nextafter(0.5, 1.0), False), (1.0, False), (1.2, False)):
+        report = check_assumptions(kinked, rho_max)
+        assert (report.weighted_slope_non_increasing, report.flux_concave) == (ok, ok)
+        assert report.v_strictly_decreasing and report.v_at_zero_equals_v_max
+
+
+def test_a_collinear_table_is_concave_though_its_slopes_round_apart():
+    collinear = TabulatedVelocity(rho_table=np.array([0.0, 0.3, 0.45]),
+                                  v_table=np.array([1.0, 0.7, 0.55]))
+    slopes = np.diff(collinear.v_table) / np.diff(collinear.rho_table)
+    assert slopes.tolist() == [-1.0000000000000002, -0.9999999999999992]
+    assert check_assumptions(collinear, 0.45).all_satisfied
+
+
+@settings(deadline=None, max_examples=50)
+@given(cells=st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(1e-3, 1.0)),
+                      min_size=1, max_size=6),
+       fraction=st.floats(0.01, 1.0))
+def test_a_concave_table_reads_concave_by_its_slopes_and_by_its_samples(cells, fraction):
+    # slope k is minus the sum of the first k + 1 drops, so the slopes fall
+    widths, drops = (np.array(c) for c in zip(*cells))
+    slopes = -np.cumsum(drops)
+    law = TabulatedVelocity(rho_table=np.concatenate(([0.0], np.cumsum(widths))),
+                            v_table=1.0 + np.concatenate(([0.0], np.cumsum(slopes * widths))))
+    rho_max = fraction * law.rho_table[-1]
+    assert check_assumptions(law, rho_max).all_satisfied
+    grid = np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES)
+    assert _sampled_structure(law, grid) == (True, True)
