@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import numbers
+import operator
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -171,49 +172,63 @@ def _column(values) -> list:
     return repr(floats)[1:-1].split(", ") if floats else []
 
 
-def _write_csv(path: Path, header: str, blocks):
+def _write_hashed(path: Path, blocks) -> str:
+    """Write every block, a string, to ``path`` as UTF-8 and return the
+    sha256 hex digest of the file.  Each block is encoded, written and fed to
+    the hash before the next is made, so the whole file is never held in
+    memory, and no file is read back."""
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        for block in blocks:
+            data = block.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def _write_csv(path: Path, header: str, blocks) -> str:
     """Write the header line, then every block, a tuple of equally long
-    string columns, as one comma-joined line per entry.  Each block is
-    joined whole and written before the next is formatted, so the whole
-    file is never held in memory."""
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    string columns, as one comma-joined line per entry, by ``_write_hashed``;
+    return the file's sha256 hex digest."""
+    def text():
+        yield header + "\n"
         for columns in blocks:
             rows = "\n".join(map(",".join, zip(*columns)))
             if rows:
-                fh.write(rows + "\n")
+                yield rows + "\n"
+    return _write_hashed(path, text())
 
 
-def write_trajectory_csv(path: Path, trajectory: dynamics.Trajectory):
+def write_trajectory_csv(path: Path, trajectory: dynamics.Trajectory) -> str:
+    """One row t,i,x_i per particle and sample, by ``_write_hashed``; return
+    the file's sha256 hex digest.  The row prefixes ",i," are built once, so a
+    sample's rows are one join over the prefixed column, led by its time."""
     states = trajectory.states
-    _write_csv(path, "t,i,x_i", (
-        (itertools.repeat(t), map(str, range(state.positions.size)), _column(state.positions))
-        for state, t in zip(states, _column([state.time for state in states]))))
+    index = [f",{i}," for i in range(max((state.positions.size for state in states), default=0))]
+    return _write_hashed(path, itertools.chain(("t,i,x_i\n",), (
+        t + ("\n" + t).join(map(operator.add, index, _column(state.positions))) + "\n"
+        for state, t in zip(states, _column([state.time for state in states])))))
 
 
-def write_density_csv(path: Path, density: initial_data.PiecewiseConstantDensity):
+def write_density_csv(path: Path, density: initial_data.PiecewiseConstantDensity) -> str:
     bp = _column(density.breakpoints)
-    _write_csv(path, "x_left,x_right,value", [(bp[:-1], bp[1:], _column(density.values))])
+    return _write_csv(path, "x_left,x_right,value", [(bp[:-1], bp[1:], _column(density.values))])
 
 
-def write_quantile_csv(path: Path, hat: initial_data.PiecewiseConstantDensity):
+def write_quantile_csv(path: Path, hat: initial_data.PiecewiseConstantDensity) -> str:
     """Quantile X(z) of a particle cell density as its nodes (z, X_z).
 
     Every cell carries positive mass, so the cumulative masses increase
     strictly and the quantile is the CDF with its axes swapped.
     """
-    _write_csv(path, "z,X_z", [(_column(hat.cumulative_masses), _column(hat.breakpoints))])
+    return _write_csv(path, "z,X_z", [(_column(hat.cumulative_masses), _column(hat.breakpoints))])
 
 
-def write_diagnostics_csv(path: Path, report: diagnostics.DiagnosticsReport):
+def write_diagnostics_csv(path: Path, report: diagnostics.DiagnosticsReport) -> str:
     columns = (report.times, report.min_gap_ratios, report.oleinik_interior_max,
                report.oleinik_leader, report.tv_hat, report.tv_velocity)
-    _write_csv(path, "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity",
-               [tuple(map(_column, columns))])
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    header = "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity"
+    return _write_csv(path, header, [tuple(map(_column, columns))])
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +256,14 @@ def _run_single(config: ExperimentConfig, n: int, out_dir: Path) -> RunResult:
 
     def emit(name, writer, *args):
         path = run_dir / name
-        writer(path, *args)
-        files[str(path.relative_to(out_dir))] = _sha256(path)
+        files[str(path.relative_to(out_dir))] = writer(path, *args)
 
     emit("trajectory.csv", write_trajectory_csv, trajectory)
     emit("density_initial.csv", write_density_csv,
          measures.hat_density(trajectory.states[0]))
     emit("density_final.csv", write_density_csv, hat)
     emit("quantile_final.csv", write_quantile_csv, hat)
-    emit("diagnostics.json", lambda p, r: p.write_text(r.to_json() + "\n", encoding="utf-8"),
-         report)
+    emit("diagnostics.json", lambda p, r: _write_hashed(p, [r.to_json() + "\n"]), report)
     emit("diagnostics.csv", write_diagnostics_csv, report)
     return RunResult(n, report, files, dict(trajectory.metadata))
 

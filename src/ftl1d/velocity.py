@@ -389,25 +389,34 @@ def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
     positive sample: near vacuum a law like 1 - rho**20 rounds to v_max, so
     samples may tie, and v'(0) = 0 is allowed.
     v and v' are evaluated once each; f and rho * v'(rho) are formed from them.
+    A sampled verdict reads false when any sample it reads is not finite,
+    as where a law overflows (1 - rho**2000 at rho 1.5); such samples raise
+    no numpy warning.
     """
     if not rho_max > 0.0:
         raise ValueError("rho_max must be positive")
     if rho_max == math.inf:
         raise ValueError("density must be finite and nonnegative")
     grid = np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES)
-    v = model.value(grid)
+    finite = math.isfinite
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        v = model.value(grid)
         dv = model.derivative(grid)
-        m = np.where(grid == 0.0, 0.0, grid * dv)
-    decreasing = bool(np.all(np.diff(v) <= 0.0) and np.all(dv[1:] < 0.0))
-    at_zero = v[0] == model.v_max
-    structure = model.structural_verdicts(rho_max)
-    if structure is None:
-        slack = 1e-12 * (1.0 + float(np.max(np.abs(m))))
-        f = grid * v
-        second = f[2:] - 2.0 * f[1:-1] + f[:-2]
-        structure = (bool(np.all(np.diff(m) <= slack)),
-                     bool(np.all(second <= 1e-10 * (1.0 + float(np.max(np.abs(f)))))))
+        # a NaN fails every comparison; once the samples of v fall and those
+        # of v' are negative, the ends of v and the least v' bound the rest
+        decreasing = bool(np.all(np.diff(v) <= 0.0) and np.all(dv[1:] < 0.0)
+                          and finite(v[0]) and finite(v[-1]) and finite(np.min(dv[1:])))
+        at_zero = v[0] == model.v_max
+        structure = model.structural_verdicts(rho_max)
+        if structure is None:
+            m = np.where(grid == 0.0, 0.0, grid * dv)
+            f = grid * v
+            # each bound is finite exactly when every sample it scales is
+            slack = 1e-12 * (1.0 + float(np.max(np.abs(m))))
+            bound = 1e-10 * (1.0 + float(np.max(np.abs(f))))
+            second = f[2:] - 2.0 * f[1:-1] + f[:-2]
+            structure = (finite(slack) and bool(np.all(np.diff(m) <= slack)),
+                         finite(bound) and bool(np.all(second <= bound)))
     return AssumptionReport(grid, decreasing, bool(at_zero), *structure)
 
 

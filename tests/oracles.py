@@ -60,6 +60,14 @@ def velocity_total_variation(config: ParticleConfiguration, model: VelocityModel
     return float(edges + np.sum(np.abs(np.diff(w))))
 
 
+def hat_total_variation(config: ParticleConfiguration) -> float:
+    """TV of the particle cell density over the line, where it is 0 outside
+    the cells: the two jumps to vacuum, then the jumps between cells."""
+    y = config.densities()
+    edges = abs(0.0 - y[0]) + abs(0.0 - y[-1])
+    return float(edges + np.sum(np.abs(np.diff(y))))
+
+
 def _check_one_mass_grid(a: PiecewiseConstantDensity, b: PiecewiseConstantDensity):
     """Both must carry a ``cell_mass``, the same one, on the same number of
     cells: their values then live on the same mass cells [i*m, (i+1)*m)."""

@@ -33,6 +33,7 @@ from ftl1d.dynamics import Trajectory
 from oracles import (
     CustomVelocity,
     OleinikResidual,
+    hat_total_variation,
     lagrangian_l1,
     lagrangian_wasserstein,
     min_gap_ratio,
@@ -452,7 +453,7 @@ def test_run_diagnostics_matches_standalone_helpers(cells, model, n):
         assert report.min_gap_ratios[k] == min_gap_ratio(state, datum.sup_norm)
         assert report.oleinik_interior_max[k] == res.max_interior
         assert report.oleinik_leader[k] == res.leader
-        assert report.tv_hat[k] == total_variation(hat_density(state))
+        assert report.tv_hat[k] == hat_total_variation(state)
         assert report.tv_velocity[k] == velocity_total_variation(state, model)
     # the moduli are checked on consecutive pairs; compare with all pairs
     cont = time_continuity_moduli(tr, model, 0.25)
@@ -504,7 +505,7 @@ def test_run_diagnostics_keeps_the_bits_of_its_helpers_on_long_odd_rows(model):
         assert report.min_gap_ratios[k] == min_gap_ratio(state, datum.sup_norm)
         assert report.oleinik_interior_max[k] == res.max_interior
         assert report.oleinik_leader[k] == res.leader
-        assert report.tv_hat[k] == total_variation(hat_density(state))
+        assert report.tv_hat[k] == hat_total_variation(state)
         assert report.tv_velocity[k] == velocity_total_variation(state, model)
     cont = time_continuity_moduli(tr, model, 0.25)
     worst_w = worst_l1 = np.inf

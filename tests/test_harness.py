@@ -167,9 +167,9 @@ def test_run_experiment_artifacts(tmp_path):
 
 
 def test_diagnostics_artifacts_are_pinned(tmp_path):
-    # every bit of both diagnostics files of one small run: Greenshields, the
-    # default RK4, N = 64 and 5 samples; the JSON holds no interleaving key
-    # and no entropy_min, and the CSV has six columns
+    # every bit of every file of one small run: Greenshields, the default
+    # RK4, N = 64 and 5 samples; the JSON holds no interleaving key and no
+    # entropy_min, and the CSV has six columns
     cfg = dict(BASE_CONFIG, particle_counts=[64], t_end=1.0,
                sample_times=[0.0, 0.25, 0.5, 0.75, 1.0])
     del cfg["integrator"]
@@ -179,6 +179,14 @@ def test_diagnostics_artifacts_are_pinned(tmp_path):
         "f94e5da9e1a3ac8f47bc830b407ccc77a804da0ac5508a0189a1ec099dd0d6b4")
     assert digests["diagnostics.csv"] == (
         "0beb7497df420da7c98685cfbf4352a037d1bd7a138807b5fa74c23137b4b412")
+    assert digests["trajectory.csv"] == (
+        "5e874ddebcb5c35a7dd51efad2dc41298319695ab7b25a19a02e8361155bbdec")
+    assert digests["density_initial.csv"] == (
+        "f5cd1d9902198a8dff71baa19ab2a4d4193e0ffac10c88babd16a381d4fd3458")
+    assert digests["density_final.csv"] == (
+        "81ce6aa0f20bf047a369ceda5208229606276d7739aa30d09528c6a716d03241")
+    assert digests["quantile_final.csv"] == (
+        "b50949553c3282f9f84eb8a7a2a7212ba22bb13d7422c7b8af86ceb072b9f57b")
 
 
 def test_trajectory_csv_round_trips(tmp_path):
@@ -235,33 +243,39 @@ def _reference_csv(header, rows) -> str:
     return "".join(f"{line}\n" for line in (header, *cells))
 
 
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_csv_writers_format_each_cell_as_repr_of_float(tmp_path):
     path = tmp_path / "out.csv"
     states = (ParticleConfiguration(0.0, 0.5, [-1.5e16, -0.0]),      # two particles
               ParticleConfiguration(1e-05, 0.5, [-2.5, 1e-05]),
               ParticleConfiguration(1.5e16, 0.5, [0.1, 1.5e16]))
-    write_trajectory_csv(path, Trajectory(states))
+    assert write_trajectory_csv(path, Trajectory(states)) == _file_sha256(path)
     assert path.read_text(encoding="utf-8") == _reference_csv(
         "t,i,x_i", [(s.time, str(i), x) for s in states for i, x in enumerate(s.positions)])
 
     for density in (from_piecewise([-0.0, 1e-05], [1.5e16]),             # one cell
                     from_piecewise(_ODD, [1e-05, 0.0, 2.5, 1.5e16, 0.1])):
-        write_density_csv(path, density)
+        assert write_density_csv(path, density) == _file_sha256(path)
         bp = density.breakpoints
         assert path.read_text(encoding="utf-8") == _reference_csv(
             "x_left,x_right,value", zip(bp[:-1], bp[1:], density.values))
 
     hat = hat_density(states[0])
-    write_quantile_csv(path, hat)
+    assert write_quantile_csv(path, hat) == _file_sha256(path)
     assert path.read_text(encoding="utf-8") == _reference_csv(
         "z,X_z", zip(hat.cumulative_masses, hat.breakpoints))
 
     columns = [_ODD[k:] + _ODD[:k] for k in range(len(_COLUMNS))]
-    write_diagnostics_csv(path, DiagnosticsReport(**dict(zip(_COLUMNS, columns))))
+    report = DiagnosticsReport(**dict(zip(_COLUMNS, columns)))
+    assert write_diagnostics_csv(path, report) == _file_sha256(path)
     assert path.read_text(encoding="utf-8") == _reference_csv(
         "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity",
         zip(*columns))
-    write_diagnostics_csv(path, DiagnosticsReport())      # no sample: the header alone
+    # no sample: the header alone
+    assert write_diagnostics_csv(path, DiagnosticsReport()) == _file_sha256(path)
     assert path.read_text(encoding="utf-8") == _reference_csv(
         "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity", [])
 
@@ -549,6 +563,9 @@ _ALL_VERBS = ("run", "converge", "check")
 # v = 1 - rho**2000 rounds to 1 below rho of about 0.7, and its slope to -0
 _FLAT_LAW = dict(BASE_CONFIG, scenario={"name": "box"},
                  velocity={"kind": "pipes_munjal", "alpha": 2000})
+# the same law on a box of height 1.25 is read on [0, 1.5] when the config is
+# parsed, where rho**2000 overflows: v and the flux are not finite there
+_OVERFLOWING_LAW = dict(_FLAT_LAW, scenario={"name": "box", "height": 1.25})
 _WITHOUT_SAMPLES = {k: v for k, v in BASE_CONFIG.items() if k != "sample_times"}
 # v has slope -1 below rho 0.5 and -0.98 above it, so the flux's slope jumps up
 # by 0.01 at that node: the flux is not concave on [0, 1], though 256 samples
@@ -585,6 +602,8 @@ _REFUSED = [
     # a law that integrate refuses; check reports it instead (below)
     ("flat_law", json.dumps(_FLAT_LAW), "velocity law increases, or is flat, on [0, 1.0]",
      ("run", "converge")),
+    ("overflowing_law", json.dumps(_OVERFLOWING_LAW),
+     "velocity law increases, or is flat, on [0, 1.25]", ("run", "converge")),
     # refused before any run is integrated; check reports it (below)
     ("kinked_table", json.dumps(_KINKED_TABLE),
      "flux is not concave on [0, 1.0]; oracle unavailable", ("converge",)),
@@ -703,6 +722,18 @@ def test_check_reports_the_law_that_run_and_converge_refuse(tmp_path, capsys):
     # the table refuses it before the oracle or any count runs
     with pytest.raises(ValueError, match="velocity law increases, or is flat"):
         convergence_study(ExperimentConfig.from_json(cfg_path))
+
+
+def test_check_reads_a_law_that_overflows_at_a_sample_as_not_concave(tmp_path, capsys):
+    # check samples [0, 1.43]; rho**2000 overflows at the last sample only, so
+    # v and the flux read -inf there and the bound of the second differences
+    # inf: each sampled verdict that reads a sample that is not finite is
+    # false, and no numpy warning is raised
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(dict(_FLAT_LAW, scenario={"name": "box", "height": 1.43})))
+    assert main(["check", "--config", str(cfg_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["weighted_slope_non_increasing"], report["flux_concave"]) == (False, False)
 
 
 def test_check_reports_the_kinked_table_that_converge_refuses(tmp_path, capsys):

@@ -241,6 +241,22 @@ def test_check_assumptions_validates_arguments():
         check_assumptions(Greenshields(1.0), rho_max=math.inf)
 
 
+# 1 - rho**20 and rho * v' = -20 rho**20 overflow to -inf at the last of the
+# samples of [0, R] alone, each at its own R; the other samples pass the verdict
+@pytest.mark.parametrize("rho_max, samples, verdict", [
+    (1.001 * math.exp(709.78 / 20.0), "value", "v_strictly_decreasing"),
+    (math.exp(706.83 / 20.0), "density_weighted_slope", "weighted_slope_non_increasing"),
+])
+def test_a_sample_that_overflows_fails_the_verdict_that_reads_it(rho_max, samples, verdict):
+    law = PipesMunjal(1.0, 20.0)
+    report = check_assumptions(law, rho_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        read = getattr(law, samples)(report.grid)
+    assert np.isfinite(read[:-1]).all() and read[-1] == -math.inf
+    assert getattr(report, verdict) is False
+    assert report.v_at_zero_equals_v_max
+
+
 LAWS = BUILTINS + [
     TabulatedVelocity(rho_table=np.array([0.0, 0.15, 1.5, 2.0]),
                       v_table=np.array([1.0, 0.7, 0.1, 0.0])),
