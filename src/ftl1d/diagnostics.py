@@ -209,7 +209,7 @@ def run_diagnostics(trajectory: Trajectory, model: VelocityModel,
     if not oleinik_ok:
         report.skipped.update(dict.fromkeys(
             ("oleinik_interior", "oleinik_leader"),
-            "velocity law fails the sampled weighted-slope condition on [0, sup_norm]"))
+            "velocity law fails the weighted-slope condition on [0, sup_norm]"))
     states = trajectory.states
     cont = time_continuity_moduli(trajectory, model, delta) if len(states) > 1 else None
     y, low = _stack(states)[:2]   # drop the shifts: at most three (S, N+1) arrays at once

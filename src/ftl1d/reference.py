@@ -220,11 +220,11 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
     peak = star = None
     for _ in range(n_steps):
         q = np.concatenate(([0.0], u, [0.0]))
-        # critical_density may be a bisection of dozens of calls to f'; it
-        # depends only on the maximum, which often holds for many steps
+        # star, the flux's argmax on [0, top], may be a bisection of dozens of
+        # calls to f'; it depends only on top, which often holds for many steps
         top = float(q.max())
         if top != peak:
-            peak, star = top, model.critical_density(top)
+            peak, star = top, model.inverse_flux_derivative(0.0, 0.0, top)
         # a concave flux rises up to star and falls beyond: the Godunov flux is
         # min(demand f(clip(rl, 0, star)), supply f(max(rr, star))), and the
         # clip lifts rounding's -eps residues in vacuum cells to 0

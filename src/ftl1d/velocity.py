@@ -8,8 +8,8 @@ some estimates additionally need the map rho -> rho * v'(rho) to be
 non-increasing, and the oracles a concave flux rho * v(rho).
 ``check_assumptions`` samples those four conditions on a grid of
 ``ADMISSIBILITY_SAMPLES`` points, except the last two where the law decides
-them exactly (``structural_verdicts``: the tabulated law reads its slopes);
-no other code samples a law.
+them exactly (``structural_verdicts``: Underwood's closed forms, and the
+tabulated law's slopes); no other code samples a law.
 """
 
 from __future__ import annotations
@@ -41,23 +41,23 @@ def _as_density(rho):
 
 
 class VelocityModel:
-    """Base class for velocity laws; subclasses implement _velocities or _v, and _dv.
+    """Base class for velocity laws; a subclass implements _velocities and _dv.
 
     ``_velocities(mass)`` returns the kernel ``velocities(gaps, out)``, which
     writes v(mass / gaps) into ``out`` (which may be ``gaps``) and returns it;
-    ``_v(rho, out)`` does the same for v(rho).  Each defaults to the other.  A
-    built-in law writes its formula once, as a kernel whose ufuncs and operands
-    are closure locals, and binds those operands when it is constructed, as
-    0-d float64 arrays beside its fields (``_bind``; this class binds v_max and
-    1.0), on which a ufunc dispatches faster than on a Python float.  A law
-    that writes its own ``_v`` and no kernel is run by that ``_v``.
+    ``_v(rho, out)`` reads it at the gaps 1.0, and no law overrides it.  A
+    law writes its formula once, as a kernel whose ufuncs and operands are
+    closure locals; a built-in law binds those operands when it is
+    constructed, as 0-d float64 arrays beside its fields (``_bind``; this
+    class binds v_max and 1.0), on which a ufunc dispatches faster than on a
+    Python float.
 
     Methods: value, derivative, flux, flux_derivative, density_weighted_slope,
-    critical_density and inverse_flux_derivative (the last two overridden
-    where a closed form exists), and structural_verdicts (overridden where
-    the law decides them exactly).  The built-in laws refuse a v_max that is
-    not positive and finite; the tabulated law, and a law a caller writes,
-    validate their own fields.
+    inverse_flux_derivative (overridden where a closed form exists; at xi 0
+    on [0, hi] it is the argmax of the flux), and structural_verdicts
+    (overridden where the law decides them exactly).  The built-in laws
+    refuse a v_max that is not positive and finite; the tabulated law, and a
+    law a caller writes, validate their own fields.
     """
 
     v_max: float
@@ -73,18 +73,8 @@ class VelocityModel:
         for name, value in operands.items():
             object.__setattr__(self, name, np.array(value, dtype=float))
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # the kernel a subclass inherits would bypass the _v it writes
-        if "_v" in vars(cls) and "_velocities" not in vars(cls):
-            cls._velocities = VelocityModel._velocities
-
     def _velocities(self, mass):
-        v, divide = self._v, np.divide
-
-        def velocities(gaps, out):
-            return v(divide(mass, gaps, out), out)
-        return velocities
+        raise NotImplementedError
 
     def _v(self, rho: np.ndarray, out: np.ndarray) -> np.ndarray:
         return self._velocities(rho)(_ONE, out)
@@ -130,35 +120,28 @@ class VelocityModel:
             out = np.where(arr == 0.0, 0.0, arr * self._dv(arr))
         return float(out) if np.ndim(rho) == 0 else out
 
-    def critical_density(self, hi: float) -> float:
-        """Argmax of the flux on [0, hi]: hi where f'(hi) >= 0, else the root
-        of f' by ``inverse_flux_derivative``.
-
-        f' is assumed decreasing on [0, hi] (as it is when the flux is concave).
-        """
-        if self.flux_derivative(hi) >= 0.0:
-            return float(hi)
-        return float(self.inverse_flux_derivative(0.0, 0.0, hi))
-
     def inverse_flux_derivative(self, xi, lo: float, hi: float):
         """Solve f'(rho) = xi for rho in [lo, hi], bisecting to 1e-13 * max(1, hi).
 
         f' is assumed decreasing on [lo, hi] (as it is when the flux is
-        concave); xi outside [f'(hi), f'(lo)] gives the nearer end.
+        concave); xi outside (f'(hi), f'(lo)) gives the nearer end, and where
+        every xi does, nothing is bisected.  So xi 0 on [0, hi] gives the
+        argmax of the flux: hi where f'(hi) >= 0, else the root of f'.
         """
         arr = np.asarray(xi, dtype=float)
+        # an end exactly, not a midpoint near it: f(r) - r * xi moves with it
+        at_lo, at_hi = arr >= self.flux_derivative(lo), arr <= self.flux_derivative(hi)
         a = np.full(arr.shape, lo)
         b = np.full(arr.shape, hi)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            high = self.flux_derivative(mid) > arr
-            a = np.where(high, mid, a)
-            b = np.where(high, b, mid)
-            if float(np.max(b - a)) <= 1e-13 * max(1.0, hi):
-                break
-        # an end exactly, not a midpoint near it: f(r) - r * xi moves with it
-        out = np.where(arr >= self.flux_derivative(lo), lo,
-                       np.where(arr <= self.flux_derivative(hi), hi, 0.5 * (a + b)))
+        if not np.all(at_lo | at_hi):
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                high = self.flux_derivative(mid) > arr
+                a = np.where(high, mid, a)
+                b = np.where(high, b, mid)
+                if float(np.max(b - a)) <= 1e-13 * max(1.0, hi):
+                    break
+        out = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
         return float(out) if np.ndim(xi) == 0 else out
 
     def structural_verdicts(self, hi: float):
@@ -218,8 +201,15 @@ class PipesMunjal(VelocityModel):
         with np.errstate(divide="ignore"):
             return -self.v_max * self.alpha * rho ** (self.alpha - 1.0)
 
-    def critical_density(self, hi: float) -> float:
-        return float(min((1.0 / (1.0 + self.alpha)) ** (1.0 / self.alpha), hi))
+    def inverse_flux_derivative(self, xi, lo: float, hi: float):
+        # f'(rho) = v_max * (1 - (1 + alpha) * rho**alpha), with the base class's ends;
+        # np.power, as a scalar's ** can differ from the array ufunc in the last bit
+        arr = np.asarray(xi, dtype=float)
+        root = np.power(np.maximum(1.0 - arr / self.v_max, 0.0) / (1.0 + self.alpha),
+                        1.0 / self.alpha)
+        out = np.where(arr >= self.flux_derivative(lo), lo,
+                       np.where(arr <= self.flux_derivative(hi), hi, np.clip(root, lo, hi)))
+        return float(out) if np.ndim(xi) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -241,8 +231,9 @@ class Underwood(VelocityModel):
     def _dv(self, rho):
         return -self.v_max * np.exp(-rho)
 
-    def critical_density(self, hi: float) -> float:
-        return float(min(1.0, hi))
+    def structural_verdicts(self, hi: float):
+        # rho * v' = -v_max * rho * e^-rho falls up to rho 1; f'' = v_max * e^-rho * (rho - 2)
+        return bool(hi <= 1.0), bool(hi <= 2.0)
 
 
 @dataclass(frozen=True)
@@ -312,10 +303,12 @@ class TabulatedVelocity(VelocityModel):
                 f"density beyond tabulated range [0, {self.rho_table[-1]}]"
             )
 
-    def _v(self, rho, out):
-        self._check_range(rho)
-        out[...] = np.interp(rho, self.rho_table, self.v_table)
-        return out
+    def _velocities(self, mass):
+        def velocities(gaps, out):
+            self._check_range(np.divide(mass, gaps, out))
+            out[...] = np.interp(out, self.rho_table, self.v_table)
+            return out
+        return velocities
 
     def _dv(self, rho):
         self._check_range(rho)
@@ -380,9 +373,9 @@ def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
     Checks, in order: v strictly decreasing, v(0) = v_max exactly,
     rho * v'(rho) non-increasing, and f = rho * v concave (second differences
     at most 1e-10 * (1 + max|f|)); the last two are the law's
-    ``structural_verdicts`` where it decides them exactly, as the tabulated
-    law does, so a kink samples cannot see still counts.  Report-only;
-    never raises on failure.
+    ``structural_verdicts`` where it decides them exactly, as Underwood and
+    the tabulated law do, so a kink or a turn that samples cannot see still
+    counts.  Report-only; never raises on failure.
     A rho_max that is not positive, or infinite (a subnormal gap's density),
     raises ValueError before anything is sampled.  v counts as strictly
     decreasing when its samples never increase and v' is negative at every

@@ -121,9 +121,11 @@ class CustomVelocity(VelocityModel):
         if float(self.v_func(0.0)) != self.v_max:
             raise ValueError("v_func(0) must equal v_max")
 
-    def _v(self, rho, out):
-        out[...] = self.v_func(rho)
-        return out
+    def _velocities(self, mass):
+        def velocities(gaps, out):
+            out[...] = self.v_func(np.divide(mass, gaps, out))
+            return out
+        return velocities
 
     def _dv(self, rho):
         if self.v_prime_func is not None:

@@ -279,9 +279,11 @@ def test_settings_validation():
 
 class Squeeze(Greenshields):
     # follower faster than leader: gap must shrink below the floor
-    def _v(self, rho, out):
-        out[...] = 2.0
-        return out
+    def _velocities(self, mass):
+        def velocities(gaps, out):
+            out[...] = 2.0
+            return out
+        return velocities
 
 
 def test_step_underflow_raises_with_diagnostic_state(monkeypatch):

@@ -1,4 +1,4 @@
-"""`src/` carries what the CLI runs: every top-level definition has a caller there.
+"""`src/` carries what the CLI runs: every definition, methods too, has a caller there.
 
 A reference that only the tests need lives in ``tests/oracles.py``.
 """
@@ -8,7 +8,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ftl1d"
 
-# top-level definitions kept without a caller in src/, each with its reason
+# definitions kept without a caller in src/, each with its reason
 ALLOWED = {
     "entropy_K_terms": "wrapped by name in bench/tracing.targets",
     "l1_distance": "wrapped by name in bench/tracing.targets",
@@ -19,25 +19,37 @@ _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _uncalled():
-    """The top-level definitions of src/ftl1d that no src/ code names: a
-    definition naming itself does not count, nor do imports, so neither do
-    __init__.py's re-exports."""
+    """The definitions of src/ftl1d, top-level ones and the methods of
+    top-level classes but dunders, that no src/ code names.  A definition
+    naming itself does not count, nor does code inside an allowlisted
+    definition, which has no caller of its own, nor do imports, so neither
+    do __init__.py's re-exports."""
     defined, named = set(), set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        else:
+            names = set()
+        named.update(names - enclosing)
+        for child in ast.iter_child_nodes(node):
+            own = {child.name} if isinstance(child, _DEFINITIONS) else set()
+            visit(child, enclosing | own)
+
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in tree.body:
-            own = top.name if isinstance(top, _DEFINITIONS) else None
-            if own is not None:
-                defined.add(own)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    named.add(name)
+            if not isinstance(top, _DEFINITIONS):
+                visit(top, set())
+                continue
+            defined.add(top.name)
+            defined.update(method.name for method in top.body
+                           if isinstance(method, _DEFINITIONS[:2])
+                           and not method.name.startswith("__"))
+            if top.name not in ALLOWED:
+                visit(top, {top.name})
     return defined - named
 
 

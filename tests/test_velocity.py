@@ -96,7 +96,7 @@ def test_check_assumptions_all_families_on_unit_range():
 
 def test_underwood_weighted_slope_fails_beyond_one():
     # rho * v'(rho) = -rho * exp(-rho) turns around at rho = 1, so the
-    # sampled condition holds on [0, 1] but not on [0, 2].
+    # condition holds on [0, 1] but not on [0, 2].
     ok = check_assumptions(Underwood(1.0), rho_max=1.0)
     assert ok.weighted_slope_non_increasing
     bad = check_assumptions(Underwood(1.0), rho_max=2.0)
@@ -263,7 +263,7 @@ LAWS = BUILTINS + [
     CustomVelocity(v_func=lambda rho: 1.0 - 0.25 * rho * rho, v_max=1.0),
 ]
 
-# the built-in laws' formulas in the order of operations of their _v
+# the built-in laws' formulas in the order of operations of their kernels
 FORMULAS = {
     Greenshields: lambda m, rho: m.v_max * (1.0 - rho),
     PipesMunjal: lambda m, rho: m.v_max * (1.0 - rho**m.alpha),
@@ -313,8 +313,7 @@ def test_kernel_is_value_of_mass_over_gaps_bit_for_bit(law, mass, gaps):
     velocities = law._velocities(np.array(mass))
     rho = mass / gaps
     if isinstance(law, TabulatedVelocity) and np.any(rho > law.rho_table[-1]):
-        # the kernel of a custom or tabulated law divides and calls its _v,
-        # which raises where value does
+        # the tabulated law's kernel divides, then raises where value does
         with pytest.raises(ValueError, match="beyond tabulated range"):
             law.value(rho)
         with pytest.raises(ValueError, match="beyond tabulated range"):
@@ -358,13 +357,49 @@ def test_bound_operands_follow_the_fields(law, changes):
 
 def test_laws_that_bind_no_operands_evaluate_after_replace():
     # the custom and tabulated laws do not run the base class's
-    # __post_init__, and their _v reads no bound operand
+    # __post_init__, and their kernels read no bound operand
     custom = dataclasses.replace(CustomVelocity(v_func=lambda r: 1.0 - r, v_max=1.0),
                                  v_func=lambda r: 1.17 * (1.0 - r), v_max=1.17)
     assert custom.value(0.5) == 1.17 * 0.5
     table = TabulatedVelocity(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     table = pickle.loads(pickle.dumps(dataclasses.replace(table, v_table=np.array([1.17, 0.0]))))
     assert table.v_max == 1.17 and table.value(0.5) == 0.585
+
+
+@pytest.mark.parametrize("law", [*velocity.KINDS.values(), CustomVelocity],
+                         ids=lambda law: law.__name__)
+def test_every_law_writes_a_kernel_and_no_v(law):
+    # _v is the base class's reading of the kernel at the gaps 1.0
+    assert "_velocities" in vars(law) and "_dv" in vars(law)
+    assert "_v" not in vars(law)
+
+
+def test_a_law_without_a_kernel_raises_not_implemented():
+    @dataclasses.dataclass(frozen=True)
+    class SlopeOnly(velocity.VelocityModel):
+        v_max: float = 1.0
+
+        def _dv(self, rho):
+            return np.full_like(rho, -self.v_max)
+
+    with pytest.raises(NotImplementedError):
+        SlopeOnly().value(0.5)
+    with pytest.raises(NotImplementedError):
+        integrate(atomize(scenario("box"), 8), SlopeOnly(), 0.1)
+
+
+@pytest.mark.parametrize(("rho_max", "verdicts"), [
+    (1.0, (True, True)), (np.nextafter(1.0, 2.0), (False, True)), (1.001, (False, True)),
+    (2.0, (False, True)), (np.nextafter(2.0, 3.0), (False, False)), (2.001, (False, False)),
+])
+def test_underwood_reads_its_verdicts_from_closed_forms(rho_max, verdicts):
+    # rho * v' turns around at rho 1 and f'' changes sign at rho 2; 256
+    # samples read both true up to 1.001 and 2.001
+    report = check_assumptions(Underwood(1.3), rho_max)
+    assert report.weighted_slope_non_increasing is verdicts[0]
+    assert report.flux_concave is verdicts[1]
+    assert report.v_strictly_decreasing and report.v_at_zero_equals_v_max
+    assert _sampled_structure(Underwood(1.3), report.grid) == (rho_max < 1.002, True)
 
 
 def test_integrate_and_riemann_solve_call_check_assumptions_through_the_module(monkeypatch):
@@ -385,7 +420,9 @@ def test_integrate_and_riemann_solve_call_check_assumptions_through_the_module(m
 def _verdicts_by_public_methods(model, rho_max):
     """The four verdicts of ``check_assumptions`` read through the public
     methods, each law evaluated afresh for every verdict; a tabulated law's
-    last two read from its tables: no slope rises at a node inside (0, rho_max)."""
+    last two read from its tables: no slope rises at a node inside (0, rho_max),
+    and Underwood's from its closed forms: rho * v' = -v_max * rho * e^-rho
+    falls up to rho 1, and f'' = v_max * e^-rho * (rho - 2) is negative up to 2."""
     grid = np.linspace(0.0, rho_max, ADMISSIBILITY_SAMPLES)
     decreasing = bool(np.all(np.diff(model.value(grid)) <= 0.0)
                       and np.all(model.derivative(grid[1:]) < 0.0))
@@ -393,6 +430,8 @@ def _verdicts_by_public_methods(model, rho_max):
         slopes = np.diff(model.v_table) / np.diff(model.rho_table)
         kinked = bool(np.any((np.diff(slopes) > 0.0)[model.rho_table[1:-1] < rho_max]))
         return decreasing, model.value(0.0) == model.v_max, not kinked, not kinked
+    if isinstance(model, Underwood):
+        return decreasing, model.value(0.0) == model.v_max, rho_max <= 1.0, rho_max <= 2.0
     return (decreasing, model.value(0.0) == model.v_max, *_sampled_structure(model, grid))
 
 
