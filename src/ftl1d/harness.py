@@ -186,17 +186,12 @@ def _write_hashed(path: Path, blocks) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(path: Path, header: str, blocks) -> str:
-    """Write the header line, then every block, a tuple of equally long
-    string columns, as one comma-joined line per entry, by ``_write_hashed``;
-    return the file's sha256 hex digest."""
-    def text():
-        yield header + "\n"
-        for columns in blocks:
-            rows = "\n".join(map(",".join, zip(*columns)))
-            if rows:
-                yield rows + "\n"
-    return _write_hashed(path, text())
+def _write_csv(path: Path, header: str, columns) -> str:
+    """Write the header line, then the equally long string columns as one
+    comma-joined line per entry, by ``_write_hashed``; return the file's
+    sha256 hex digest."""
+    rows = "\n".join(map(",".join, zip(*columns)))
+    return _write_hashed(path, (header + "\n", rows + "\n" if rows else ""))
 
 
 def write_trajectory_csv(path: Path, trajectory: dynamics.Trajectory) -> str:
@@ -212,7 +207,7 @@ def write_trajectory_csv(path: Path, trajectory: dynamics.Trajectory) -> str:
 
 def write_density_csv(path: Path, density: initial_data.PiecewiseConstantDensity) -> str:
     bp = _column(density.breakpoints)
-    return _write_csv(path, "x_left,x_right,value", [(bp[:-1], bp[1:], _column(density.values))])
+    return _write_csv(path, "x_left,x_right,value", (bp[:-1], bp[1:], _column(density.values)))
 
 
 def write_quantile_csv(path: Path, hat: initial_data.PiecewiseConstantDensity) -> str:
@@ -221,14 +216,14 @@ def write_quantile_csv(path: Path, hat: initial_data.PiecewiseConstantDensity) -
     Every cell carries positive mass, so the cumulative masses increase
     strictly and the quantile is the CDF with its axes swapped.
     """
-    return _write_csv(path, "z,X_z", [(_column(hat.cumulative_masses), _column(hat.breakpoints))])
+    return _write_csv(path, "z,X_z", (_column(hat.cumulative_masses), _column(hat.breakpoints)))
 
 
 def write_diagnostics_csv(path: Path, report: diagnostics.DiagnosticsReport) -> str:
     columns = (report.times, report.min_gap_ratios, report.oleinik_interior_max,
                report.oleinik_leader, report.tv_hat, report.tv_velocity)
     header = "t,min_gap_ratio,oleinik_interior_max,oleinik_leader,tv_hat,tv_velocity"
-    return _write_csv(path, header, [tuple(map(_column, columns))])
+    return _write_csv(path, header, map(_column, columns))
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def max_wave_speed(model: VelocityModel, rho_hi: float) -> float:
 
 def entropy_mass(datum: PiecewiseConstantDensity, model: VelocityModel, t: float, x):
     """Cumulative mass M(x, t), the mass left of x, of the entropy solution
-    from ``datum`` at time t >= 0, exactly; x may be a scalar or an array.
+    from ``datum`` at a finite time t >= 0, exactly; x may be a scalar or an array.
 
     M solves M_t + f(M_x) = 0 from the datum's CDF M0, so for a concave flux
     the Lax-Hopf formula gives M = max over y of M0(y) - t * L((x - y) / t),
@@ -148,8 +148,8 @@ def entropy_mass(datum: PiecewiseConstantDensity, model: VelocityModel, t: float
     go in blocks of about 2**18 (point, piece) pairs, so memory stays bounded
     for a datum of many cells.
     """
-    if not t >= 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
     r = datum.sup_norm
     _require_concave(model, r)
     x = np.asarray(x, dtype=float)
@@ -182,7 +182,7 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
             >= 0 acts only where u_j < star and d2F = f'(u_j) <= 0 only where
             u_j > star.  So dH/du_j >= 1 - cfl: the scheme is monotone for cfl
             <= 1 and converges to the entropy solution (Crandall & Majda 1980).
-        t_end: final time.
+        t_end: final time, finite and nonnegative.
 
     Returns:
         Cell-average density at t_end on a grid that reaches (n_steps + 1) *
@@ -198,8 +198,8 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
         raise ValueError("dx must be positive and finite")
     if not 0.0 < cfl < 1.0:
         raise ValueError("cfl must lie in (0, 1)")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and nonnegative")
     r = datum.sup_norm
     _require_concave(model, r)
     n_steps = 0

@@ -9,7 +9,9 @@ non-increasing, and the oracles a concave flux rho * v(rho).
 ``check_assumptions`` samples those four conditions on a grid of
 ``ADMISSIBILITY_SAMPLES`` points, except the last two where the law decides
 them exactly (``structural_verdicts``: Underwood's closed forms, and the
-tabulated law's slopes); no other code samples a law.
+tabulated law's slopes); no other code samples a law.  Every law states its
+slope v' exactly, the tabulated law as the slope of the segment holding rho,
+so no law here differences its values.
 """
 
 from __future__ import annotations
@@ -19,17 +21,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-DERIVATIVE_STEP = 1e-6   # centered-difference step of laws without a closed-form v'
 ADMISSIBILITY_SAMPLES = 256   # check_assumptions' grid: the one grid of every sampled verdict
 _ONE = np.array(1.0)   # the gaps of _v: rho / 1.0 is rho, with ±0, inf and NaN
-
-
-def _centered_difference(v, rho, top):
-    """(v(hi) - v(lo)) / (hi - lo) with lo, hi = rho -/+ DERIVATIVE_STEP
-    clipped into [0, top]."""
-    lo = np.maximum(rho - DERIVATIVE_STEP, 0.0)
-    hi = np.minimum(rho + DERIVATIVE_STEP, top)
-    return (v(hi) - v(lo)) / (hi - lo)
 
 
 def _as_density(rho):
@@ -272,8 +265,10 @@ class TabulatedVelocity(VelocityModel):
 
     Both tables must be finite, and the table must start at rho = 0 (so
     v_max = v(0) is defined); evaluation outside the tabulated range is
-    rejected rather than extrapolated.  Derivatives use centered
-    differences with step ``DERIVATIVE_STEP``, clipped into the table.
+    rejected rather than extrapolated.  The slope v' is the slope of the
+    segment [rho_k, rho_k+1) holding rho, right-continuous like
+    ``PiecewiseConstantDensity.values_at``, and the last segment's slope at
+    the table's end; the slopes are bound once, when the law is built.
     """
 
     rho_table: np.ndarray
@@ -296,6 +291,7 @@ class TabulatedVelocity(VelocityModel):
         object.__setattr__(self, "rho_table", rho)
         object.__setattr__(self, "v_table", vel)
         object.__setattr__(self, "v_max", float(vel[0]))
+        self._bind(_slopes=np.diff(vel) / np.diff(rho))
 
     def _check_range(self, rho):
         if np.any(rho > self.rho_table[-1]):
@@ -312,7 +308,8 @@ class TabulatedVelocity(VelocityModel):
 
     def _dv(self, rho):
         self._check_range(rho)
-        return _centered_difference(self.value, rho, self.rho_table[-1])
+        # the interior nodes at or below rho count the segments before its own
+        return self._slopes[np.searchsorted(self.rho_table[1:-1], rho, side="right")]
 
     def structural_verdicts(self, hi: float):
         """Both hold on [0, hi] exactly when no slope rises at a node inside
@@ -327,9 +324,8 @@ class TabulatedVelocity(VelocityModel):
         collinear table (0, 0.3, 0.45), (1, 0.7, 0.55), whose computed slopes
         are -1.0000000000000002 and -0.9999999999999992, is concave.
         """
-        rho, vel = self.rho_table, self.v_table
+        rho, vel, slope = self.rho_table, self.v_table, self._slopes
         width = np.diff(rho)
-        slope = np.diff(vel) / width
         err = (2.0 * np.finfo(float).eps
                * (np.abs(vel[:-1]) + np.abs(vel[1:]) - slope * (rho[:-1] + rho[1:])) / width)
         rises = np.diff(slope) > err[1:] + err[:-1]

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ftl1d import ParticleConfiguration, PiecewiseConstantDensity, VelocityModel
-from ftl1d.velocity import _centered_difference
 
 
 def min_gap_ratio(config: ParticleConfiguration, rho_max: float) -> float:
@@ -109,8 +108,9 @@ class CustomVelocity(VelocityModel):
     """Closed-form law given by callables.
 
     ``v_func`` (and optionally ``v_prime_func``) must accept numpy arrays.
-    When no derivative is supplied, the tabulated law's centered difference
-    with step ``ftl1d.velocity.DERIVATIVE_STEP`` is used.
+    When no derivative is supplied, v' is the difference quotient
+    (v(hi) - v(lo)) / (hi - lo) with lo, hi = rho -/+ 1e-6 and lo clipped at
+    0, so a test can give a kinked or flat v by its values alone.
     """
 
     v_func: object
@@ -130,4 +130,5 @@ class CustomVelocity(VelocityModel):
     def _dv(self, rho):
         if self.v_prime_func is not None:
             return np.asarray(self.v_prime_func(rho), dtype=float)
-        return _centered_difference(self.value, rho, np.inf)
+        lo, hi = np.maximum(rho - 1e-6, 0.0), rho + 1e-6
+        return (self.value(hi) - self.value(lo)) / (hi - lo)

@@ -236,6 +236,9 @@ def test_time_continuity_two_particle_closed_form():
     with pytest.raises(ValueError):
         time_continuity_moduli(
             integrate(config([0.0, 1.0]), model, 0.0), model, 0.1)
+    mixed = Trajectory((config([0.0, 1.0]), config([0.0, 1.0], mass=0.25, time=0.5)))
+    with pytest.raises(ValueError, match="^the states must carry one particle mass$"):
+        time_continuity_moduli(mixed, model, 0.1)
 
 
 @pytest.mark.parametrize("name, model, rate", [

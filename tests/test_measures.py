@@ -128,6 +128,18 @@ def test_pseudo_inverse_requires_monotone():
         PiecewiseMonotone(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(("breakpoints", "values", "message"), [
+    ([1.0, 0.0], [0.0, 1.0], "breakpoints must be non-decreasing"),
+    ([0.0, 1.0], [0.0], "breakpoints and values must be nonempty 1-d arrays of one size"),
+    ([], [], "breakpoints and values must be nonempty 1-d arrays of one size"),
+    ([[0.0, 1.0]], [[0.0, 1.0]], "breakpoints and values must be nonempty 1-d arrays of one size"),
+], ids=["falling_breakpoints", "unequal_sizes", "empty", "two_d"])
+def test_piecewise_monotone_refuses_what_is_not_a_monotone_polyline(breakpoints, values,
+                                                                    message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PiecewiseMonotone(np.array(breakpoints), np.array(values))
+
+
 @st.composite
 def polylines(draw):
     """A non-decreasing polyline on 1-8 distinct nodes, each repeated 1-3
@@ -211,6 +223,11 @@ def test_wasserstein_box_vs_centered_atom():
     atom = staircase([0.5], 1.0)
     assert wasserstein(box, atom) == pytest.approx(0.25, abs=1e-15)
     assert wasserstein_via_quantiles(box, atom) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_wasserstein_of_two_equal_atoms_is_zero():
+    # both CDFs jump at one node, so the merged mesh has no interval
+    assert wasserstein(staircase([0.0], 1.0), staircase([0.0], 1.0)) == 0.0
 
 
 def test_wasserstein_rejects_mass_mismatch():

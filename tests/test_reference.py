@@ -244,6 +244,46 @@ def test_godunov_input_validation():
         godunov(datum, model, dx=0.1, cfl=1.5, t_end=1.0)
     with pytest.raises(ValueError):
         riemann_solve(model, -0.1, 0.5)
+    with pytest.raises(ValueError, match="^time step underflow$"):
+        godunov(datum, model, dx=1e-20, cfl=0.5, t_end=1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_oracles_refuse_a_horizon_that_is_not_finite(t):
+    # NaN fails every comparison, so a test of t < 0 alone lets it through
+    datum, model = scenario("riemann_like"), Greenshields(1.0)
+    with pytest.raises(ValueError, match="^t_end must be finite and nonnegative$"):
+        godunov(datum, model, dx=0.05, cfl=0.5, t_end=t)
+    with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
+        entropy_mass(datum, model, t, 0.0)
+
+
+def test_riemann_mass_and_l1_error_refuse_reversed_and_empty_windows():
+    model = Greenshields(1.0)
+    sol = riemann_solve(model, 0.8, 0.2)
+    with pytest.raises(ValueError, match="^need a <= b$"):
+        riemann_mass(sol, model, 0.5, 1.0, 0.0)
+    density = scenario("riemann_like")
+    with pytest.raises(ValueError, match="^empty window$"):
+        riemann_l1_error(density, sol, model, 0.5, (0.3, 0.3))
+
+
+# concave: f' = 1 - 1.6 rho below the node 0.5 and 1.2 - 2.4 rho above it, so
+# f' drops from 0.2 to 0 at the node and a fan holds 0.5 for x / t in [0, 0.2]
+_KINKED_TABLE = TabulatedVelocity(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.6, 0.0]))
+
+
+def test_a_tabulated_fan_holds_the_node_density_on_its_plateau():
+    sol = riemann_solve(_KINKED_TABLE, 0.8, 0.2)
+    x = np.linspace(0.01, 0.19, 19)
+    assert np.max(np.abs(riemann_eval(sol, _KINKED_TABLE, 1.0, x) - 0.5)) <= 1e-12
+
+
+def test_a_tabulated_entropy_solution_holds_the_node_density_on_its_plateau():
+    # riemann_like's fan is untouched by its ends' waves up to t 1.04; M_x = rho
+    x = np.linspace(0.01, 0.09, 9)
+    mass = entropy_mass(scenario("riemann_like"), _KINKED_TABLE, 0.5, x)
+    assert np.max(np.abs(np.diff(mass) / np.diff(x) - 0.5)) <= 1e-12
 
 
 def test_riemann_l1_error_exact_on_matching_profile():

@@ -4,9 +4,13 @@ A reference that only the tests need lives in ``tests/oracles.py``.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ftl1d"
+import ftl1d
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ftl1d"
 
 # definitions kept without a caller in src/, each with its reason
 ALLOWED = {
@@ -60,3 +64,15 @@ def test_every_src_definition_has_a_src_caller():
 def test_every_allowed_name_is_defined_and_uncalled():
     # an entry whose definition is gone, or gained a caller, is dropped
     assert sorted(set(ALLOWED) - _uncalled()) == []
+
+
+def test_every_name_the_benchmark_traces_is_its_owners_own():
+    # bench/tracing.py swaps each target for a timing wrapper through its
+    # owner's __dict__, so a renamed or removed name stops only a traced round
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = tracing.targets(ftl1d)
+    assert targets
+    assert [(owner.__name__, attr) for owner, attr, *_ in targets
+            if attr not in owner.__dict__] == []

@@ -133,7 +133,6 @@ def test_custom_flat_beyond_half_fails_monotonicity():
 def test_custom_finite_difference_metadata():
     model = CustomVelocity(v_func=lambda r: np.exp(-np.asarray(r)), v_max=1.0)
     assert model.v_prime_func is None
-    assert velocity.DERIVATIVE_STEP == 1e-6
     assert model.derivative(0.5) == pytest.approx(-np.exp(-0.5), abs=1e-9)
 
 
@@ -158,6 +157,12 @@ def test_builtin_laws_refuse_v_max_not_positive_and_finite(kind, v_max):
         _law({"kind": kind, "v_max": v_max})
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+def test_pipes_munjal_refuses_alpha_not_positive(alpha):
+    with pytest.raises(ValueError, match="^alpha must be positive$"):
+        PipesMunjal(1.0, alpha)
+
+
 def test_modified_greenberg_rejects_alpha_outside_unit_interval():
     for alpha in (1.0, 1.5, 0.0, -0.2):
         with pytest.raises(ValueError):
@@ -177,9 +182,10 @@ def test_tabulated_model_interpolates_and_rejects_extrapolation():
 
 
 def test_finite_differences_are_centered_and_clipped():
-    # the same floats as (v(hi) - v(lo)) / (hi - lo), lo and hi clipped to [0, top]
-    h = velocity.DERIVATIVE_STEP
-    rho = np.array([0.0, 0.4 * h, 0.3, 1.0 - 0.5 * h, 1.0])
+    # the test law's fallback: the same floats as (v(hi) - v(lo)) / (hi - lo),
+    # lo clipped at 0; the tabulated law differences nothing
+    h = 1e-6
+    rho = np.array([0.0, 0.4 * h, 0.3, 0.5, 1.0 - 0.5 * h, 1.0])
     lo = np.maximum(rho - h, 0.0)
 
     def f(r):
@@ -190,10 +196,38 @@ def test_finite_differences_are_centered_and_clipped():
     np.testing.assert_array_equal(custom.derivative(rho), (f(hi) - f(lo)) / (hi - lo))
     rho_table, v_table = np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.6, 0.0])
     table = TabulatedVelocity(rho_table=rho_table, v_table=v_table)
-    hi = np.minimum(rho + h, 1.0)
-    expected = (np.interp(hi, rho_table, v_table)
-                - np.interp(lo, rho_table, v_table)) / (hi - lo)
-    np.testing.assert_array_equal(table.derivative(rho), expected)
+    s = np.diff(v_table) / np.diff(rho_table)
+    # right-hand at the interior node 0.5, the last slope at the end 1.0
+    np.testing.assert_array_equal(table.derivative(rho), s[[0, 0, 0, 1, 1, 1]])
+
+
+@pytest.mark.parametrize(("rho_table", "v_table"), [
+    ([0.0, 0.5, 1.0], [1.0, 0.6, 0.0]),
+    ([0.0, 0.15, 1.5, 2.0], [1.0, 0.7, 0.2, 0.0]),
+], ids=["concave", "kinked"])
+def test_tabulated_slope_at_a_node_is_the_right_hand_segment_slope(rho_table, v_table):
+    # [rho_k, rho_k+1) holds the node rho_k, as in PiecewiseConstantDensity.values_at,
+    # and the table's end takes the last slope; no two segments are averaged
+    law = TabulatedVelocity(np.array(rho_table), np.array(v_table))
+    s = np.diff(law.v_table) / np.diff(law.rho_table)
+    right, below = np.append(s, s[-1]), np.insert(s, 0, s[0])
+    np.testing.assert_array_equal(law.derivative(law.rho_table), right)
+    for node, slope, slope_below in zip(law.rho_table, right, below):
+        assert law.derivative(node) == slope
+        assert law.derivative(np.nextafter(node, 0.0)) == slope_below
+        assert law.flux_derivative(node) == law.value(node) + node * slope
+
+
+@pytest.mark.parametrize(("rho_table", "v_table", "message"), [
+    ([[0.0, 1.0]], [[1.0, 0.0]], "tables must be 1-d, equal length, size >= 2"),
+    ([0.0, 0.5, 1.0], [1.0, 0.0], "tables must be 1-d, equal length, size >= 2"),
+    ([0.0], [1.0], "tables must be 1-d, equal length, size >= 2"),
+    ([0.0, 0.5, 0.5], [1.0, 0.5, 0.0], "rho_table must be strictly increasing"),
+    ([0.0, 0.5, 0.4], [1.0, 0.5, 0.0], "rho_table must be strictly increasing"),
+], ids=["two_d", "unequal_length", "one_node", "repeated_density", "falling_density"])
+def test_tabulated_refuses_a_malformed_table(rho_table, v_table, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TabulatedVelocity(rho_table=np.array(rho_table), v_table=np.array(v_table))
 
 
 def test_tabulated_rejects_non_decreasing_values():
@@ -386,6 +420,19 @@ def test_a_law_without_a_kernel_raises_not_implemented():
         SlopeOnly().value(0.5)
     with pytest.raises(NotImplementedError):
         integrate(atomize(scenario("box"), 8), SlopeOnly(), 0.1)
+
+
+def test_a_law_without_a_slope_raises_not_implemented():
+    @dataclasses.dataclass(frozen=True)
+    class KernelOnly(velocity.VelocityModel):
+        v_max: float = 1.0
+
+        def _velocities(self, mass):
+            return Greenshields(self.v_max)._velocities(mass)
+
+    assert KernelOnly().value(0.5) == 0.5
+    with pytest.raises(NotImplementedError):
+        KernelOnly().derivative(0.5)
 
 
 @pytest.mark.parametrize(("rho_max", "verdicts"), [
