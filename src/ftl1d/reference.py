@@ -64,10 +64,11 @@ def riemann_solve(model: VelocityModel, rho_l: float, rho_r: float) -> RiemannSo
 
 
 def riemann_eval(sol: RiemannSolution, model: VelocityModel, t: float, x):
-    """Density of the self-similar solution at time t >= 0 and positions x;
-    at t = 0 it is the datum, the left state left of 0 and the right one from 0 on."""
-    if not t >= 0.0:
-        raise ValueError("t must be nonnegative")
+    """Density of the self-similar solution at a finite time t >= 0 and
+    positions x; at t = 0 it is the datum, the left state left of 0 and the
+    right one from 0 on."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
     x = np.asarray(x, dtype=float)
     xi = x / t if t > 0.0 else np.copysign(np.inf, x)
     if sol.kind == "constant":
@@ -91,9 +92,10 @@ def _cumulative_mass(sol: RiemannSolution, model: VelocityModel, t: float, x: np
 
 
 def riemann_mass(sol: RiemannSolution, model: VelocityModel, t: float, a, b):
-    """Exact integral M(b) - M(a) of the solution density over [a, b] at time
-    t >= 0, for shocks, fans and constant states alike.  a and b may be scalars
-    or arrays of interval ends (broadcast together); scalars give a float."""
+    """Exact integral M(b) - M(a) of the solution density over [a, b] at a
+    finite time t >= 0, for shocks, fans and constant states alike.  a and b
+    may be scalars or arrays of interval ends (broadcast together); scalars
+    give a float."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.any(a > b):
         raise ValueError("need a <= b")
@@ -103,11 +105,14 @@ def riemann_mass(sol: RiemannSolution, model: VelocityModel, t: float, a, b):
 
 def riemann_l1_error(density: PiecewiseConstantDensity, sol: RiemannSolution,
                      model: VelocityModel, t: float, window) -> float:
-    """Exact integral of |density - solution| over a window at time t >= 0.
+    """Exact integral of |density - solution| over a window at a finite time
+    t >= 0.
 
     The window must be a region where the two-state solution is valid for
     the data the density approximates.
     """
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("empty window")

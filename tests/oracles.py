@@ -6,10 +6,11 @@ of states, at a time, from their definitions, with numpy and the public
 ``ftl1d`` API only, so a comparison does not check the run's kernels
 against themselves.  Each writes its arithmetic in the run's order of
 operations, so the tests compare with ``==``.  ``CustomVelocity`` is a law
-no config can name, for tests that need an increasing, flat or kinked v.
+no config can name, for tests that need an increasing, flat or kinked v;
+``CountingVelocity`` wraps a law to count how often a run evaluates it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,3 +133,35 @@ class CustomVelocity(VelocityModel):
             return np.asarray(self.v_prime_func(rho), dtype=float)
         lo, hi = np.maximum(rho - 1e-6, 0.0), rho + 1e-6
         return (self.value(hi) - self.value(lo)) / (hi - lo)
+
+
+@dataclass(frozen=True)
+class CountingVelocity(VelocityModel):
+    """``law``, whose run kernels count their calls in ``calls[0]``.
+
+    Each kernel ``_velocities`` builds is ``law``'s behind a counter that
+    adds 1 before the call, so a call that raises counts.  ``value``, the
+    slopes and so the admissibility check read ``law`` uncounted: the count
+    is the evaluations of a run's right-hand side.
+    """
+
+    law: VelocityModel
+    calls: list = field(default_factory=lambda: [0])
+
+    @property
+    def v_max(self):
+        return self.law.v_max
+
+    def _velocities(self, mass):
+        kernel, calls = self.law._velocities(mass), self.calls
+
+        def velocities(gaps, out):
+            calls[0] += 1
+            return kernel(gaps, out)
+        return velocities
+
+    def _v(self, rho, out):
+        return self.law._v(rho, out)
+
+    def _dv(self, rho):
+        return self.law._dv(rho)

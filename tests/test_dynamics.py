@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ftl1d import (
 )
 from ftl1d import dynamics
 from ftl1d.dynamics import METHODS, default_step, sample_grid
-from oracles import CustomVelocity
+from oracles import CountingVelocity, CustomVelocity
 
 
 def lagrangian_rhs(y, model, cell_mass):
@@ -55,7 +56,7 @@ def closed_form_follower(t):
 
 def first_stages(c, model):
     # the first stage that each method's workspace evaluates when bound to c
-    return [METHODS[m].bind(c.positions, c.particle_mass, model, 0.0, 1e-8, 1e-8)[0]
+    return [METHODS[m].bind(c.positions, c.particle_mass, model, 0.0, 1e-8, 1e-8, [0])[0]
             for m in METHODS]
 
 
@@ -361,7 +362,7 @@ def test_rk4_fixed_matches_classical_rk4_bit_for_bit(model):
 
 
 # Dormand & Prince (1980): the stage rows, the 5th-order weights and the
-# embedded 4th-order weights
+# published error row e = b - b_hat of the embedded 4th-order weights b_hat
 DP45_A = ((1 / 5,),
           (3 / 40, 9 / 40),
           (44 / 45, -56 / 15, 32 / 9),
@@ -369,14 +370,38 @@ DP45_A = ((1 / 5,),
           (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
           (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
 DP45_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-DP45_E = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+DP45_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def test_dp45_error_row_is_the_weights_less_the_embedded_weights():
+    # in rationals, e = b - b_hat exactly; each float rounds its rational once
+    b = (Fraction(35, 384), 0, Fraction(500, 1113), Fraction(125, 192), Fraction(-2187, 6784),
+         Fraction(11, 84), 0)
+    b_hat = (Fraction(5179, 57600), 0, Fraction(7571, 16695), Fraction(393, 640),
+             Fraction(-92097, 339200), Fraction(187, 2100), Fraction(1, 40))
+    e = (Fraction(71, 57600), 0, Fraction(-71, 16695), Fraction(71, 1920),
+         Fraction(-17253, 339200), Fraction(22, 525), Fraction(-1, 40))
+    assert all(bi - ci == ei for bi, ci, ei in zip(b, b_hat, e))
+    assert DP45_E == tuple(float(ei) for ei in e)
+    assert DP45_B == tuple(float(bi) for bi in b)
+    assert METHODS["rk45_adaptive"].error == dynamics._nonzero(DP45_E)
+
+
+def test_dp45_is_first_same_as_last_and_rk4_is_not():
+    # the 7th stage row is the weights: its stage state is the candidate
+    assert DP45_A[-1] + (0.0,) == DP45_B
+    assert METHODS["rk45_adaptive"].fsal
+    assert not METHODS["rk4_fixed"].fsal
 
 
 def textbook_dp45_step(x, dt, m, model, abs_tol, rel_tol):
-    # each stage state is a running sum from x in term order, each weighted
-    # sum runs from -0.0 in index order; zero coefficients are skipped
+    # first same as last: stages 1-6, each stage state a running sum from x
+    # in term order; the candidate out = x + dt * sum b_i k_i, whose
+    # velocities are the 7th stage k7 = f(out); the error estimate is
+    # dt * sum e_i k_i.  Each weighted sum runs from -0.0 in index order, and
+    # zero coefficients are skipped
     k = [rhs(x, m, model)]
-    for row in DP45_A:
+    for row in DP45_A[:-1]:
         xi = x
         for j, a in enumerate(row):
             if a != 0.0:
@@ -391,7 +416,8 @@ def textbook_dp45_step(x, dt, m, model, abs_tol, rel_tol):
         return total
 
     out = x + dt * weighted(DP45_B)
-    err = out - (x + dt * weighted(DP45_E))
+    k.append(rhs(out, m, model))
+    err = dt * weighted(DP45_E)
     scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(out))
     return out, float(np.max(np.abs(err) / scale))
 
@@ -407,7 +433,7 @@ def test_rk45_adaptive_step_matches_a_textbook_dormand_prince_step_bit_for_bit(m
     # on from their candidate, whose velocities the accepting step filled
     c0 = atomize(scenario("double_hump"), 64)
     x, m, dt = c0.positions.copy(), c0.particle_mass, 1e-3
-    _, step = METHODS["rk45_adaptive"].bind(x, m, model, 0.0, tol, tol)
+    _, step = METHODS["rk45_adaptive"].bind(x, m, model, 0.0, tol, tol, [0])
     out = np.empty_like(x)
     for _ in range(1 if verdict else 20):
         with np.errstate(all="ignore"):
@@ -425,7 +451,7 @@ def test_each_weighted_sum_reads_consecutive_rows_of_the_stage_block(method):
     table = METHODS[method]
     assert sorted(table.layout) == list(range(len(table.stages) + 1))
     assert table.layout[0] == 0
-    for terms in (table.weights, table.embedded):
+    for terms in (table.weights, table.error):
         if terms is not None:
             rows = [table.layout.index(j) for j, _ in terms]
             assert rows == list(range(rows[0], rows[0] + len(rows)))
@@ -438,11 +464,11 @@ def test_stage_layouts_of_the_built_in_tables():
 
 
 def test_a_table_whose_sums_cannot_all_be_slices_is_refused():
-    # weights on stages {0, 2} and the embedded row on {1, 2}: whichever row
+    # weights on stages {0, 2} and the error row on {1, 2}: whichever row
     # holds stage 1, one of the two sums skips it
     with pytest.raises(ValueError, match="consecutive rows"):
         dynamics._Tableau(a=((0.5,), (0.0, 0.5)), b=(1.0, 0.0, 1.0), order=2,
-                          embedded=(0.0, 1.0, 1.0))
+                          error=(0.0, 1.0, 1.0))
 
 
 def test_update_of_a_jammed_particle_at_negative_zero_keeps_its_sign():
@@ -461,22 +487,22 @@ def test_rk45_adaptive_step_sequence_is_pinned():
     c0 = atomize(scenario("double_hump"), 64)
     tr = integrate(c0, PipesMunjal(1.0, 2.0), 2.0,
                    IntegratorSettings(method="rk45_adaptive"), np.linspace(0.0, 2.0, 9))
-    assert tr.metadata["steps"] == 55
-    # both rejections come from error control, none from the gap floor
-    assert tr.metadata["rejections"] == 2
-    assert tr.metadata["rejections_by_cause"] == {"error": 2, "gap_floor": 0, "invalid_stage": 0}
+    assert tr.metadata["steps"] == 58
+    # all four rejections come from error control, none from the gap floor
+    assert tr.metadata["rejections"] == 4
+    assert tr.metadata["rejections_by_cause"] == {"error": 4, "gap_floor": 0, "invalid_stage": 0}
     final = tr.states[-1].positions
-    assert final[0] == 1.0277869609280503
+    assert final[0] == 1.0277869608099668
     # every bit of all 65 final positions, as little-endian float64
     assert hashlib.sha256(final.astype("<f8").tobytes()).hexdigest() == (
-        "667562883dc6c4635b8826ab4d63cf6ae35b1f934c8c9699e7fe299aa3e04b7a")
+        "ec30dce4d4d51265bd6267f712a92ac9e4a76ce9e54442d3819e245b4e72c43f")
 
 
 def _step_in_place(method, x, cell_mass, model, floor):
     # one attempt of dt 0 from x, after first-stage velocities of 0 behind
     # the leader's bound v_max: every stage state and the candidate are x
     # itself, bit for bit
-    k1, step = METHODS[method].bind(x, cell_mass, model, floor, 1e-8, 1e-8)
+    k1, step = METHODS[method].bind(x, cell_mass, model, floor, 1e-8, 1e-8, [0])
     k1[:-1] = 0.0
     out = np.empty_like(x)
     verdict = step(x, 0.0, out)
@@ -517,7 +543,7 @@ def test_kernels_of_one_law_hold_no_state_on_it(model, method):
 
     def bound(c):
         _, step = METHODS[method].bind(c.positions.copy(), c.particle_mass, model, 0.0,
-                                       1e-2, 1e-2)
+                                       1e-2, 1e-2, [0])
         return [step, c.positions.copy(), np.empty(c.positions.size)]
 
     def advance(workspace, dt=0.002):
@@ -598,19 +624,19 @@ OFF_ONE = {   # each law at vacuum speed 1.17
         ("greenshields", "rk4_fixed", 480, 0,
          "b857ae742d2aafc1db4935004e85943c85fad8665717816c12b50d2c09422156"),
         ("greenshields", "rk45_adaptive", 44, 0,
-         "7b514b0e4cd412086c898cdba6b3fa59071a598140d53cab2618574ab9ab682e"),
+         "a515a8696be972ba8c3dff313c3894f68026dd84e2d846b2b83b070e07c95408"),
         ("pipes_munjal", "rk4_fixed", 344, 0,
          "99285a76bd09d1b30126327bddf2e35726978519e0658dc69f2d322a827c1288"),
         ("pipes_munjal", "rk45_adaptive", 48, 2,
-         "21e81ed93ac16b2e0d04c5b6cc28c20867086f2d11fe09f2c0277d4e81e63c8a"),
+         "ad0945c801db38cfed3f7e70ea3410a09073e04df7d5212686db2a0cf0052b3a"),
         ("underwood", "rk4_fixed", 330, 0,
          "a14b9a5c3b72a9b3fd7b880339746b67162d99a999d114d34ea5ba759b130e4f"),
         ("underwood", "rk45_adaptive", 33, 0,
-         "a8db62d51c355ed177f17f2edad05c6ebbc8fde3670c4eaa18c6f345fa083452"),
+         "8e969ac037ce16ffd6c62b15ea62de055d26b1ac4fa2b1239ed38cf6c9e3144b"),
         ("modified_greenberg", "rk4_fixed", 572, 0,
          "8988849976c1daf2e499c9a2db956f8bdfeaae7b3ec874cd913b8963d267f30b"),
         ("modified_greenberg", "rk45_adaptive", 34, 0,
-         "168140323db3107b5a09bf97066a1dd8a83a8f48eb3fc7ec75f3e76ff4364b2b"),
+         "6fb7cff54ac574f6bdeaabf2d0960f0b541eec40de859e5c051054edf715630b"),
     ]])
 def test_final_positions_at_a_vacuum_speed_off_one_are_pinned(law, method, steps,
                                                               rejections, digest):
@@ -645,7 +671,7 @@ def test_rk45_adaptive_at_the_gap_floor_is_pinned(monkeypatch):
     assert tr.metadata["gap_floor_safety"] == 1.0
     assert all(np.min(s.gaps()) >= tr.metadata["gap_floor"] for s in tr.states)
     assert _digest(tr.states[-1].positions) == (
-        "54d9e2a35e7655f2998531a7982fd17b1ab33502f57b3f1071192355191a6681")
+        "e8c1d88b958d412359e6b084dfc154aad83d6087ff7be9805715f626978b2904")
 
 
 def test_stage_gap_below_the_floor_with_a_clear_candidate_is_accepted():
@@ -681,7 +707,7 @@ def test_error_control_retries_an_attempt_whose_candidate_is_below_the_floor(mon
     assert (tr.metadata["steps"], tr.metadata["rejections"]) == (2, 1)
     assert tr.metadata["rejections_by_cause"] == {"error": 1, "gap_floor": 0, "invalid_stage": 0}
     assert _digest(tr.states[-1].positions) == (
-        "bbda32219c715d960cee759fa858d1fc438af6c3ec9f06ac583fda4eb274a39e")
+        "f4ecb5983e2922761ab88a56ddd9695768a42cf187feab64cac5dd6aed2eb4a4")
 
 
 def test_returned_states_and_error_positions_are_copies(monkeypatch):
@@ -716,3 +742,131 @@ def test_returned_states_and_error_positions_are_copies(monkeypatch):
         integrate(c0, Squeeze(v_max=1.0), 1.0, IntegratorSettings(), [1.0])
     assert seen
     assert not any(np.shares_memory(err.value.positions, other) for other in seen)
+
+
+def _attempt(method, model, floor=0.0, tol=1e-8, c=None, dt=1e-3):
+    # one attempt from a fresh workspace: its verdict, its candidate, the
+    # first stage after it, and the kernel calls it made
+    c = c or atomize(scenario("double_hump"), 64)
+    x, out = c.positions.copy(), np.empty(c.positions.size)
+    first, step = METHODS[method].bind(x, c.particle_mass, model, floor, tol, tol, [0])
+    before = model.calls[0]
+    with np.errstate(all="ignore"):
+        verdict = step(x, dt, out)
+    return verdict, out, first, model.calls[0] - before
+
+
+@pytest.mark.parametrize(("method", "floor", "tol", "cause", "calls"), [
+    ("rk4_fixed", 0.0, 1e-8, None, 4),
+    ("rk4_fixed", 1.0, 1e-8, "gap_floor", 3),
+    ("rk45_adaptive", 0.0, 1e-8, None, 6),
+    ("rk45_adaptive", 0.0, 1e-14, "error", 6),
+    ("rk45_adaptive", 1.0, 1e-8, "gap_floor", 6),
+])
+def test_kernel_calls_of_one_attempt(method, floor, tol, cause, calls):
+    # RK4 evaluates its three stages after the first and, on acceptance, the
+    # candidate.  DP45 evaluates five stages, then the candidate, its last
+    # stage state, for the error estimate, and an accepting step copies
+    # those velocities into the first stage: none at acceptance
+    model = CountingVelocity(Greenshields(1.17))
+    (verdict_cause, _), out, first, made = _attempt(method, model, floor, tol)
+    assert (verdict_cause, made) == (cause, calls)
+    if cause is None:
+        m = atomize(scenario("double_hump"), 64).particle_mass
+        np.testing.assert_array_equal(first, rhs(out, m, model.law))
+
+
+class _Logged:
+    """A numpy callable that logs each call; its attributes (a ufunc's
+    ``reduce``) log theirs too."""
+
+    def __init__(self, f, log):
+        self._f, self._log = f, log
+
+    def __call__(self, *args, **kwargs):
+        self._log.append(self._f)
+        return self._f(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return _Logged(getattr(self._f, name), self._log)
+
+
+@pytest.mark.parametrize(("method", "calls"), [("rk4_fixed", 27), ("rk45_adaptive", 71)])
+def test_numpy_calls_of_an_accepted_attempt_under_greenshields(method, calls, monkeypatch):
+    # every numpy function logs its calls while the workspace is bound (the
+    # law's kernel binds its ufuncs then) and one accepted attempt runs.
+    # Greenshields' kernel is 3 calls.  RK4: 3 stages of 6 (a one-term
+    # running sum, its gaps, the law), the update and the gap test (6), the
+    # law at the candidate (3).  DP45: 5 stages of 4 + 2 per term (50), the
+    # update and the gap test (6), the law at the candidate (3), the
+    # estimate from one error row (3) and its norm (8), and the copy of the
+    # candidate's velocities into the first stage (1)
+    c = atomize(scenario("double_hump"), 64)
+    x, out, log = c.positions.copy(), np.empty(c.positions.size), []
+    with monkeypatch.context() as patch:
+        for name, f in list(vars(np).items()):
+            if callable(f) and not isinstance(f, type) and not name.startswith("__"):
+                patch.setattr(np, name, _Logged(f, log))
+        _, step = METHODS[method].bind(x, c.particle_mass, Greenshields(1.17), 0.0, 1e-8,
+                                       1e-8, [0])
+        del log[:]
+        verdict = step(x, 1e-3, out)
+    assert verdict[0] is None
+    assert len(log) == calls
+
+
+# stage states all valid and a candidate whose first gap is not positive
+# (found by a search over small random states)
+CROSSING_CANDIDATES = {
+    "rk4_fixed": (ParticleConfiguration(0.0, 0.25, np.array([0.0, 0.9, 1.38, 1.79])), 2.62),
+    "rk45_adaptive": (ParticleConfiguration(0.0, 0.1, np.array([0.0, 0.34, 0.95, 1.37])), 2.46),
+}
+
+
+@pytest.mark.parametrize(("method", "cause", "calls"), [
+    ("rk4_fixed", "gap_floor", 3), ("rk45_adaptive", "invalid_stage", 5)])
+def test_a_candidate_with_a_gap_that_is_not_positive_is_rejected(method, cause, calls):
+    # DP45's candidate is its last stage state (first same as last), so a
+    # crossing candidate is an invalid stage state, as its 7th stage state
+    # was when it was formed apart; the law is not evaluated there.  RK4's
+    # candidate is no stage state: it is below the floor
+    c, dt = CROSSING_CANDIDATES[method]
+    model = CountingVelocity(Greenshields(1.0))
+    x, m = c.positions, c.particle_mass
+    rows = DP45_A[:-1] if method == "rk45_adaptive" else ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
+    k = [rhs(x, m, model.law)]
+    for row in rows:
+        xi = x + dt * sum(a * k[j] for j, a in enumerate(row))
+        assert np.min(np.diff(xi)) > 0.0
+        k.append(rhs(xi, m, model.law))
+    verdict, out, first, made = _attempt(method, model, c=c, dt=dt)
+    assert np.min(np.diff(out)) <= 0.0
+    assert verdict == (cause, None if cause == "invalid_stage" else 0.0)
+    assert made == calls
+    np.testing.assert_array_equal(first, k[0])
+
+
+@pytest.mark.parametrize("case", ["rk45_adaptive_at_the_gap_floor", "rk4_fixed",
+                                  "rk4_fixed_on_a_raising_law"])
+def test_rhs_evals_is_the_count_of_kernel_calls(case, monkeypatch):
+    if case == "rk45_adaptive_at_the_gap_floor":
+        # the pinned run above, with rejections of all three causes
+        monkeypatch.setattr(dynamics, "GAP_FLOOR_SAFETY", 1.0)
+        model = CountingVelocity(PipesMunjal(1.0, 2.5))
+        settings = IntegratorSettings(method="rk45_adaptive", abs_tol=1e-4, rel_tol=1e-4)
+        tr = integrate(atomize(scenario("box"), 32), model, 1.0, settings, [0.0, 0.5, 1.0])
+        assert all(tr.metadata["rejections_by_cause"].values())
+    elif case == "rk4_fixed":
+        model = CountingVelocity(Greenshields(1.17))
+        tr = integrate(atomize(scenario("riemann_like"), 64), model, 1.0)
+        assert tr.metadata["rhs_evals"] == 1 + 4 * tr.metadata["steps"]
+    else:
+        # the crossing step above: the table raises on a stage after the
+        # crossed one, and the attempt skips the stages after that
+        model = CountingVelocity(TabulatedVelocity(np.array([0.0, 0.15, 1.5]),
+                                                   np.array([1.0, 0.7, 0.0])))
+        c0 = ParticleConfiguration(0.0, 0.05, np.array([0.0, 0.2, 0.3]))
+        tr = integrate(c0, model, 4.0, IntegratorSettings(dt=4.0), [0.0, 4.0])
+        attempts = tr.metadata["steps"] + tr.metadata["rejections"]
+        assert tr.metadata["rhs_evals"] < 1 + 3 * attempts + tr.metadata["steps"]
+    assert tr.metadata["rhs_evals"] == model.calls[0]

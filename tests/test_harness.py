@@ -908,6 +908,8 @@ def test_cli_end_to_end(tmp_path, verb, cfg, jobs):
         by_cause = meta["rejections_by_cause"]
         assert sorted(by_cause) == ["error", "gap_floor", "invalid_stage"]
         assert sum(by_cause.values()) == meta["rejections"]
+        # x0's evaluation and at least one per attempt
+        assert meta["rhs_evals"] > meta["steps"] + meta["rejections"]
         run_dir = out / f"run_N{run['n_particles']:05d}"
         report = strict_json(run_dir / "diagnostics.json")
         assert report["times"][0] == 0.0

@@ -258,6 +258,21 @@ def test_oracles_refuse_a_horizon_that_is_not_finite(t):
         entropy_mass(datum, model, t, 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_riemann_oracles_refuse_a_time_that_is_not_finite(t):
+    # a test of t < 0 alone lets inf through: the density is then the fan's
+    # at xi 0 for every x, and the mass and the L1 error form inf - inf, NaN
+    # with numpy's "invalid value" warning
+    model = Greenshields(1.0)
+    sol = riemann_solve(model, 0.8, 0.2)
+    with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
+        riemann_eval(sol, model, t, np.array([-0.5, 0.0, 0.5]))
+    with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
+        riemann_mass(sol, model, t, -1.0, 1.0)
+    with pytest.raises(ValueError, match="^t must be nonnegative and finite$"):
+        riemann_l1_error(scenario("riemann_like"), sol, model, t, (-0.5, 0.5))
+
+
 def test_riemann_mass_and_l1_error_refuse_reversed_and_empty_windows():
     model = Greenshields(1.0)
     sol = riemann_solve(model, 0.8, 0.2)
