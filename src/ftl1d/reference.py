@@ -6,7 +6,9 @@ piecewise-constant datum, the Riemann solver its density in closed form for
 two-state data, and the first-order monotone finite-volume scheme converges
 to it.  All require a concave flux f(rho) = rho * v(rho), the
 ``flux_concave`` verdict of ``velocity.check_assumptions``; f' decreases on
-it, so the largest wave speed on [0, R] is max(|f'(0)|, |f'(R)|).
+it, so the largest wave speed on [0, R] is max(|f'(0)|, |f'(R)|).  Fans, the
+Lax-Hopf maximiser and the critical density read the law's closed-form
+inverse of f', ``inverse_flux_derivative``.
 """
 
 from __future__ import annotations
@@ -76,10 +78,8 @@ def riemann_eval(sol: RiemannSolution, model: VelocityModel, t: float, x):
     elif sol.kind == "shock":
         out = np.where(xi < sol.shock_speed, sol.left, sol.right)
     else:
-        inner = model.inverse_flux_derivative(np.clip(xi, sol.fan_left, sol.fan_right),
-                                              sol.right, sol.left)
-        out = np.where(xi <= sol.fan_left, sol.left,
-                       np.where(xi >= sol.fan_right, sol.right, inner))
+        # the fan's edges are f' at its states, so beyond them the inverse gives the state
+        out = model.inverse_flux_derivative(xi, sol.right, sol.left)
     return float(out) if x.ndim == 0 else out
 
 
@@ -222,14 +222,9 @@ def godunov(datum: PiecewiseConstantDensity, model: VelocityModel, dx: float, cf
     edges = left + dx * np.arange(n_cells + 1)
     u = np.diff(datum.cdf_values(edges)) / dx
     mass0 = float(u.sum() * dx)
-    peak = star = None
     for _ in range(n_steps):
         q = np.concatenate(([0.0], u, [0.0]))
-        # star, the flux's argmax on [0, top], may be a bisection of dozens of
-        # calls to f'; it depends only on top, which often holds for many steps
-        top = float(q.max())
-        if top != peak:
-            peak, star = top, model.inverse_flux_derivative(0.0, 0.0, top)
+        star = model.inverse_flux_derivative(0.0, 0.0, float(q.max()))
         # a concave flux rises up to star and falls beyond: the Godunov flux is
         # min(demand f(clip(rl, 0, star)), supply f(max(rr, star))), and the
         # clip lifts rounding's -eps residues in vacuum cells to 0

@@ -6,12 +6,12 @@ cell mass m that maps gaps to the speeds v(m / gap), read at the gaps 1.0 by
 on v being strictly decreasing with a finite vacuum speed v(0) = v_max;
 some estimates additionally need the map rho -> rho * v'(rho) to be
 non-increasing, and the oracles a concave flux rho * v(rho).
-``check_assumptions`` samples those four conditions on a grid of
-``ADMISSIBILITY_SAMPLES`` points, except the last two where the law decides
-them exactly (``structural_verdicts``: Underwood's closed forms, and the
-tabulated law's slopes); no other code samples a law.  Every law states its
-slope v' exactly, the tabulated law as the slope of the segment holding rho,
-so no law here differences its values.
+``check_assumptions`` samples the first two on a grid of ``ADMISSIBILITY_SAMPLES``
+points, and each law decides the last two exactly (``structural_verdicts``);
+no other code samples a law.  Every law states its slope v' exactly (the
+tabulated law's is the slope of the segment holding rho) and its root of f'
+in closed form (Underwood's and ModifiedGreenberg's by Lambert's W0), so no
+law here differences its values or bisects.
 """
 
 from __future__ import annotations
@@ -25,6 +25,20 @@ ADMISSIBILITY_SAMPLES = 256   # check_assumptions' grid: the one grid of every s
 _ONE = np.array(1.0)   # the gaps of _v: rho / 1.0 is rho, with ±0, inf and NaN
 
 
+def _lambert_w0(z):
+    """W0(z) on [-1/e, e] by six Halley steps (Corless et al. 1996) from the branch-point
+    series below z -0.25, else from 0.9 * log1p(z); z may be an array."""
+    p = np.sqrt(np.maximum(2.0 * (np.e * z + 1.0), 0.0))
+    w = np.where(z < -0.25, p * (1.0 - p / 3.0 + 11.0 / 72.0 * p * p) - 1.0,
+                 0.9 * np.log1p(np.maximum(z, -0.25)))
+    for _ in range(6):
+        e, w1 = np.exp(w), w + 1.0
+        f = w * e - z
+        den = 2.0 * e * w1 * w1 - (w + 2.0) * f   # 0 at w -1 with f 0: a step of 0
+        w = w - np.divide(2.0 * f * w1, den, out=np.zeros(np.shape(w)), where=den != 0.0)
+    return w
+
+
 def _as_density(rho):
     """Validate and convert a density argument (scalar or array)."""
     arr = np.asarray(rho, dtype=float)
@@ -34,7 +48,7 @@ def _as_density(rho):
 
 
 class VelocityModel:
-    """Base class for velocity laws; a subclass implements _velocities and _dv.
+    """Base class for velocity laws; a subclass implements every method raising here.
 
     ``_velocities(mass)`` returns the kernel ``velocities(gaps, out)``, which
     writes v(mass / gaps) into ``out`` (which may be ``gaps``) and returns it;
@@ -46,9 +60,10 @@ class VelocityModel:
     Python float.
 
     Methods: value, derivative, flux, flux_derivative, density_weighted_slope,
-    inverse_flux_derivative (overridden where a closed form exists; at xi 0
-    on [0, hi] it is the argmax of the flux), and structural_verdicts
-    (overridden where the law decides them exactly).  The built-in laws
+    inverse_flux_derivative (at xi 0 on [0, hi] it is the argmax of the
+    flux), and structural_verdicts.  A law also states its root of f',
+    ``_flux_derivative_root(xi, lo, hi)`` for xi in [f'(hi), f'(lo)], and its
+    verdicts; here both raise NotImplementedError.  The built-in laws
     refuse a v_max that is not positive and finite; the tabulated law, and a
     law a caller writes, validate their own fields.
     """
@@ -114,34 +129,26 @@ class VelocityModel:
         return float(out) if np.ndim(rho) == 0 else out
 
     def inverse_flux_derivative(self, xi, lo: float, hi: float):
-        """Solve f'(rho) = xi for rho in [lo, hi], bisecting to 1e-13 * max(1, hi).
+        """Solve f'(rho) = xi for rho in [lo, hi] by the law's root of f'.
 
-        f' is assumed decreasing on [lo, hi] (as it is when the flux is
-        concave); xi outside (f'(hi), f'(lo)) gives the nearer end, and where
-        every xi does, nothing is bisected.  So xi 0 on [0, hi] gives the
+        f' is assumed decreasing on [lo, hi] (as for a concave flux); xi outside
+        (f'(hi), f'(lo)) gives the nearer end.  So xi 0 on [0, hi] gives the
         argmax of the flux: hi where f'(hi) >= 0, else the root of f'.
         """
         arr = np.asarray(xi, dtype=float)
-        # an end exactly, not a midpoint near it: f(r) - r * xi moves with it
-        at_lo, at_hi = arr >= self.flux_derivative(lo), arr <= self.flux_derivative(hi)
-        a = np.full(arr.shape, lo)
-        b = np.full(arr.shape, hi)
-        if not np.all(at_lo | at_hi):
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                high = self.flux_derivative(mid) > arr
-                a = np.where(high, mid, a)
-                b = np.where(high, b, mid)
-                if float(np.max(b - a)) <= 1e-13 * max(1.0, hi):
-                    break
-        out = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
+        top, bottom = self.flux_derivative(np.array([lo, hi]))
+        # an end exactly, not a root near it: f(r) - r * xi moves with it; the
+        # root reads xi clipped to the slopes, so an infinite xi warns nowhere
+        root = np.clip(self._flux_derivative_root(np.clip(arr, bottom, top), lo, hi), lo, hi)
+        out = np.where(arr >= top, lo, np.where(arr <= bottom, hi, root))
         return float(out) if np.ndim(xi) == 0 else out
 
+    def _flux_derivative_root(self, xi, lo: float, hi: float):
+        raise NotImplementedError
+
     def structural_verdicts(self, hi: float):
-        """(rho * v'(rho) non-increasing, flux concave) on [0, hi], where the
-        law decides them exactly; None, as here, leaves both to the samples
-        of ``check_assumptions``."""
-        return None
+        """(rho * v'(rho) non-increasing, flux concave) on [0, hi], exactly."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -161,10 +168,11 @@ class Greenshields(VelocityModel):
     def _dv(self, rho):
         return np.full_like(rho, -self.v_max)
 
-    def inverse_flux_derivative(self, xi, lo: float, hi: float):
-        # f'(rho) = v_max * (1 - 2 rho)
-        out = np.clip(0.5 * (1.0 - np.asarray(xi, dtype=float) / self.v_max), lo, hi)
-        return float(out) if np.ndim(xi) == 0 else out
+    def _flux_derivative_root(self, xi, lo, hi):
+        return 0.5 * (1.0 - xi / self.v_max)   # f'(rho) = v_max * (1 - 2 rho)
+
+    def structural_verdicts(self, hi: float):
+        return True, True   # rho * v' = -v_max * rho falls, and f'' = -2 v_max
 
 
 @dataclass(frozen=True)
@@ -194,15 +202,16 @@ class PipesMunjal(VelocityModel):
         with np.errstate(divide="ignore"):
             return -self.v_max * self.alpha * rho ** (self.alpha - 1.0)
 
-    def inverse_flux_derivative(self, xi, lo: float, hi: float):
-        # f'(rho) = v_max * (1 - (1 + alpha) * rho**alpha), with the base class's ends;
-        # np.power, as a scalar's ** can differ from the array ufunc in the last bit
-        arr = np.asarray(xi, dtype=float)
-        root = np.power(np.maximum(1.0 - arr / self.v_max, 0.0) / (1.0 + self.alpha),
-                        1.0 / self.alpha)
-        out = np.where(arr >= self.flux_derivative(lo), lo,
-                       np.where(arr <= self.flux_derivative(hi), hi, np.clip(root, lo, hi)))
-        return float(out) if np.ndim(xi) == 0 else out
+    def _flux_derivative_root(self, xi, lo, hi):
+        # f'(rho) = v_max * (1 - (1 + alpha) * rho**alpha) <= v_max; np.power,
+        # as a scalar's ** can differ from the array ufunc in the last bit
+        return np.power((1.0 - xi / self.v_max) / (1.0 + self.alpha), 1.0 / self.alpha)
+
+    def structural_verdicts(self, hi: float):
+        # rho * v' = -v_max * alpha * rho**alpha falls and f'' <= 0, while finite at hi
+        with np.errstate(over="ignore"):
+            finite = bool(np.isfinite(self.v_max * self.alpha * np.power(hi, self.alpha)))
+        return finite, finite
 
 
 @dataclass(frozen=True)
@@ -223,6 +232,10 @@ class Underwood(VelocityModel):
 
     def _dv(self, rho):
         return -self.v_max * np.exp(-rho)
+
+    def _flux_derivative_root(self, xi, lo, hi):
+        # f'(rho) = v_max * e^-rho * (1 - rho) = xi: (1 - rho) * e^(1 - rho) = e * xi / v_max
+        return 1.0 - _lambert_w0(np.e * xi / self.v_max)
 
     def structural_verdicts(self, hi: float):
         # rho * v' = -v_max * rho * e^-rho falls up to rho 1; f'' = v_max * e^-rho * (rho - 2)
@@ -257,6 +270,16 @@ class ModifiedGreenberg(VelocityModel):
 
     def _dv(self, rho):
         return self.v_max / (np.log(self.alpha) * (rho + self.alpha))
+
+    def _flux_derivative_root(self, xi, lo, hi):
+        # w = alpha / (rho + alpha) solves w e^w = alpha e^(1 - xi log(alpha) / v_max) at f' = xi
+        alpha = self.alpha
+        return alpha / _lambert_w0(alpha * np.exp(1.0 - xi * self._log_alpha / self.v_max)) - alpha
+
+    def structural_verdicts(self, hi: float):
+        # rho * v' = v_max * rho / ((rho + alpha) * log(alpha)) falls, and
+        # f'' = v_max * (rho + 2 alpha) / ((rho + alpha)**2 * log(alpha)) < 0
+        return True, True
 
 
 @dataclass(frozen=True)
@@ -311,6 +334,16 @@ class TabulatedVelocity(VelocityModel):
         # the interior nodes at or below rho count the segments before its own
         return self._slopes[np.searchsorted(self.rho_table[1:-1], rho, side="right")]
 
+    def _flux_derivative_root(self, xi, lo, hi):
+        # f' = v + rho * s_k falls on segment k and jumps down at nodes; interpolating its
+        # polyline on the segments meeting (lo, hi), at least one, maps a jump to its node
+        rho, vel, slope = self.rho_table, self.v_table, self._slopes
+        first = np.searchsorted(rho[1:-1], lo, side="right")
+        last = max(first, np.searchsorted(rho, hi) - 1)
+        ends = np.stack((vel[:-1] + rho[:-1] * slope, vel[1:] + rho[1:] * slope), axis=1)
+        nodes = np.stack((rho[:-1], rho[1:]), axis=1)
+        return np.interp(-xi, -ends[first:last + 1].ravel(), nodes[first:last + 1].ravel())
+
     def structural_verdicts(self, hi: float):
         """Both hold on [0, hi] exactly when no slope rises at a node inside
         (0, hi).  On segment k, v' is the slope s_k < 0, so rho * v' = rho * s_k
@@ -335,9 +368,8 @@ class TabulatedVelocity(VelocityModel):
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Admissibility checks for a velocity law on [0, rho_max], sampled on
-    ``grid`` unless the law decides them; every field after ``grid`` is one
-    verdict."""
+    """Admissibility checks of a law on [0, rho_max], the first two sampled on ``grid``
+    and the last two decided by the law; every field after ``grid`` is one verdict."""
 
     grid: np.ndarray
     v_strictly_decreasing: bool
@@ -363,24 +395,19 @@ class AssumptionReport:
 
 
 def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
-    """Sample the four admissibility conditions on ``ADMISSIBILITY_SAMPLES``
-    uniform points of [0, rho_max].
-
-    Checks, in order: v strictly decreasing, v(0) = v_max exactly,
-    rho * v'(rho) non-increasing, and f = rho * v concave (second differences
-    at most 1e-10 * (1 + max|f|)); the last two are the law's
-    ``structural_verdicts`` where it decides them exactly, as Underwood and
-    the tabulated law do, so a kink or a turn that samples cannot see still
-    counts.  Report-only; never raises on failure.
+    """The four admissibility conditions on [0, rho_max], in order: v strictly
+    decreasing and v(0) = v_max exactly, sampled on ``ADMISSIBILITY_SAMPLES``
+    uniform points, then rho * v'(rho) non-increasing and f = rho * v concave,
+    the law's exact ``structural_verdicts``, which see a kink or a turn that
+    samples miss.  Report-only; never raises on failure.
     A rho_max that is not positive, or infinite (a subnormal gap's density),
     raises ValueError before anything is sampled.  v counts as strictly
     decreasing when its samples never increase and v' is negative at every
     positive sample: near vacuum a law like 1 - rho**20 rounds to v_max, so
     samples may tie, and v'(0) = 0 is allowed.
-    v and v' are evaluated once each; f and rho * v'(rho) are formed from them.
-    A sampled verdict reads false when any sample it reads is not finite,
-    as where a law overflows (1 - rho**2000 at rho 1.5); such samples raise
-    no numpy warning.
+    v and v' are evaluated once each.  A sampled verdict reads false when any
+    sample it reads is not finite, as where a law overflows (1 - rho**2000 at
+    rho 1.5); such samples raise no numpy warning.
     """
     if not rho_max > 0.0:
         raise ValueError("rho_max must be positive")
@@ -395,18 +422,8 @@ def check_assumptions(model: VelocityModel, rho_max: float) -> AssumptionReport:
         # of v' are negative, the ends of v and the least v' bound the rest
         decreasing = bool(np.all(np.diff(v) <= 0.0) and np.all(dv[1:] < 0.0)
                           and finite(v[0]) and finite(v[-1]) and finite(np.min(dv[1:])))
-        at_zero = v[0] == model.v_max
-        structure = model.structural_verdicts(rho_max)
-        if structure is None:
-            m = np.where(grid == 0.0, 0.0, grid * dv)
-            f = grid * v
-            # each bound is finite exactly when every sample it scales is
-            slack = 1e-12 * (1.0 + float(np.max(np.abs(m))))
-            bound = 1e-10 * (1.0 + float(np.max(np.abs(f))))
-            second = f[2:] - 2.0 * f[1:-1] + f[:-2]
-            structure = (finite(slack) and bool(np.all(np.diff(m) <= slack)),
-                         finite(bound) and bool(np.all(second <= bound)))
-    return AssumptionReport(grid, decreasing, bool(at_zero), *structure)
+    return AssumptionReport(grid, decreasing, bool(v[0] == model.v_max),
+                            *model.structural_verdicts(rho_max))
 
 
 KINDS = {   # the laws a config names by its velocity ``kind``

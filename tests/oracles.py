@@ -8,13 +8,18 @@ against themselves.  Each writes its arithmetic in the run's order of
 operations, so the tests compare with ``==``.  ``CustomVelocity`` is a law
 no config can name, for tests that need an increasing, flat or kinked v;
 ``CountingVelocity`` wraps a law to count how often a run evaluates it.
+The bisection of f' and the sampled structural verdicts are the references
+that every law's closed forms are checked against, and what
+``CustomVelocity`` uses.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ftl1d import ParticleConfiguration, PiecewiseConstantDensity, VelocityModel
+from ftl1d.velocity import ADMISSIBILITY_SAMPLES
 
 
 def min_gap_ratio(config: ParticleConfiguration, rho_max: float) -> float:
@@ -104,6 +109,49 @@ def lagrangian_wasserstein(a: PiecewiseConstantDensity, b: PiecewiseConstantDens
     return float(np.sum(cells))
 
 
+def bisected_inverse_flux_derivative(model: VelocityModel, xi, lo: float, hi: float):
+    """Solve f'(rho) = xi for rho in [lo, hi], bisecting to 1e-13 * max(1, hi).
+
+    f' is assumed decreasing on [lo, hi] (as it is when the flux is
+    concave); xi outside (f'(hi), f'(lo)) gives the nearer end, and where
+    every xi does, nothing is bisected.
+    """
+    arr = np.asarray(xi, dtype=float)
+    # an end exactly, not a midpoint near it: f(r) - r * xi moves with it
+    at_lo, at_hi = arr >= model.flux_derivative(lo), arr <= model.flux_derivative(hi)
+    a = np.full(arr.shape, lo)
+    b = np.full(arr.shape, hi)
+    if not np.all(at_lo | at_hi):
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            high = model.flux_derivative(mid) > arr
+            a = np.where(high, mid, a)
+            b = np.where(high, b, mid)
+            if float(np.max(b - a)) <= 1e-13 * max(1.0, hi):
+                break
+    out = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
+    return float(out) if np.ndim(xi) == 0 else out
+
+
+def sampled_structure(model: VelocityModel, grid: np.ndarray):
+    """(rho * v'(rho) non-increasing, flux concave) read on the samples of
+    ``grid``: the weighted slope may rise by at most 1e-12 * (1 + max|rho v'|)
+    between samples, and the second differences of f are at most 1e-10 *
+    (1 + max|f|).  A verdict reads false when any sample it reads is not
+    finite; such samples raise no numpy warning."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        v = model.value(grid)
+        dv = model.derivative(grid)
+        m = np.where(grid == 0.0, 0.0, grid * dv)
+        f = grid * v
+        # each bound is finite exactly when every sample it scales is
+        slack = 1e-12 * (1.0 + float(np.max(np.abs(m))))
+        bound = 1e-10 * (1.0 + float(np.max(np.abs(f))))
+        second = f[2:] - 2.0 * f[1:-1] + f[:-2]
+        return (math.isfinite(slack) and bool(np.all(np.diff(m) <= slack)),
+                math.isfinite(bound) and bool(np.all(second <= bound)))
+
+
 @dataclass(frozen=True)
 class CustomVelocity(VelocityModel):
     """Closed-form law given by callables.
@@ -111,7 +159,9 @@ class CustomVelocity(VelocityModel):
     ``v_func`` (and optionally ``v_prime_func``) must accept numpy arrays.
     When no derivative is supplied, v' is the difference quotient
     (v(hi) - v(lo)) / (hi - lo) with lo, hi = rho -/+ 1e-6 and lo clipped at
-    0, so a test can give a kinked or flat v by its values alone.
+    0, so a test can give a kinked or flat v by its values alone.  Its root
+    of f' bisects, and its structural verdicts are read on the
+    ``ADMISSIBILITY_SAMPLES`` points of [0, hi].
     """
 
     v_func: object
@@ -134,6 +184,12 @@ class CustomVelocity(VelocityModel):
         lo, hi = np.maximum(rho - 1e-6, 0.0), rho + 1e-6
         return (self.value(hi) - self.value(lo)) / (hi - lo)
 
+    def inverse_flux_derivative(self, xi, lo, hi):
+        return bisected_inverse_flux_derivative(self, xi, lo, hi)
+
+    def structural_verdicts(self, hi):
+        return sampled_structure(self, np.linspace(0.0, hi, ADMISSIBILITY_SAMPLES))
+
 
 @dataclass(frozen=True)
 class CountingVelocity(VelocityModel):
@@ -142,7 +198,8 @@ class CountingVelocity(VelocityModel):
     Each kernel ``_velocities`` builds is ``law``'s behind a counter that
     adds 1 before the call, so a call that raises counts.  ``value``, the
     slopes and so the admissibility check read ``law`` uncounted: the count
-    is the evaluations of a run's right-hand side.
+    is the evaluations of a run's right-hand side.  The inverse of f' and the
+    structural verdicts are ``law``'s.
     """
 
     law: VelocityModel
@@ -165,3 +222,9 @@ class CountingVelocity(VelocityModel):
 
     def _dv(self, rho):
         return self.law._dv(rho)
+
+    def inverse_flux_derivative(self, xi, lo, hi):
+        return self.law.inverse_flux_derivative(xi, lo, hi)
+
+    def structural_verdicts(self, hi):
+        return self.law.structural_verdicts(hi)

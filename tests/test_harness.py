@@ -867,10 +867,17 @@ _END_TO_END = [
         "oracle": {"kind": "riemann"}}, (1, 2), id="converge-riemann-dp45"),
     pytest.param("converge", dict(_CLI, scenario={"name": "double_hump"}), (1, 2),
                  id="converge-double_hump"),
-    # a law without a closed-form inverse of f' bisects inside Lax-Hopf
+    # Lax-Hopf reads each law's own inverse of f': Lambert's W0 for the next
+    # two, and the f' polyline of a concave table, whose slopes fall at each node
     pytest.param("converge", dict(_CLI, scenario={"name": "double_hump"},
                                   velocity={"kind": "underwood", "v_max": 1.0}), (1,),
                  id="converge-double_hump-underwood"),
+    pytest.param("converge", dict(_CLI, scenario={"name": "double_hump"}, **_MODIFIED_GREENBERG),
+                 (1,), id="converge-double_hump-modified_greenberg"),
+    pytest.param("converge", dict(_CLI, scenario={"name": "double_hump"},
+                                  velocity={"kind": "tabulated", "rho_table": [0.0, 0.4, 0.9, 1.5],
+                                            "v_table": [1.0, 0.92, 0.67, 0.07]}), (1,),
+                 id="converge-double_hump-tabulated"),
     # at t_end 0 the exact solution is the datum itself
     pytest.param("converge", {"scenario": {"name": "riemann_like"},
                               "particle_counts": [16, 32, 64], "t_end": 0, "delta": 0.25},

@@ -28,8 +28,8 @@ from ftl1d import (
     wasserstein,
 )
 from ftl1d.reference import max_wave_speed
-from ftl1d.velocity import VelocityModel, check_assumptions
-from oracles import CustomVelocity
+from ftl1d.velocity import check_assumptions
+from oracles import CustomVelocity, bisected_inverse_flux_derivative
 
 
 def test_shock_classification_and_speed():
@@ -171,7 +171,7 @@ def test_godunov_flux_consistency_all_models():
 
 def test_critical_density_closed_forms_and_search():
     # the argmax of the flux on [0, hi] is the inverse of f' at xi 0;
-    # Underwood's bisects, to 1e-13 * max(1, hi)
+    # Underwood's is 1 - W0(0) by six Halley steps
     assert Greenshields(1.0).inverse_flux_derivative(0.0, 0.0, 1.0) == 0.5
     assert PipesMunjal(1.0, 2.0).inverse_flux_derivative(0.0, 0.0, 1.0) == pytest.approx(3 ** -0.5)
     assert abs(Underwood(1.0).inverse_flux_derivative(0.0, 0.0, 2.0) - 1.0) <= 1e-13 * 2.0
@@ -185,13 +185,16 @@ def test_critical_density_closed_forms_and_search():
 @settings(deadline=None, max_examples=100)
 @given(fraction=st.floats(0.0, 1.0))
 def test_searched_critical_density_is_hi_below_the_argmax(fraction):
-    # the arguments of the flux maxima are about 0.335 and 0.739; the search
-    # alone stops up to 5e-14 short of a hi below them
+    # the arguments of the flux maxima are 0.5, 0.577, 1, about 0.335 and
+    # 0.739; a root alone may land an ulp off a hi below them, and fraction 0
+    # is the degenerate range [0, 0]
     table = np.linspace(0.0, 1.25, 11)
-    for model, top in ((ModifiedGreenberg(1.0, 0.2), 0.3),
+    for model, top in ((Greenshields(1.0), 0.5), (PipesMunjal(1.0, 2.0), 0.57),
+                       (Underwood(1.0), 1.0), (ModifiedGreenberg(1.0, 0.2), 0.3),
                        (TabulatedVelocity(table, 1.0 - 0.64 * table**2), 0.7)):
         hi = fraction * top
         assert model.inverse_flux_derivative(0.0, 0.0, hi) == hi
+        assert model.inverse_flux_derivative(0.0, 0.0, 0.0) == 0.0
 
 
 def test_godunov_constant_state_preserved_inside():
@@ -330,7 +333,8 @@ def test_godunov_default_pad_covers_stencil_reach(name):
 # the Courant numbers of the march's property tests: the step of criterion 11
 # and one near the monotone bound of 1
 _CFLS = (0.5, 0.9)
-# no closed-form critical density for the last two: the root of f' by bisection
+# the critical density of the last three is read through Lambert's W0 and a
+# polyline of f'
 _TABLE = np.linspace(0.0, 1.25, 11)
 _GODUNOV_LAWS = [Greenshields(1.0), PipesMunjal(1.0, 2.0), PipesMunjal(1.0, 0.5),
                  Underwood(1.0), ModifiedGreenberg(1.0, 0.2),
@@ -370,20 +374,6 @@ def test_godunov_matches_full_grid_march_bit_for_bit(model, case):
             supply = model.flux(np.maximum(q[1:], star))
             u = u - (dt / dx) * np.diff(np.minimum(demand, supply))
         np.testing.assert_array_equal(density.values, np.maximum(u, 0.0))
-
-
-def test_godunov_searches_critical_density_only_when_the_maximum_changes():
-    calls = []
-
-    class Counted(ModifiedGreenberg):
-        def inverse_flux_derivative(self, xi, lo, hi):
-            calls.append(hi)
-            return super().inverse_flux_derivative(xi, lo, hi)
-
-    # the 0.8 plateau of riemann_like keeps the window maximum for many steps
-    godunov(scenario("riemann_like"), Counted(1.0, 0.2), dx=0.05, cfl=0.5, t_end=1.0)
-    assert calls
-    assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
 @pytest.mark.parametrize("dx", [math.inf, math.nan, 0.0, -0.1])
@@ -593,9 +583,9 @@ def riemann_mass_by_kind(sol, model, t, a, b):
        rho_l=_STATES, rho_r=_STATES, t=_TIMES,
        ends=st.tuples(st.floats(-3.0, 5.0), st.floats(-3.0, 5.0)))
 def test_riemann_mass_matches_the_mass_by_wave_kind(model, rho_l, rho_r, t, ends):
-    # inside a fan the reference reads f' at a bisected density, so its error
-    # is first order in the bisection's tolerance, while M is stationary in
-    # it; on steeper laws (Pipes-Munjal alpha 4 at v_max 2) the reference
+    # inside a fan the reference reads f' at a computed root of f', so its
+    # error is first order in the root's, while M is stationary in it; on
+    # steeper laws (Pipes-Munjal alpha 4 at v_max 2) the reference
     # alone is off by 1.5e-12, so the laws here move at unit speed
     a, b = sorted(ends)
     sol = riemann_solve(model, rho_l, rho_r)
@@ -635,49 +625,63 @@ def test_max_wave_speed_closed_form_equals_the_sampled_max(model, rho_hi):
 @settings(deadline=None, max_examples=60)
 @given(v_max=st.floats(0.1, 3.0), alpha=st.floats(0.1, 5.0), hi=st.floats(0.01, 3.0))
 def test_critical_density_closed_forms_match_search(v_max, alpha, hi):
-    # the argmax of the flux against its closed forms: the base class finds it
-    # as the root of f', which crosses zero with a nonzero slope, so it
-    # resolves the position to the bisection's tolerance, not only the flux value
+    # the argmax of the flux against its closed forms: the law's root of f'
+    # and the bisection of tests/oracles.py, where f' crosses zero with a
+    # nonzero slope, so the bisection resolves the position to its
+    # tolerance, not only the flux value
     for model, argmax in ((PipesMunjal(v_max, alpha), (1.0 / (1.0 + alpha)) ** (1.0 / alpha)),
                           (Underwood(v_max), 1.0)):
         closed = min(argmax, hi)
         for searched in (model.inverse_flux_derivative(0.0, 0.0, hi),
-                         VelocityModel.inverse_flux_derivative(model, 0.0, 0.0, hi)):
+                         bisected_inverse_flux_derivative(model, 0.0, 0.0, hi)):
             assert 0.0 <= searched <= hi
             assert abs(closed - searched) <= 1e-12 * max(1.0, hi)
             assert model.flux(closed) == pytest.approx(model.flux(searched), rel=1e-14)
 
 
+# a concave table on [0, 1.5], the end of _STATES: its slopes fall at each node
+_CONCAVE_TABLE = TabulatedVelocity(np.array([0.0, 0.4, 0.9, 1.5]),
+                                   np.array([1.0, 0.92, 0.67, 0.07]))
+
+
 @settings(deadline=None, max_examples=60)
-@given(v_max=st.floats(0.1, 3.0), alpha=st.floats(0.1, 5.0), ends=st.tuples(_STATES, _STATES),
+@given(v_max=st.floats(0.1, 3.0), alpha=st.floats(0.1, 5.0), mg_alpha=st.floats(0.05, 0.95),
+       ends=st.tuples(_STATES, _STATES),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
-def test_inverse_flux_derivative_closed_form_matches_bisection(v_max, alpha, ends, fractions):
+def test_inverse_flux_derivative_closed_form_matches_bisection(v_max, alpha, mg_alpha, ends,
+                                                               fractions):
     lo, hi = sorted(ends)
-    for model in (Greenshields(v_max), PipesMunjal(v_max, alpha)):
+    # the middle of the downward jump of the table's f' at each node inside
+    # (lo, hi), whose root is that node
+    rho, vel = _CONCAVE_TABLE.rho_table, _CONCAVE_TABLE.v_table
+    slopes = np.diff(vel) / np.diff(rho)
+    inside = (lo < rho[1:-1]) & (rho[1:-1] < hi)
+    nodes = rho[1:-1][inside]
+    jumps = (vel[1:-1] + rho[1:-1] * 0.5 * (slopes[:-1] + slopes[1:]))[inside]
+    for model, in_jumps, their_nodes in (
+            (Greenshields(v_max), (), ()), (PipesMunjal(v_max, alpha), (), ()),
+            (Underwood(v_max), (), ()), (ModifiedGreenberg(v_max, mg_alpha), (), ()),
+            (_CONCAVE_TABLE, jumps, nodes)):
         top, bottom = model.flux_derivative(lo), model.flux_derivative(hi)
-        xi = bottom + np.asarray(fractions) * (top - bottom)
+        xi = np.concatenate((bottom + np.asarray(fractions) * (top - bottom), in_jumps))
         closed = model.inverse_flux_derivative(xi, lo, hi)
-        bisected = VelocityModel.inverse_flux_derivative(model, xi, lo, hi)
+        bisected = bisected_inverse_flux_derivative(model, xi, lo, hi)
         assert np.all((lo <= closed) & (closed <= hi))
         agree = np.abs(closed - bisected) <= 1e-12
         if isinstance(model, PipesMunjal):
             # where f' is flat, as near vacuum for alpha > 1, rounding f' moves
             # its root further than that, and the two agree in f' instead
-            slopes = model.flux_derivative(np.stack((closed, bisected)))
-            agree |= np.abs(slopes[0] - slopes[1]) <= 1e-12 * (1.0 + np.abs(xi))
+            slopes_at = model.flux_derivative(np.stack((closed, bisected)))
+            agree |= np.abs(slopes_at[0] - slopes_at[1]) <= 1e-12 * (1.0 + np.abs(xi))
         assert np.all(agree)
-        assert np.all(np.abs(model.flux_derivative(closed) - xi) <= 1e-12 * (1.0 + np.abs(xi)))
+        # no density has a slope inside a jump of the table's f'; its root is the node
+        in_a_jump = np.isin(closed, rho[1:-1]) & (model is _CONCAVE_TABLE)
+        assert np.all(in_a_jump
+                      | (np.abs(model.flux_derivative(closed) - xi) <= 1e-12 * (1.0 + np.abs(xi))))
+        np.testing.assert_array_equal(closed[len(fractions):], their_nodes)
         scalar = [model.inverse_flux_derivative(x, lo, hi) for x in xi]
         assert all(type(r) is float for r in scalar)
         np.testing.assert_array_equal(closed, scalar)
-
-
-@pytest.mark.parametrize("model", [Underwood(1.0)], ids=["underwood"])
-def test_inverse_flux_derivative_bisects_without_a_closed_form(model):
-    assert type(model).inverse_flux_derivative is VelocityModel.inverse_flux_derivative
-    xi = model.flux_derivative(np.array([0.1, 0.5, 0.9]))
-    rho = model.inverse_flux_derivative(xi, 0.0, 1.0)
-    np.testing.assert_allclose(rho, [0.1, 0.5, 0.9], rtol=0.0, atol=1e-12)
 
 
 def test_riemann_l1_error_pinned_values():
@@ -688,7 +692,7 @@ def test_riemann_l1_error_pinned_values():
     vals = riemann_eval(sol, model, t, 0.5 * (edges[:-1] + edges[1:]))
     fine = PiecewiseConstantDensity(edges, vals)
     # each piece's error is a difference of O(0.1) fan primitives taken at
-    # bisection accuracy, so this small sum is pinned in absolute terms
+    # rounding accuracy, so this small sum is pinned in absolute terms
     assert riemann_l1_error(fine, sol, model, t, (-0.5, 0.5)) == pytest.approx(
         3.749999912417501e-05, abs=1e-12)
     tr = integrate(atomize(scenario("riemann_like"), 256), model, t, None, [t])
@@ -709,8 +713,9 @@ def test_entropy_mass_matches_riemann_mass_on_two_cell_data(model, rho_l, rho_r,
     x = np.sort(2.0 * np.array(fractions) - 1.0)
     mass = entropy_mass(datum, model, t, x)
     exact = riemann_mass(riemann_solve(model, rho_l, rho_r), model, t, x[0], x)
-    # the root of f' is a closed form for Greenshields and a bisection to
-    # 1e-13 otherwise (3.3e-16 of the mass is the largest error seen for all three)
+    # the root of f' is linear for Greenshields, a power for Pipes-Munjal and
+    # Lambert's W0 for Underwood (3.3e-16 of the mass is the largest error seen
+    # for the last two under the bisection they replaced)
     tol = 1e-15 if isinstance(model, Greenshields) else 1e-13
     assert np.max(np.abs(mass - mass[0] - exact)) <= tol * max(1.0, datum.total_mass)
 
@@ -771,15 +776,22 @@ def test_godunov_converges_to_the_exact_cell_averages(model, name):
     assert errors[0] / errors[2] > 2.0
 
 
-@pytest.mark.parametrize("model", [Underwood(1.0), PipesMunjal(1.0, 2.0)],
-                         ids=["underwood", "pipes_munjal"])
+@pytest.mark.parametrize("model", [Greenshields(1.0), PipesMunjal(1.0, 2.0), Underwood(1.0),
+                                   ModifiedGreenberg(1.0, 0.2), _GODUNOV_LAWS[-1]],
+                         ids=["greenshields", "pipes_munjal", "underwood", "modified_greenberg",
+                              "tabulated"])
 def test_inverse_flux_derivative_gives_an_end_exactly_beyond_its_slopes(model):
-    # not a bisection's midpoint near it: the Lax-Hopf value at an end moves
-    # to first order with the root
-    xi = np.array([2.0, model.flux_derivative(0.2), model.flux_derivative(0.9), -5.0])
+    # not a root near it: the Lax-Hopf value at an end moves to first order
+    # with the root; and an infinite slope gives an end without a numpy
+    # warning, an error under the suite's filter
+    xi = np.array([2.0, model.flux_derivative(0.2), model.flux_derivative(0.9), -5.0,
+                   math.inf, -math.inf])
     np.testing.assert_array_equal(model.inverse_flux_derivative(xi, 0.2, 0.9),
-                                  [0.2, 0.2, 0.9, 0.9])
+                                  [0.2, 0.2, 0.9, 0.9, 0.2, 0.9])
     assert model.inverse_flux_derivative(math.inf, 0.2, 0.9) == 0.2
+    assert model.inverse_flux_derivative(-math.inf, 0.2, 0.9) == 0.9
+    # a clip of Greenshields' root alone gives 0.30000000000000004 at this slope
+    assert model.inverse_flux_derivative(model.flux_derivative(0.3), 0.3, 0.6) == 0.3
 
 
 @settings(deadline=None, max_examples=100)
